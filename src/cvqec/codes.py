@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -179,6 +180,40 @@ class CodeSpec:
     @property
     def m(self) -> int:
         return self.h.shape[0]
+
+    @cached_property
+    def syndrome_matrix(self) -> np.ndarray:
+        """Matrix S with syndrome(u) = S @ u, shape (m, 2n), derived once (read-only).
+
+        A phase vector u = (u_p | u_x) shifts check row h = (h_p | h_x) by
+        h_p . u_x + h_x . u_p, so S swaps the halves of h.
+        """
+        n = self.n
+        smat = np.hstack([self.h[:, n:], self.h[:, :n]])
+        smat.setflags(write=False)
+        return smat
+
+    @cached_property
+    def mode_systems(self) -> tuple[np.ndarray, np.ndarray]:
+        """Single-mode decoding systems, derived once per code (read-only).
+
+        For mode j + 1, let ``A`` be the (m, 2) matrix whose columns are the
+        syndromes of a unit momentum and a unit position shift on that
+        mode, and ``P`` its least-squares inverse (the pseudoinverse with
+        `numpy.linalg.lstsq`'s default cutoff).  ``solves[j]`` is ``P^T``,
+        so ``s @ solves[j]`` is the best (p, x) fit of syndrome s on the
+        mode, and ``misfits[j]`` is ``(A P - I)^T``, so ``s @ misfits[j]``
+        is that fit's syndrome minus s.
+        """
+        n, m = self.n, self.m
+        smat = self.syndrome_matrix
+        columns = np.stack([smat[:, :n].T, smat[:, n:].T], axis=2)  # (n, m, 2)
+        inverses = np.linalg.pinv(columns, rcond=np.finfo(float).eps * max(m, 2))
+        solves = inverses.transpose(0, 2, 1).copy()
+        misfits = (columns @ inverses - np.eye(m)).transpose(0, 2, 1).copy()
+        solves.setflags(write=False)
+        misfits.setflags(write=False)
+        return solves, misfits
 
 
 def verify_code(code: CodeSpec, tol_map: float = 1e-8, tol_symp: float = 1e-9) -> None:

@@ -20,18 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .compiler import (
-    Circuit,
-    circuit_action,
-    compile_encoder,
-    fourier,
-    invert_circuit,
-    qnd_p,
-    qnd_x,
-)
-from .decoder import decode_single_mode, syndrome
-from .errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
-from .symplectic import swap_halves
+from .compiler import Circuit, circuit_action, compile_encoder, fourier, qnd_p, qnd_x
+from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
+from .errors import DimensionMismatchError, InvalidStateError
+from .symplectic import swap_halves, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -209,11 +201,7 @@ def homodyne(state: GaussianState, mode: int, quadrature: str, rng: np.random.Ge
 
 def uncertainty_defect(state: GaussianState) -> float:
     """Most negative eigenvalue of cov + i J / 2 (0 for physical states)."""
-    n = state.n
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = np.eye(n)
-    j[n:, :n] = -np.eye(n)
-    eigs = np.linalg.eigvalsh(state.cov + 0.5j * j)
+    eigs = np.linalg.eigvalsh(state.cov + 0.5j * symplectic_form(state.n))
     return float(min(np.min(eigs), 0.0))
 
 
@@ -311,32 +299,56 @@ def _embed_action(a: np.ndarray, n: int, total: int) -> np.ndarray:
     return out
 
 
-def _prepare_encoded_input(code: CodeSpec, r: float, data_means: np.ndarray) -> GaussianState:
-    """Canonical resource states on sender + receiver modes (nothing encoded yet)."""
+def _channel_actions(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder, decoder and readout actions on the n + c sender and receiver modes.
+
+    The encoder is the compiled circuit.  The decoder is its symplectic
+    inverse ``-J A^T J``, and the readout is the closed form of
+    `balanced_beamsplitter` on every entangled pair (j, n + j): a 45 degree
+    rotation of both quadrature planes.
+    """
+    n, _, _, c = code.params
+    total = n + c
+    enc = _embed_action(circuit_action(compile_encoder(code)), n, total)
+    j = symplectic_form(total)
+    dec = -j @ enc.T @ j
+    readout = np.eye(2 * total)
+    s = math.sqrt(0.5)
+    for off in (0, total):  # x plane, then p plane
+        first = off + np.arange(c)
+        second = first + n
+        readout[first, first] = readout[second, first] = readout[second, second] = s
+        readout[first, second] = -s
+    return enc, dec, readout
+
+
+def _resource_factor(code: CodeSpec, r: float) -> np.ndarray:
+    """Covariance factor of the canonical resource states on sender + receiver modes.
+
+    Entangled pairs (sender mode j, receiver mode n + j) at squeezing r,
+    position-squeezed ancillas, and vacuum-noise data modes whose
+    coherent means are added separately.
+    """
     n, k, l, c = code.params
     total = n + c
-    mean = np.zeros(2 * total)
     factor = np.zeros((2 * total, 2 * total))
     col = 0
     sq = 1.0 / math.sqrt(2.0)
-    for j in range(c):  # entangled halves: sender mode j, receiver mode n + j
-        block = epr_pair(r).factor
+    for j in range(c):
         rows = [j, n + j, total + j, total + n + j]
-        factor[np.ix_(rows, range(col, col + 4))] = block
+        factor[np.ix_(rows, range(col, col + 4))] = epr_pair(r).factor
         col += 4
-    for i in range(l):  # position-squeezed ancillas
+    for i in range(l):
         m = c + i
         factor[m, col] = sq * math.exp(-r)
         factor[total + m, col + 1] = sq * math.exp(r)
         col += 2
-    for i in range(k):  # data modes: coherent states
+    for i in range(k):
         m = c + l + i
         factor[m, col] = sq
         factor[total + m, col + 1] = sq
-        mean[m] = data_means[i]
-        mean[total + m] = data_means[k + i]
         col += 2
-    return GaussianState(n=total, mean=mean, factor=factor)
+    return factor
 
 
 def run_ec_experiment(
@@ -350,24 +362,38 @@ def run_ec_experiment(
 ) -> ExperimentStats:
     """Monte-Carlo error correction of a fixed single-mode displacement.
 
-    Each trial prepares fresh resource states at squeezing r with random
+    Each trial prepares resource states at squeezing r with random
     coherent data, encodes with the compiled circuit, applies the error,
     un-encodes on the receiver side, reads the canonical check values by
     single-mode homodyne (entangled pairs pass through an exact
     beamsplitter first so both commuting pair observables become local),
-    decodes, applies the correction displacement, and compares the
-    surviving data modes against their inputs.
+    decodes, applies the correction displacement, and compares the data
+    modes against their inputs.
+
+    Every step is linear-Gaussian, so the covariance after each homodyne
+    readout does not depend on its outcome: it is computed once and
+    shared by all trials, while the trials' means move by the same affine
+    maps, all trials at once.  Measured modes stay in the layout, pinned
+    to their outcomes.  The trials reproduce, row by row, the state that
+    `homodyne` and `apply_symplectic` give one trial at a time.
 
     Decode failures are counted, never raised; a failed trial applies no
-    correction.  Trials draw from independent streams derived from
-    (seed, trial index), so results are reproducible bit for bit.
+    correction.  Randomness comes from ``np.random.default_rng(seed)``:
+    first the (trials, 2k) data means, ``normal(0, coherent_scale)`` in
+    (x | p) order per trial, then a (trials, m) array z of standard
+    normals.  Column i of z drives the i-th readout, and the readouts run
+    in this order: receiver momenta of the entangled pairs from the last
+    pair to the first, ancilla positions from the last to the first, then
+    sender positions from the last pair to the first.  Trial t's outcome
+    of a readout with mean mu and variance v is ``mu + sqrt(v) z[t, i]``.
+    A fixed seed gives bit-identical results.
 
     Args:
         code: a built code.
         error: phase vector supported on at most one mode.
         r: resource squeezing parameter.
         trials: number of Monte-Carlo runs (>= 1).
-        seed: master seed (non-negative).
+        seed: seed of the random stream (non-negative).
         decode_tol: residual tolerance handed to the decoder; generous by
             default because measured syndromes carry finite-squeezing noise.
         coherent_scale: standard deviation of the random data-mode means.
@@ -383,90 +409,80 @@ def run_ec_experiment(
     support = {i % n for i in np.nonzero(error)[0]}
     if len(support) > 1:
         raise ValueError("the experiment injects single-mode errors only")
-    error_mode = (support.pop() + 1) if support else None
+    error_mode = (support.pop() + 1) if support else 0
+
+    rng = np.random.default_rng(seed)
+    data_means = rng.normal(0.0, coherent_scale, size=(trials, 2 * k))
+    z = rng.standard_normal((trials, code.m))
 
     total = n + c
-    encoder = compile_encoder(code)
-    enc_full = _embed_action(circuit_action(encoder), n, total)
-    dec_full = _embed_action(circuit_action(invert_circuit(encoder)), n, total)
-    readout = np.eye(2 * total)
-    for j in range(c):
-        bs = balanced_beamsplitter(j + 1, n + j + 1, total)
-        readout = circuit_action(bs) @ readout
+    data_rows = np.r_[c + l : n, total + c + l : total + n]
+    enc, dec, readout = _channel_actions(code)
     d_error = np.zeros(2 * total)
     d_error[:n] = error[n:]
     d_error[total : total + n] = error[:n]
-    s_ideal = syndrome(code, error)
+    factor = readout @ (dec @ (enc @ _resource_factor(code, r)))
+    # Means before any readout: the data's coherent means and the error,
+    # carried through encoder, decoder and readout.
+    unread = readout @ dec
+    offset = unread @ d_error
+    from_data = (unread @ enc)[:, data_rows]
+
+    # (quadrature row, syndrome index, scale) of each readout, in the
+    # documented order; pair observables come out of the beamsplitter
+    # scaled by 1/sqrt(2).
     sqrt2 = math.sqrt(2.0)
-    # Canonical-frame displacement of a phase vector: the inverse encoder
-    # action applied to its quadrature shifts.
-    to_canonical = code.basis
+    readouts = [(total + n + j, c + l + j, sqrt2) for j in reversed(range(c))]
+    readouts += [(c + i, c + i, 1.0) for i in reversed(range(l))]
+    readouts += [(j, j, sqrt2) for j in reversed(range(c))]
+    rows, index, scale = (list(col) for col in zip(*readouts))
 
-    residuals = np.zeros((trials, 2 * k))
-    cov_excess = np.zeros((trials, 2 * k))
-    noise = np.zeros((trials, code.m))
-    matches = 0
-    ambiguous = 0
-    uncorrectable = 0
+    # Readout i conditions every mean by gain * (outcome - mean[q]), and
+    # outcome - mean[q] = sqrt(var) z_i, so the means are affine in z: row
+    # i of `kicks` is sqrt(var) * gain, the move per unit of z_i.
+    kicks = np.zeros((code.m, 2 * total))
+    for i, q in enumerate(rows):
+        v = factor[q]
+        var = float(v @ v)
+        if var <= 0.0:
+            raise InvalidStateError(f"readout row {q} has nonpositive variance {var}")
+        kicks[i] = factor @ v / math.sqrt(var)
+        vhat = v / math.sqrt(var)
+        factor = factor - np.outer(factor @ vhat, vhat)
 
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        data_means = rng.normal(0.0, coherent_scale, size=2 * k) if k else np.zeros(0)
-        st = _prepare_encoded_input(code, r, data_means)
-        st = apply_symplectic(st, enc_full)
-        st = displace(st, d_error)
-        st = apply_symplectic(st, dec_full)
-        st = apply_symplectic(st, readout)
+    # Readout i sees the kicks of readouts 0..i, its own included, as in
+    # sequential conditioning; later kicks reach a measured quadrature only
+    # through rounding, since its outcome pins it.
+    outcomes = z @ np.triu(kicks[:, rows])
+    outcomes += data_means @ from_data[rows].T
+    outcomes += offset[rows]
+    s_meas = np.empty_like(outcomes)
+    s_meas[:, index] = outcomes * scale
+    residuals = z @ kicks[:, data_rows]
+    residuals += data_means @ (from_data[data_rows] - np.eye(2 * k)).T
+    residuals += offset[data_rows]
+    del z, data_means, outcomes  # with the decoder's work arrays they would set the memory peak
 
-        # Single-mode homodyne of every check mode, highest index first so
-        # earlier indices stay valid as measured modes drop out.
-        targets = [(n + j, "p") for j in range(c)]
-        targets += [(c + i, "x") for i in range(l)]
-        targets += [(j, "x") for j in range(c)]
-        values = {}
-        live = list(range(total))
-        for orig, quad in sorted(targets, key=lambda item: -item[0]):
-            cur = live.index(orig)
-            rec = homodyne(st, cur + 1, quad, rng)
-            values[orig] = rec.outcome
-            st = rec.posterior
-            live.pop(cur)
-
-        s_meas = np.zeros(code.m)
-        for j in range(c):
-            s_meas[j] = sqrt2 * values[j]
-            s_meas[c + l + j] = sqrt2 * values[n + j]
-        for i in range(l):
-            s_meas[c + i] = values[c + i]
-        noise[t] = s_meas - s_ideal
-
-        u_prime = np.zeros(2 * n)
-        try:
-            corr = decode_single_mode(code, s_meas, tol=decode_tol)
-            u_prime = corr.u_prime
-            if corr.mode_hypothesis == error_mode:
-                matches += 1
-        except AmbiguousSyndromeError:
-            ambiguous += 1
-        except DecodeError:
-            uncorrectable += 1
-
-        d_corr = to_canonical @ swap_halves(u_prime)
-        fix = np.zeros(2 * k)
-        fix[:k] = -d_corr[c + l : n]
-        fix[k:] = -d_corr[n + c + l : 2 * n]
-        st = displace(st, fix)
-
-        residuals[t] = st.mean - data_means
-        cov_excess[t] = np.einsum("ij,ij->i", st.factor, st.factor) - 0.5
-
+    # A decoded shift (p, x) on mode j displaces the canonical frame by
+    # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
+    decoded = decode_batch(code, s_meas, tol=decode_tol)
+    shift = decoded.shift * (decoded.status == DECODED)[:, None]
+    j = np.maximum(decoded.mode_hypothesis - 1, 0)
+    data_basis = code.basis[np.r_[c + l : n, n + c + l : 2 * n]].T
+    for column, size in ((n + j, shift[:, :1]), (j, shift[:, 1:])):  # in place: one temporary
+        step = data_basis[column]
+        step *= size
+        residuals -= step
+    residual_variance = residuals.var(axis=0)
+    cov_excess = np.einsum("ij,ij->i", factor[data_rows], factor[data_rows]) - 0.5
+    matched = np.isin(decoded.status, (NO_ERROR, DECODED)) & (decoded.mode_hypothesis == error_mode)
     return ExperimentStats(
         trials=trials,
         mean_residual=residuals.mean(axis=0),
-        residual_variance=residuals.var(axis=0),
-        excess_variance=residuals.var(axis=0) + cov_excess.mean(axis=0),
-        syndrome_noise_variance=noise.var(axis=0),
-        mode_match_rate=matches / trials,
-        ambiguity_rate=ambiguous / trials,
-        uncorrectable_rate=uncorrectable / trials,
+        residual_variance=residual_variance,
+        excess_variance=residual_variance + cov_excess,
+        syndrome_noise_variance=(s_meas - syndrome(code, error)).var(axis=0),
+        mode_match_rate=int(np.count_nonzero(matched)) / trials,
+        ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,
+        uncorrectable_rate=int(np.count_nonzero(decoded.status == UNCORRECTABLE)) / trials,
     )

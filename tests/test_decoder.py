@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqec import reference
 from cvqec.codes import build_code, canonical_parity_check
 from cvqec.decoder import (
+    AMBIGUOUS,
+    DECODED,
+    DEFAULT_DECODE_TOL,
+    NO_ERROR,
+    UNCORRECTABLE,
     canonical_reverse,
+    decode_batch,
     decode_single_mode,
     is_correctable_pair,
     min_norm_correction,
@@ -84,9 +92,7 @@ def test_decode_all_modes_random(code, rng):
 def test_syndrome_uniqueness_grid_and_boundaries(code, rng):
     # No single-mode error on one mode can reproduce the syndrome of an
     # error on a different mode, including the half-axis cases.
-    from cvqec.decoder import syndrome_matrix
-
-    smat = syndrome_matrix(code)
+    smat = code.syndrome_matrix
     columns = [np.column_stack([smat[:, j], smat[:, 4 + j]]) for j in range(4)]
     draws = [tuple(rng.normal(size=2)) for _ in range(40)]
     draws += [(0.0, 1.0), (1.0, 0.0), (0.0, -2.5), (3.0, 0.0)]
@@ -180,3 +186,40 @@ def test_uncorrectable_pair_on_data_mode():
     code = build_code(canonical_parity_check(2, 1, 0, 1))
     u = single_mode_error(2, 2, 0.5, 0.5)  # acts on the data mode: zero syndrome
     assert not is_correctable_pair(code, u, np.zeros(4))
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+_syndromes = st.one_of(
+    # exact syndromes of single-mode errors
+    st.tuples(st.integers(1, 4), _finite, _finite).map(
+        lambda e: syndrome(reference.build_example_code(), single_mode_error(4, *e))
+    ),
+    # below the decoder tolerance, and zero
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(lambda v: np.array(v) * DEFAULT_DECODE_TOL / 4),
+    st.just(np.zeros(4)),
+    st.lists(_finite, min_size=4, max_size=4).map(np.array),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_syndromes, min_size=1, max_size=12))
+def test_batch_decoder_matches_scalar_row_by_row(rows):
+    code = reference.build_example_code()
+    batch = decode_batch(code, np.array(rows))
+    for i, s in enumerate(rows):
+        status = batch.status[i]
+        try:
+            corr = decode_single_mode(code, s)
+        except AmbiguousSyndromeError:
+            assert status == AMBIGUOUS
+            continue
+        except UncorrectableSyndromeError:
+            assert status == UNCORRECTABLE
+            continue
+        if corr.mode_hypothesis is None:
+            assert status == NO_ERROR
+            continue
+        assert status == DECODED
+        assert batch.mode_hypothesis[i] == corr.mode_hypothesis
+        u_batch = single_mode_error(4, int(batch.mode_hypothesis[i]), *batch.shift[i])
+        assert np.max(np.abs(u_batch - corr.u_prime)) <= 1e-12 * np.max(np.abs(corr.u_prime))

@@ -5,10 +5,15 @@ import pytest
 
 from cvqec import reference
 from cvqec.codes import build_code, canonical_parity_check
-from cvqec.compiler import Circuit, circuit_action, fourier, phase_x, squeeze
-from cvqec.decoder import single_mode_error
-from cvqec.errors import DimensionMismatchError, InvalidStateError
+from cvqec.compiler import Circuit, circuit_action, compile_encoder, fourier, invert_circuit, phase_x, squeeze
+from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
+from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
 from cvqec.simulator import (
+    ExperimentStats,
+    GaussianState,
+    _channel_actions,
+    _embed_action,
+    _resource_factor,
     apply_circuit,
     apply_symplectic,
     balanced_beamsplitter,
@@ -24,6 +29,7 @@ from cvqec.simulator import (
     uncertainty_defect,
     vacuum,
 )
+from cvqec.symplectic import swap_halves
 
 from conftest import random_gates
 
@@ -280,3 +286,145 @@ def test_experiment_rejects_multimode_error():
 def test_apply_symplectic_dimension_check():
     with pytest.raises(DimensionMismatchError):
         apply_symplectic(vacuum(2), np.eye(2))
+
+
+def test_channel_actions_match_compiled_circuits():
+    # Closed-form readout against the three-QND beamsplitters, and the
+    # symplectic-inverse decoder against the compiled inverse circuit.
+    code = reference.build_example_code()
+    n, c = code.n, code.params.c
+    total = n + c
+    enc, dec, readout = _channel_actions(code)
+    want = np.eye(2 * total)
+    for j in range(c):
+        want = circuit_action(balanced_beamsplitter(j + 1, n + j + 1, total)) @ want
+    assert np.max(np.abs(readout - want)) <= 1e-12
+    inverse = _embed_action(circuit_action(invert_circuit(compile_encoder(code))), n, total)
+    assert np.max(np.abs(dec - inverse)) <= 1e-12 * np.max(np.abs(enc)) ** 2
+    assert np.max(np.abs(dec @ enc - np.eye(2 * total))) <= 1e-12 * np.max(np.abs(enc)) ** 2
+
+
+class _ScriptedNormals:
+    """Generator stub whose normal(loc, scale) returns loc + scale * z, z from a fixed sequence."""
+
+    def __init__(self, z):
+        self._z = iter(z)
+
+    def normal(self, loc, scale):
+        return loc + scale * next(self._z)
+
+
+def _looped_experiment(code, error, r, trials, seed, decode_tol=0.1, coherent_scale=1.0):
+    """`run_ec_experiment` one trial at a time, through the scalar state API.
+
+    Each trial evolves its own `GaussianState`, and every readout is a
+    `homodyne` call that drops the measured mode; the randomness follows
+    the documented stream.
+    """
+    n, k, l, c = code.params
+    total = n + c
+    rng = np.random.default_rng(seed)
+    data_means = rng.normal(0.0, coherent_scale, size=(trials, 2 * k))
+    z = rng.standard_normal((trials, code.m))
+    enc, dec, readout = _channel_actions(code)
+    factor = _resource_factor(code, r)
+    data_rows = np.r_[c + l : n, total + c + l : total + n]
+    d_error = np.zeros(2 * total)
+    d_error[:n] = error[n:]
+    d_error[total : total + n] = error[:n]
+    targets = [(n + j, "p") for j in range(c)] + [(c + i, "x") for i in range(l)] + [(j, "x") for j in range(c)]
+    targets.sort(key=lambda item: -item[0])
+    support = {i % n for i in np.nonzero(error)[0]}
+    error_mode = support.pop() + 1 if support else None
+
+    residuals = np.zeros((trials, 2 * k))
+    cov_excess = np.zeros((trials, 2 * k))
+    noise = np.zeros((trials, code.m))
+    matches = ambiguous = uncorrectable = 0
+    for t in range(trials):
+        mean = np.zeros(2 * total)
+        mean[data_rows] = data_means[t]
+        st = apply_symplectic(GaussianState(n=total, mean=mean, factor=factor), enc)
+        st = apply_symplectic(apply_symplectic(displace(st, d_error), dec), readout)
+        gen = _ScriptedNormals(z[t])
+        values = {}
+        live = list(range(total))
+        for orig, quad in targets:
+            rec = homodyne(st, live.index(orig) + 1, quad, gen)
+            values[orig] = rec.outcome
+            st = rec.posterior
+            live.remove(orig)
+        s = np.zeros(code.m)
+        for j in range(c):
+            s[j] = math.sqrt(2.0) * values[j]
+            s[c + l + j] = math.sqrt(2.0) * values[n + j]
+        for i in range(l):
+            s[c + i] = values[c + i]
+        noise[t] = s - syndrome(code, error)
+        u_prime = np.zeros(2 * n)
+        try:
+            corr = decode_single_mode(code, s, tol=decode_tol)
+            u_prime = corr.u_prime
+            matches += corr.mode_hypothesis == error_mode
+        except AmbiguousSyndromeError:
+            ambiguous += 1
+        except DecodeError:
+            uncorrectable += 1
+        d_corr = code.basis @ swap_halves(u_prime)
+        st = displace(st, -np.concatenate([d_corr[c + l : n], d_corr[n + c + l :]]))
+        residuals[t] = st.mean - data_means[t]
+        cov_excess[t] = np.einsum("ij,ij->i", st.factor, st.factor) - 0.5
+    return ExperimentStats(
+        trials=trials,
+        mean_residual=residuals.mean(axis=0),
+        residual_variance=residuals.var(axis=0),
+        excess_variance=residuals.var(axis=0) + cov_excess.mean(axis=0),
+        syndrome_noise_variance=noise.var(axis=0),
+        mode_match_rate=matches / trials,
+        ambiguity_rate=ambiguous / trials,
+        uncorrectable_rate=uncorrectable / trials,
+    )
+
+
+# The batched path forms its sums in another order (matrix products over
+# all trials), so it agrees with the loop to 1e-9 relative above a
+# rounding floor: ROUNDING on first moments of the O(1) means, and
+# 2 sqrt(var) ROUNDING on variances.  At r = 20 the moments themselves
+# lie near double-precision rounding of the means, where only the floor
+# can hold; a wrong draw, gain or correction there still misses by
+# orders of magnitude more.
+ROUNDING = 1e-13
+
+
+def _dense_code():
+    """The canonical (5,2,2,1) checks carried through a seeded random symplectic map."""
+    mixing = random_gates(5, 20, np.random.default_rng(51))
+    return build_code(canonical_parity_check(5, 2, 2, 1) @ circuit_action(mixing).T)
+
+
+@pytest.mark.parametrize("r", [3.0, 20.0])
+@pytest.mark.parametrize(
+    "make_code, error",
+    [
+        (reference.build_example_code, single_mode_error(4, 1, 0.5, 0.5)),
+        # ancilla mode: a rank-1 decoding system
+        (lambda: build_code(canonical_parity_check(5, 2, 2, 1)), single_mode_error(5, 2, 0.5, 0.5)),
+        (_dense_code, single_mode_error(5, 5, 0.5, -0.5)),
+    ],
+    ids=["reference", "canonical-5-2-2-1", "dense-5-2-2-1"],
+)
+def test_batched_experiment_matches_looped_oracle(make_code, error, r):
+    code = make_code()
+    got = run_ec_experiment(code, error, r=r, trials=200, seed=31)
+    want = _looped_experiment(code, error, r=r, trials=200, seed=31)
+    assert got.trials == want.trials
+    assert (got.mode_match_rate, got.ambiguity_rate, got.uncorrectable_rate) == (
+        want.mode_match_rate,
+        want.ambiguity_rate,
+        want.uncorrectable_rate,
+    )
+    assert np.all(np.abs(got.mean_residual - want.mean_residual) <= 1e-9 * np.abs(want.mean_residual) + ROUNDING)
+    for name in ("residual_variance", "excess_variance", "syndrome_noise_variance"):
+        a, b = getattr(got, name), getattr(want, name)
+        floor = 2.0 * np.sqrt(np.abs(b)) * ROUNDING + ROUNDING**2
+        assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + floor), name
