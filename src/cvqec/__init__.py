@@ -48,6 +48,7 @@ from .compiler import (
     Circuit,
     CompilerReport,
     Gate,
+    apply_gate,
     circuit_action,
     compile_encoder,
     decompose,
@@ -64,6 +65,7 @@ from .compiler import (
     save_circuit,
     squeeze,
     swap,
+    verify_circuit,
 )
 from .simulator import (
     ExperimentStats,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codes import CodeSpec
-from .errors import DimensionMismatchError
+from .errors import CircuitVerificationError, DimensionMismatchError
 from .symplectic import DEFAULT_TOL, is_symplectic, phase_map_to_quad_action, require_symplectic
 
 SQUEEZE = "SQUEEZE"
@@ -112,9 +112,47 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def with_mode_count(self, n: int) -> "Circuit":
-        """The same gate list on a larger register (modes keep their indices)."""
-        return Circuit(n=n, gates=self.gates)
+
+def apply_gate(rows: np.ndarray, gate: Gate) -> None:
+    """Left-multiply a (2n, K) array by a gate's quadrature action, in place.
+
+    Follows the substitution table of `gate_action` row by row: a gate
+    rewrites at most four rows (x_i, p_i, x_j, p_j) and leaves the rest
+    untouched, so applying it costs O(K) for a (2n, K) array instead of a
+    dense O(n^2 K) product.  A gate on a mode beyond the n modes of
+    ``rows`` raises IndexError, possibly after rewriting one row;
+    `gate_action` and `Circuit` check the modes up front.
+    """
+    n = rows.shape[0] // 2
+    xi = gate.modes[0] - 1
+    pi = n + xi
+    kind = gate.kind
+    if kind == SQUEEZE:
+        rows[xi] *= gate.param
+        rows[pi] *= 1.0 / gate.param
+    elif kind == FOURIER:
+        x = rows[xi].copy()
+        rows[xi] = -rows[pi]
+        rows[pi] = x
+    elif kind == FOURIER_INV:
+        x = rows[xi].copy()
+        rows[xi] = rows[pi]
+        rows[pi] = -x
+    elif kind == PHASE_X:
+        rows[pi] += gate.param * rows[xi]
+    elif kind == PHASE_P:
+        rows[xi] += gate.param * rows[pi]
+    else:
+        xj = gate.modes[1] - 1
+        pj = n + xj
+        if kind == QND_X:
+            rows[pi] -= gate.param * rows[pj]
+            rows[xj] += gate.param * rows[xi]
+        elif kind == QND_P:
+            rows[xi] -= gate.param * rows[xj]
+            rows[pj] += gate.param * rows[pi]
+        else:  # SWAP
+            rows[[xi, xj, pi, pj]] = rows[[xj, xi, pj, pi]]
 
 
 def gate_action(gate: Gate, n: int) -> np.ndarray:
@@ -124,45 +162,19 @@ def gate_action(gate: Gate, n: int) -> np.ndarray:
 
     * SQUEEZE(a):   x_i -> a x_i,  p_i -> p_i / a
     * FOURIER:      x_i -> -p_i,   p_i -> x_i
+    * FOURIER_INV:  x_i -> p_i,    p_i -> -x_i   (inverse of FOURIER)
     * QND_X(g):     p_i -> p_i - g p_j,  x_j -> x_j + g x_i
     * QND_P(g):     x_i -> x_i - g x_j,  p_j -> p_j + g p_i
     * PHASE_X(g):   p_i -> p_i + g x_i
     * PHASE_P(g):   x_i -> x_i + g p_i
     * SWAP:         exchanges modes i and j
+
+    The matrix is `apply_gate` applied to the identity.
     """
     if max(gate.modes) > n:
         raise DimensionMismatchError(f"gate {gate} exceeds mode count {n}")
     a = np.eye(2 * n)
-    i = gate.modes[0] - 1
-    xi, pi = i, n + i
-    if gate.kind == SQUEEZE:
-        a[xi, xi] = gate.param
-        a[pi, pi] = 1.0 / gate.param
-    elif gate.kind == FOURIER:
-        a[xi, xi] = a[pi, pi] = 0.0
-        a[xi, pi] = -1.0
-        a[pi, xi] = 1.0
-    elif gate.kind == FOURIER_INV:
-        a[xi, xi] = a[pi, pi] = 0.0
-        a[xi, pi] = 1.0
-        a[pi, xi] = -1.0
-    elif gate.kind == PHASE_X:
-        a[pi, xi] = gate.param
-    elif gate.kind == PHASE_P:
-        a[xi, pi] = gate.param
-    else:
-        jm = gate.modes[1] - 1
-        xj, pj = jm, n + jm
-        if gate.kind == QND_X:
-            a[pi, pj] = -gate.param
-            a[xj, xi] = gate.param
-        elif gate.kind == QND_P:
-            a[xi, xj] = -gate.param
-            a[pj, pi] = gate.param
-        else:  # SWAP
-            a[xi, xi] = a[pi, pi] = a[xj, xj] = a[pj, pj] = 0.0
-            a[xi, xj] = a[xj, xi] = 1.0
-            a[pi, pj] = a[pj, pi] = 1.0
+    apply_gate(a, gate)
     return a
 
 
@@ -170,7 +182,7 @@ def circuit_action(circuit: Circuit) -> np.ndarray:
     """Composed quadrature action, first gate innermost."""
     a = np.eye(2 * circuit.n)
     for g in circuit.gates:
-        a = gate_action(g, circuit.n) @ a
+        apply_gate(a, g)
     return a
 
 
@@ -253,7 +265,7 @@ class _Eliminator:
             return
         if gate.kind in (QND_X, QND_P, PHASE_X, PHASE_P) and abs(gate.param) <= GATE_EPS:
             return
-        self.work = gate_action(gate, self.n) @ self.work
+        apply_gate(self.work, gate)
         self.gates.append(gate)
         if self.debug:
             assert is_symplectic(self.work, 1e-8 * max(1.0, float(np.max(np.abs(self.work))))), (
@@ -367,6 +379,21 @@ def encoder_quad_action(code: CodeSpec) -> np.ndarray:
     conversion runs on it directly instead of inverting upsilon.
     """
     return phase_map_to_quad_action(code.basis.T)
+
+
+def verify_circuit(circuit: Circuit, code: CodeSpec) -> float:
+    """Largest entry-wise deviation of a circuit's action from the code's encoder.
+
+    Raises:
+        CircuitVerificationError: if the deviation exceeds
+            ``1e-8 * (1 + max |target|)``.
+    """
+    target = encoder_quad_action(code)
+    deviation = float(np.max(np.abs(circuit_action(circuit) - target)))
+    bound = 1e-8 * (1.0 + float(np.max(np.abs(target))))
+    if deviation > bound:
+        raise CircuitVerificationError(f"circuit action deviates by {deviation:.12g} (bound {bound:.12g})")
+    return deviation
 
 
 # ---------------------------------------------------------------------------

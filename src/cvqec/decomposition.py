@@ -71,51 +71,58 @@ def _independent_rows(rows: np.ndarray, tol: float) -> tuple[list[int], list[int
     """Greedy rank-revealing pass: indices of kept rows and of dropped rows."""
     kept: list[int] = []
     dropped: list[int] = []
-    basis: list[np.ndarray] = []
+    basis = np.empty(rows.shape)  # orthonormal rows spanning the kept rows
     for idx, row in enumerate(rows):
-        res = row.astype(float).copy()
+        res = row.astype(float)
+        q = basis[: len(kept)]
         for _ in range(2):  # second sweep restores orthogonality lost to rounding
-            for q in basis:
-                res -= (q @ res) * q
+            res -= (q @ res) @ q
         norm = np.linalg.norm(res)
         if norm > tol * max(1.0, np.linalg.norm(row)):
-            basis.append(res / norm)
+            basis[len(kept)] = res / norm
             kept.append(idx)
         else:
             dropped.append(idx)
     return kept, dropped
 
 
-def _project_out_pair(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remove the (u, v) plane from r symplectically; assumes u (.) v = 1."""
-    return r - symplectic_product(r, v) * u + symplectic_product(r, u) * v
+def _jv(v: np.ndarray, n: int) -> np.ndarray:
+    """J v for the block form J = [[0, I], [-I, 0]]."""
+    return np.concatenate([v[n:], -v[:n]])
 
 
-def _pairing_loop(working: list[np.ndarray], tol: float):
-    """Split an independent set into hyperbolic pairs and isotropic leftovers.
+def _pairing_loop(working: np.ndarray, tol: float):
+    """Split the independent rows of ``working`` into hyperbolic pairs and isotropic leftovers.
 
     Pivot rule: take the first remaining vector w, partner it with the
     remaining z maximizing |w (.) z| (ties resolved to the lowest index).
     A partner below the scale-aware zero threshold sends w to the
     isotropic pile; otherwise z is rescaled so the pair product is one
-    and the pair is projected out of every remaining vector.
+    and the pair is projected out of every remaining vector.  Each step
+    is one matrix-vector product for the products of w against all
+    remaining rows, and two rank-one updates for the projection.
     """
+    n = working.shape[1] // 2
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     isotropic: list[np.ndarray] = []
-    working = [w.copy() for w in working]
-    while working:
-        w = working.pop(0)
-        if not working:
+    rest = np.array(working, dtype=float)
+    while len(rest):
+        w, rest = rest[0].copy(), rest[1:]  # a view of w would keep all of rest alive
+        if not len(rest):
             isotropic.append(w)
             break
-        prods = np.array([symplectic_product(w, z) for z in working])
-        scales = np.array([tol * max(1.0, np.linalg.norm(w) * np.linalg.norm(z)) for z in working])
-        if np.all(np.abs(prods) <= scales):
+        rw = rest @ _jv(w, n)  # r (.) w = -(w (.) r) for every remaining r
+        scales = tol * np.maximum(1.0, np.linalg.norm(w) * np.linalg.norm(rest, axis=1))
+        if np.all(np.abs(rw) <= scales):
             isotropic.append(w)
             continue
-        best = int(np.argmax(np.abs(prods)))
-        z = working.pop(best) / prods[best]
-        working = [_project_out_pair(r, w, z) for r in working]
+        best = int(np.argmax(np.abs(rw)))
+        z = rest[best] / -rw[best]
+        rest = np.delete(rest, best, axis=0)
+        rw = np.delete(rw, best)
+        # r -> r - (r (.) z) w + (r (.) w) z, for all remaining r at once
+        rest -= np.outer(rest @ _jv(z, n), w)
+        rest += np.outer(rw, z)
         pairs.append((w, z))
     return pairs, isotropic
 
@@ -144,7 +151,7 @@ def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecompo
     n = first.shape[0] // 2
     mat = np.array([as_phase_vector(r, n) for r in rows], dtype=float)
     kept, dropped = _independent_rows(mat, tol)
-    pairs, isotropic = _pairing_loop([mat[i] for i in kept], tol)
+    pairs, isotropic = _pairing_loop(mat[kept], tol)
     return SymplecticDecomposition(
         n=n,
         pairs=tuple((u.copy(), v.copy()) for u, v in pairs),
@@ -162,7 +169,10 @@ def check_decomposition(dec: SymplecticDecomposition, tol: float = 1e-8) -> None
     defect = float(np.max(np.abs(dec.gram() - dec.canonical_gram())))
     if defect > tol * scale:
         raise DecompositionError(f"decomposition invariants violated (Gram defect {defect:.3e})")
-    if np.linalg.matrix_rank(vecs, tol=tol * scale) < dec.m:
+    # Rank of the unit-normalised rows: a partner rescaled by 1 / product
+    # must not swamp the tolerance of the other rows.
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    if not np.all(norms > 0.0) or np.linalg.matrix_rank(vecs / norms, tol=tol) < dec.m:
         raise DecompositionError("decomposition vectors are linearly dependent")
 
 
@@ -221,15 +231,15 @@ def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT
             pairs.append((iso[i].copy(), z[i].copy()))
 
     if k:
-        candidates = []
-        for e in np.eye(2 * n):
-            r = e.copy()
-            for u, v in pairs:
-                r = _project_out_pair(r, u, v)
-            candidates.append(r)
-        cand = np.array(candidates)
+        # Standard-basis candidates with every fixed pair projected out,
+        # r -> r - (r (.) v) u + (r (.) u) v, one pair at a time.
+        cand = np.eye(2 * n)
+        for u, v in pairs:
+            cv, cu = cand @ _jv(v, n), cand @ _jv(u, n)
+            cand -= np.outer(cv, u)
+            cand += np.outer(cu, v)
         kept, _ = _independent_rows(cand, tol)
-        new_pairs, leftovers = _pairing_loop([cand[i] for i in kept], tol)
+        new_pairs, leftovers = _pairing_loop(cand[kept], tol)
         if leftovers or len(new_pairs) != k:
             raise DecompositionError("completion did not yield a nondegenerate remainder")
         pairs.extend(new_pairs)

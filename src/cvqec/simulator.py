@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .compiler import Circuit, circuit_action, compile_encoder, fourier, qnd_p, qnd_x
+from .compiler import Circuit, apply_gate, circuit_action, compile_encoder, fourier, qnd_p, qnd_x
 from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from .errors import DimensionMismatchError, InvalidStateError
 from .symplectic import swap_halves, symplectic_form
@@ -132,10 +132,13 @@ def apply_symplectic(state: GaussianState, a: np.ndarray) -> GaussianState:
 
 
 def apply_circuit(state: GaussianState, circuit: Circuit) -> GaussianState:
-    """Apply a gate sequence (first gate first)."""
+    """Apply a gate sequence (first gate first), gate by gate on mean and factor."""
     if circuit.n != state.n:
         raise DimensionMismatchError(f"circuit is on {circuit.n} modes, state has {state.n}")
-    return apply_symplectic(state, circuit_action(circuit))
+    work = np.column_stack((state.mean, state.factor))
+    for g in circuit.gates:
+        apply_gate(work, g)
+    return GaussianState(n=state.n, mean=work[:, 0].copy(), factor=work[:, 1:])
 
 
 def displace(state: GaussianState, d) -> GaussianState:

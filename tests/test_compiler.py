@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqec import reference
 from cvqec.codes import build_code, canonical_parity_check
 from cvqec.compiler import (
+    FOURIER,
+    FOURIER_INV,
     GATE_KINDS,
+    PHASE_P,
+    PHASE_X,
+    QND_P,
+    QND_X,
+    SQUEEZE,
+    SWAP,
     Circuit,
+    Gate,
+    apply_gate,
     circuit_action,
     circuit_from_dicts,
     circuit_to_dicts,
@@ -22,8 +34,9 @@ from cvqec.compiler import (
     qnd_x,
     squeeze,
     swap,
+    verify_circuit,
 )
-from cvqec.errors import NotSymplecticError
+from cvqec.errors import CircuitVerificationError, DimensionMismatchError, NotSymplecticError
 from cvqec.symplectic import is_symplectic
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
@@ -165,3 +178,81 @@ def test_circuit_json_roundtrip(rng):
         assert set(entry) <= {"gate", "modes", "param"}
     clone = circuit_from_dicts(payload, 3)
     assert clone == c
+
+
+def dense_from_table(gate, n):
+    """The gate's quadrature action built straight from the substitution table.
+
+    Each entry maps a rewritten row to its {source row: coefficient} terms,
+    with rows x_i = i - 1 and p_i = n + i - 1 of the (x | p) ordering.
+    """
+    xi = gate.modes[0] - 1
+    pi = n + xi
+    xj = gate.modes[1] - 1 if len(gate.modes) > 1 else None
+    pj = None if xj is None else n + xj
+    g = gate.param
+    table = {
+        SQUEEZE: lambda: {xi: {xi: g}, pi: {pi: 1.0 / g}},
+        FOURIER: lambda: {xi: {pi: -1.0}, pi: {xi: 1.0}},
+        FOURIER_INV: lambda: {xi: {pi: 1.0}, pi: {xi: -1.0}},
+        QND_X: lambda: {pi: {pi: 1.0, pj: -g}, xj: {xj: 1.0, xi: g}},
+        QND_P: lambda: {xi: {xi: 1.0, xj: -g}, pj: {pj: 1.0, pi: g}},
+        PHASE_X: lambda: {pi: {pi: 1.0, xi: g}},
+        PHASE_P: lambda: {xi: {xi: 1.0, pi: g}},
+        SWAP: lambda: {xi: {xj: 1.0}, xj: {xi: 1.0}, pi: {pj: 1.0}, pj: {pi: 1.0}},
+    }
+    m = np.eye(2 * n)
+    for row, terms in table[gate.kind]().items():
+        m[row] = 0.0
+        for col, coef in terms.items():
+            m[row, col] = coef
+    return m
+
+
+@st.composite
+def gates_on_arrays(draw):
+    kind = draw(st.sampled_from(GATE_KINDS))
+    two_mode = kind in (QND_X, QND_P, SWAP)
+    n = draw(st.integers(2 if two_mode else 1, 6))
+    modes = draw(st.lists(st.integers(1, n), min_size=2 if two_mode else 1, max_size=2 if two_mode else 1, unique=True))
+    param = None
+    if kind not in (FOURIER, FOURIER_INV, SWAP):
+        param = draw(st.floats(0.05, 20.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    k = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).normal(size=(2 * n, k)) * 10.0 ** draw(st.integers(-3, 3))
+    return Gate(kind, tuple(modes), param), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(gates_on_arrays())
+def test_apply_gate_matches_dense_table(case):
+    gate, rows = case
+    m = dense_from_table(gate, rows.shape[0] // 2)
+    want = m @ rows
+    got = rows.copy()
+    apply_gate(got, gate)
+    scale = float(np.max(np.abs(m))) * float(np.max(np.abs(rows)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_gate_action_keeps_dimension_check():
+    with pytest.raises(DimensionMismatchError):
+        gate_action(qnd_x(1, 3, 0.5), 2)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_decompose_round_trip_large(n):
+    a = random_symplectic_from_hamiltonian(n, np.random.default_rng(n))
+    circuit, report = decompose(a)
+    assert np.max(np.abs(circuit_action(circuit) - a)) <= 1e-8 * (1.0 + np.max(np.abs(a)))
+    assert report.total_gates <= 8 * n * n + 8 * n
+
+
+def test_verify_circuit_returns_deviation_and_raises():
+    code = reference.build_example_code()
+    circuit = compile_encoder(code)
+    assert 0.0 <= verify_circuit(circuit, code) <= 1e-8 * (1.0 + np.max(np.abs(encoder_quad_action(code))))
+    broken = Circuit(code.n, circuit.gates[:-1])
+    with pytest.raises(CircuitVerificationError):
+        verify_circuit(broken, code)

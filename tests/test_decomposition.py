@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from cvqec import reference
+from cvqec.codes import build_code, canonical_parity_check
+from cvqec.compiler import compile_encoder, verify_circuit
 from cvqec.decomposition import (
     SymplecticDecomposition,
+    _pairing_loop,
+    check_decomposition,
     code_parameters,
     complete_symplectic_basis,
     symplectic_gram_schmidt,
 )
 from cvqec.errors import DecompositionError
 from cvqec.symplectic import symplectic_form, symplectic_product
+
+from conftest import random_symplectic_from_hamiltonian
 
 
 def gram_defect(dec):
@@ -162,3 +168,80 @@ def test_completion_rejects_invalid_decomposition():
     broken = SymplecticDecomposition(n=2, pairs=((e[0], e[1]),), isotropic=())
     with pytest.raises(DecompositionError):
         complete_symplectic_basis(broken)
+
+
+def test_small_pair_product_builds_and_compiles():
+    # The pair product is 1e-6, so the partner is rescaled to entries of 1e6;
+    # the rank test must not let that size swamp the other row.
+    e = np.eye(12)
+    code = build_code([e[0], e[1] + 1e-6 * e[6]])
+    assert tuple(code.params) == (6, 5, 0, 1)
+    assert verify_circuit(compile_encoder(code), code) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "pairs, isotropic",
+    [
+        ((), (np.eye(12)[0], 2.0 * np.eye(12)[0])),
+        ((), (np.eye(12)[0], np.eye(12)[1], np.eye(12)[0] - 3.0 * np.eye(12)[1])),
+        ((), (np.zeros(12),)),
+    ],
+)
+def test_check_decomposition_rejects_dependent_vectors(pairs, isotropic):
+    with pytest.raises(DecompositionError, match="linearly dependent"):
+        check_decomposition(SymplecticDecomposition(n=6, pairs=pairs, isotropic=isotropic))
+
+
+def per_vector_pairing_loop(working, tol):
+    """The pairing loop one vector at a time: the oracle for `_pairing_loop`."""
+
+    def project_out_pair(r, u, v):
+        return r - symplectic_product(r, v) * u + symplectic_product(r, u) * v
+
+    pairs, isotropic = [], []
+    working = [w.copy() for w in working]
+    while working:
+        w = working.pop(0)
+        if not working:
+            isotropic.append(w)
+            break
+        prods = np.array([symplectic_product(w, z) for z in working])
+        scales = np.array([tol * max(1.0, np.linalg.norm(w) * np.linalg.norm(z)) for z in working])
+        if np.all(np.abs(prods) <= scales):
+            isotropic.append(w)
+            continue
+        best = int(np.argmax(np.abs(prods)))
+        z = working.pop(best) / prods[best]
+        working = [project_out_pair(r, w, z) for r in working]
+        pairs.append((w, z))
+    return pairs, isotropic
+
+
+def oracle_cases():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        cases.append(rng.normal(size=(int(rng.integers(1, 2 * n + 1)), 2 * n)))
+    # Canonical checks with isotropic rows in a random symplectic frame, in
+    # (u, isotropic, v) order and shuffled, so that both isotropic paths run.
+    for n, k, l, c in ((4, 1, 2, 1), (6, 1, 3, 2), (8, 2, 2, 4), (5, 0, 5, 0)):
+        frame = random_symplectic_from_hamiltonian(n, rng)
+        rows = canonical_parity_check(n, k, l, c) @ frame.T
+        cases += [rows, rows[rng.permutation(len(rows))]]
+    # A pair product of 1e-6 sits just above the threshold: it must pair.
+    e = np.eye(8)
+    cases.append(np.array([e[0], e[1] + 1e-6 * e[4], e[2]]))
+    return cases
+
+
+@pytest.mark.parametrize("rows", oracle_cases())
+def test_pairing_loop_matches_per_vector_oracle(rows):
+    got_pairs, got_iso = _pairing_loop(rows, 1e-9)
+    want_pairs, want_iso = per_vector_pairing_loop(list(rows), 1e-9)
+    assert len(got_pairs) == len(want_pairs)
+    assert len(got_iso) == len(want_iso)
+    got = [v for pair in got_pairs for v in pair] + got_iso
+    want = [v for pair in want_pairs for v in pair] + want_iso
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))

@@ -102,6 +102,18 @@ def test_apply_circuit_preserves_purity(rng):
     assert np.linalg.det(st2.cov) == pytest.approx(before, rel=1e-9)
 
 
+def test_apply_circuit_matches_dense_action(rng):
+    st = displace(tensor(epr_pair(1.0), position_squeezed(0.5)), rng.normal(size=6))
+    circuit = random_gates(3, 25, rng)
+    mean, factor = st.mean.copy(), st.factor.copy()
+    got = apply_circuit(st, circuit)
+    assert np.array_equal(st.mean, mean) and np.array_equal(st.factor, factor)  # the input is left alone
+    want = apply_symplectic(st, circuit_action(circuit))
+    scale = float(np.max(np.abs(circuit_action(circuit))))
+    assert np.max(np.abs(got.mean - want.mean)) <= 1e-12 * scale * (1.0 + np.max(np.abs(st.mean)))
+    assert np.max(np.abs(got.factor - want.factor)) <= 1e-12 * scale * np.max(np.abs(st.factor))
+
+
 def test_uncertainty_after_random_ops(rng):
     st = tensor(epr_pair(1.5), vacuum(1))
     st = apply_circuit(st, random_gates(3, 20, rng))
