@@ -2,9 +2,9 @@
 
 Exit codes are fixed for scripting: 0 success, 2 parse error, 3
 dimension error, 4 build verification failure, 5 decode failure, 6
-circuit verification failure.  All numeric output is rounded to 12
-significant digits; re-parsing an emitted decimal recovers a double
-within one ulp of it.
+circuit verification failure.  JSON output is compact, one line, with
+every float rounded to 12 significant digits; re-parsing an emitted
+decimal recovers a double within one ulp of it.
 """
 
 from __future__ import annotations
@@ -35,23 +35,34 @@ EXIT_CIRCUIT = 6
 
 
 def _round12(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits."""
+    """Round every float in a JSON-ready structure to 12 significant digits.
+
+    A list of floats only (a row from ``tolist()``) is rounded in one
+    ``map``; other containers recurse.
+    """
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == {float}:
+            return list(map(float, map("%.12g".__mod__, obj)))
         return [_round12(v) for v in obj]
     return obj
 
 
-def _emit(payload, output: str | None) -> None:
-    text = json.dumps(_round12(payload), indent=1)
+def _write(payload, output: str | None) -> None:
+    """Write JSON to a file or stdout, through the C encoder (no indent)."""
+    text = json.dumps(payload)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(payload, output: str | None) -> None:
+    _write(_round12(payload), output)
 
 
 def _fmt(value: float) -> str:
@@ -130,11 +141,12 @@ def cmd_compile(args) -> int:
     code = codes.load_code(args.code_file)
     circuit, report = compiler.decompose(compiler.encoder_quad_action(code), tol=args.tolerance)
     gates = compiler.circuit_to_dicts(circuit)
+    for entry in gates:
+        if "param" in entry:
+            entry["param"] = float(f"{entry['param']:.12g}")
+    # the circuit file is a bare gate array; the report goes to stdout
+    _write(gates, args.output)
     if args.output:
-        # the circuit file is a bare gate array; the report goes to stdout
-        with open(args.output, "w") as fh:
-            json.dump(_round12(gates), fh, indent=1)
-            fh.write("\n")
         _emit(
             {
                 "gate_counts": report.gate_counts,
@@ -144,8 +156,6 @@ def cmd_compile(args) -> int:
             },
             None,
         )
-    else:
-        _emit(gates, None)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,32 +38,40 @@ _TWO_MODE = (QND_X, QND_P, SWAP)
 GATE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate instance; modes are 1-based."""
-
+class _GateRecord(NamedTuple):
     kind: str
     modes: tuple[int, ...]
     param: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        want = 2 if self.kind in _TWO_MODE else 1
-        if len(self.modes) != want:
-            raise ValueError(f"{self.kind} takes {want} mode(s), got {self.modes}")
-        if any(m < 1 for m in self.modes):
-            raise ValueError(f"modes are 1-based, got {self.modes}")
-        if self.kind in _TWO_MODE and self.modes[0] == self.modes[1]:
-            raise ValueError(f"{self.kind} needs two distinct modes")
-        if self.kind in _PARAMLESS:
-            if self.param is not None:
-                raise ValueError(f"{self.kind} takes no parameter")
+
+class Gate(_GateRecord):
+    """One gate instance; modes are 1-based.
+
+    A gate is a (kind, modes, param) record whose constructor validates
+    it, so `apply_gate` takes a `Gate` and a bare record alike.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, modes: tuple[int, ...], param: float | None = None):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        want = 2 if kind in _TWO_MODE else 1
+        if len(modes) != want:
+            raise ValueError(f"{kind} takes {want} mode(s), got {modes}")
+        if min(modes) < 1:
+            raise ValueError(f"modes are 1-based, got {modes}")
+        if want == 2 and modes[0] == modes[1]:
+            raise ValueError(f"{kind} needs two distinct modes")
+        if kind in _PARAMLESS:
+            if param is not None:
+                raise ValueError(f"{kind} takes no parameter")
         else:
-            if self.param is None or not math.isfinite(self.param):
-                raise ValueError(f"{self.kind} needs a finite parameter")
-            if self.kind == SQUEEZE and self.param == 0.0:
+            if param is None or not math.isfinite(param):
+                raise ValueError(f"{kind} needs a finite parameter")
+            if kind == SQUEEZE and param == 0.0:
                 raise ValueError("squeeze factor must be nonzero")
+        return super().__new__(cls, kind, modes, param)
 
 
 def squeeze(mode: int, a: float) -> Gate:
@@ -113,23 +122,24 @@ class Circuit:
         return len(self.gates)
 
 
-def apply_gate(rows: np.ndarray, gate: Gate) -> None:
+def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
     """Left-multiply a (2n, K) array by a gate's quadrature action, in place.
 
     Follows the substitution table of `gate_action` row by row: a gate
     rewrites at most four rows (x_i, p_i, x_j, p_j) and leaves the rest
     untouched, so applying it costs O(K) for a (2n, K) array instead of a
-    dense O(n^2 K) product.  A gate on a mode beyond the n modes of
-    ``rows`` raises IndexError, possibly after rewriting one row;
+    dense O(n^2 K) product.  ``gate`` may be a bare (kind, modes, param)
+    record, which is not validated.  A gate on a mode beyond the n modes
+    of ``rows`` raises IndexError, possibly after rewriting one row;
     `gate_action` and `Circuit` check the modes up front.
     """
+    kind, modes, param = gate
     n = rows.shape[0] // 2
-    xi = gate.modes[0] - 1
+    xi = modes[0] - 1
     pi = n + xi
-    kind = gate.kind
     if kind == SQUEEZE:
-        rows[xi] *= gate.param
-        rows[pi] *= 1.0 / gate.param
+        rows[xi] *= param
+        rows[pi] *= 1.0 / param
     elif kind == FOURIER:
         x = rows[xi].copy()
         rows[xi] = -rows[pi]
@@ -139,18 +149,18 @@ def apply_gate(rows: np.ndarray, gate: Gate) -> None:
         rows[xi] = rows[pi]
         rows[pi] = -x
     elif kind == PHASE_X:
-        rows[pi] += gate.param * rows[xi]
+        rows[pi] += param * rows[xi]
     elif kind == PHASE_P:
-        rows[xi] += gate.param * rows[pi]
+        rows[xi] += param * rows[pi]
     else:
-        xj = gate.modes[1] - 1
+        xj = modes[1] - 1
         pj = n + xj
         if kind == QND_X:
-            rows[pi] -= gate.param * rows[pj]
-            rows[xj] += gate.param * rows[xi]
+            rows[pi] -= param * rows[pj]
+            rows[xj] += param * rows[xi]
         elif kind == QND_P:
-            rows[xi] -= gate.param * rows[xj]
-            rows[pj] += gate.param * rows[pi]
+            rows[xi] -= param * rows[xj]
+            rows[pj] += param * rows[pi]
         else:  # SWAP
             rows[[xi, xj, pi, pj]] = rows[[xj, xi, pj, pi]]
 
@@ -186,16 +196,20 @@ def circuit_action(circuit: Circuit) -> np.ndarray:
     return a
 
 
+_INVERSE_KIND = {FOURIER: FOURIER_INV, FOURIER_INV: FOURIER}
+
+
+def _inverse_record(kind: str, modes: tuple[int, ...], param: float | None) -> tuple:
+    """(kind, modes, param) record of a gate's inverse."""
+    if kind == SQUEEZE:
+        return kind, modes, 1.0 / param
+    if param is None:
+        return _INVERSE_KIND.get(kind, kind), modes, None
+    return kind, modes, -param
+
+
 def invert_gate(gate: Gate) -> Gate:
-    if gate.kind == SQUEEZE:
-        return squeeze(gate.modes[0], 1.0 / gate.param)
-    if gate.kind == FOURIER:
-        return fourier_inv(gate.modes[0])
-    if gate.kind == FOURIER_INV:
-        return fourier(gate.modes[0])
-    if gate.kind == SWAP:
-        return gate
-    return Gate(gate.kind, gate.modes, -gate.param)
+    return Gate(*_inverse_record(*gate))
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:
@@ -203,37 +217,23 @@ def invert_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n, tuple(invert_gate(g) for g in reversed(circuit.gates)))
 
 
-def _cancels(g1: Gate, g2: Gate) -> bool:
-    if g1.modes != g2.modes:
-        return False
-    inv = invert_gate(g1)
-    if g2.kind != inv.kind:
-        return False
-    return inv.param is None or g2.param == inv.param
-
-
-def simplify_circuit(circuit: Circuit) -> Circuit:
-    """Drop adjacent exact-inverse gate pairs until none remain.
+def _drop_inverse_pairs(records: list[tuple]) -> list[tuple]:
+    """Drop adjacent exact-inverse record pairs until none remain.
 
     Removes the Fourier bookkeeping that elimination rounds emit around
     sub-steps that turned out to be no-ops; the composed action is
-    bit-identical since only exact inverse pairs are cancelled.
+    bit-identical since only exact inverse pairs are cancelled.  Each pass
+    scans left to right, so the result is fixed even where 1/(1/a) != a
+    makes squeeze cancellation depend on the order.
     """
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate] = []
-        i = 0
-        while i < len(gates):
-            if i + 1 < len(gates) and _cancels(gates[i], gates[i + 1]):
-                i += 2
-                changed = True
-            else:
-                out.append(gates[i])
-                i += 1
-        gates = out
-    return Circuit(circuit.n, tuple(gates))
+    while True:
+        drop: set[int] = set()
+        for i, (a, b) in enumerate(zip(records, records[1:])):
+            if i not in drop and a[1] == b[1] and b == _inverse_record(*a):
+                drop.update((i, i + 1))
+        if not drop:
+            return records
+        records = [rec for i, rec in enumerate(records) if i not in drop]
 
 
 @dataclass(frozen=True)
@@ -251,22 +251,24 @@ class CompilerReport:
 
 
 class _Eliminator:
-    """Accumulates left-multiplied elimination gates against a working matrix."""
+    """Accumulates left-multiplied elimination records against a working matrix.
 
-    def __init__(self, a: np.ndarray, n: int, debug: bool, tol: float):
+    Records are bare (kind, modes, param) tuples: the elimination builds
+    only valid gates, and `decompose` turns the survivors into `Gate`s once.
+    """
+
+    def __init__(self, a: np.ndarray, n: int, debug: bool):
         self.work = a.copy()
         self.n = n
-        self.gates: list[Gate] = []
+        self.records: list[tuple] = []
         self.debug = debug
-        self.tol = tol
 
-    def push(self, gate: Gate) -> None:
-        if gate.kind == SQUEEZE and abs(gate.param - 1.0) <= GATE_EPS:
+    def push(self, kind: str, modes: tuple[int, ...], param: float | None = None) -> None:
+        if param is not None and abs(param - 1.0 if kind == SQUEEZE else param) <= GATE_EPS:
             return
-        if gate.kind in (QND_X, QND_P, PHASE_X, PHASE_P) and abs(gate.param) <= GATE_EPS:
-            return
-        apply_gate(self.work, gate)
-        self.gates.append(gate)
+        rec = (kind, modes, param)
+        apply_gate(self.work, rec)
+        self.records.append(rec)
         if self.debug:
             assert is_symplectic(self.work, 1e-8 * max(1.0, float(np.max(np.abs(self.work))))), (
                 "intermediate matrix left the symplectic group"
@@ -284,13 +286,12 @@ def _pivot(el: _Eliminator, r: int, tol: float) -> None:
         # momentum entry up into the position block first.
         mom = np.abs(w[n + r : 2 * n, r])
         m = r + int(np.argmax(mom))
-        el.push(fourier(m + 1))
-        w = el.work
+        el.push(FOURIER, (m + 1,))
         pos = np.abs(w[r:n, r])
     m = r + int(np.argmax(pos))
     if m != r:
-        el.push(swap(r + 1, m + 1))
-    el.push(squeeze(r + 1, 1.0 / el.work[r, r]))
+        el.push(SWAP, (r + 1, m + 1))
+    el.push(SQUEEZE, (r + 1,), float(1.0 / w[r, r]))
 
 
 def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit, CompilerReport]:
@@ -312,41 +313,52 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
 
     Returns:
         (circuit, report): the circuit's composed action reproduces ``a``.
+
+    Raises:
+        NotSymplecticError: if ``a`` is not symplectic within ``tol``.
+        CircuitVerificationError: if the elimination does not reach the
+            identity.
     """
     a = require_symplectic(a, max(tol, DEFAULT_TOL) * max(1.0, float(np.max(np.abs(np.asarray(a))))), what="compiler input")
     n = a.shape[0] // 2
-    el = _Eliminator(a, n, debug, tol)
+    el = _Eliminator(a, n, debug)
+    w = el.work  # every record rewrites it in place
 
     for r in range(n):
         _pivot(el, r, tol)
+        mode = r + 1
         for i in range(r + 1, n):  # clear position block of column r
-            el.push(qnd_x(r + 1, i + 1, -el.work[i, r]))
-        el.push(phase_x(r + 1, -el.work[n + r, r]))
-        el.push(fourier(r + 1))
+            el.push(QND_X, (mode, i + 1), -w.item(i, r))
+        el.push(PHASE_X, (mode,), -w.item(n + r, r))
+        el.push(FOURIER, (mode,))
         for i in range(r + 1, n):  # clear momentum block of column r
-            el.push(qnd_p(r + 1, i + 1, -el.work[n + i, r]))
-        el.push(fourier_inv(r + 1))
+            el.push(QND_P, (mode, i + 1), -w.item(n + i, r))
+        el.push(FOURIER_INV, (mode,))
 
         for i in range(r + 1, n):  # clear momentum block of column n + r
-            el.push(qnd_p(r + 1, i + 1, -el.work[n + i, n + r]))
-        el.push(phase_p(r + 1, -el.work[r, n + r]))
-        el.push(fourier_inv(r + 1))
+            el.push(QND_P, (mode, i + 1), -w.item(n + i, n + r))
+        el.push(PHASE_P, (mode,), -w.item(r, n + r))
+        el.push(FOURIER_INV, (mode,))
         for i in range(r + 1, n):  # clear position block of column n + r
-            el.push(qnd_x(r + 1, i + 1, -el.work[i, n + r]))
-        el.push(fourier(r + 1))
+            el.push(QND_X, (mode, i + 1), -w.item(i, n + r))
+        el.push(FOURIER, (mode,))
 
         if debug:
-            scale = max(1.0, float(np.max(np.abs(el.work))))
+            scale = max(1.0, float(np.max(np.abs(w))))
             ident = np.eye(2 * n)
             for idx in (r, n + r):
-                assert np.max(np.abs(el.work[idx] - ident[idx])) <= 1e-9 * scale
-                assert np.max(np.abs(el.work[:, idx] - ident[:, idx])) <= 1e-9 * scale
+                assert np.max(np.abs(w[idx] - ident[idx])) <= 1e-9 * scale
+                assert np.max(np.abs(w[:, idx] - ident[:, idx])) <= 1e-9 * scale
 
-    residual = float(np.max(np.abs(el.work - np.eye(2 * n))))
-    if residual > 1e-6 * max(1.0, float(np.max(np.abs(a)))):
-        raise ArithmeticError(f"elimination failed to reach the identity (residual {residual:.3e})")
+    residual = float(np.max(np.abs(w - np.eye(2 * n))))
+    if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(a)))):  # NaN fails too
+        raise CircuitVerificationError(f"elimination failed to reach the identity (residual {residual:.3e})")
 
-    circuit = simplify_circuit(Circuit(n, tuple(invert_gate(g) for g in reversed(el.gates))))
+    # Every record has in-range modes, and its parameter is finite and
+    # nonzero while the work matrix stays finite, which the residual check
+    # confirms; so the gates skip the constructor's checks.
+    records = _drop_inverse_pairs([_inverse_record(*rec) for rec in reversed(el.records)])
+    circuit = Circuit(n, tuple(tuple.__new__(Gate, rec) for rec in records))
     counts: dict[str, int] = {}
     for g in circuit.gates:
         counts[g.kind] = counts.get(g.kind, 0) + 1
@@ -412,12 +424,20 @@ def circuit_to_dicts(circuit: Circuit) -> list[dict]:
 
 
 def circuit_from_dicts(payload, n: int) -> Circuit:
+    """Circuit from gate records; every gate is validated here.
+
+    Raises:
+        ValueError: for a malformed or invalid gate record.
+        DimensionMismatchError: for a gate on a mode above n.
+    """
     gates = []
     for entry in payload:
-        kind = entry["gate"]
-        modes = tuple(int(m) for m in entry["modes"])
-        param = entry.get("param")
-        gates.append(Gate(kind, modes, None if param is None else float(param)))
+        try:
+            modes = tuple(map(int, entry["modes"]))
+            param = entry.get("param")
+            gates.append(Gate(entry["gate"], modes, None if param is None else float(param)))
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed gate record {entry!r}: {exc}") from exc
     return Circuit(n=n, gates=tuple(gates))
 
 

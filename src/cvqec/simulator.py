@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .compiler import Circuit, apply_gate, circuit_action, compile_encoder, fourier, qnd_p, qnd_x
+from .compiler import Circuit, apply_gate, encoder_quad_action, fourier, qnd_p, qnd_x
 from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from .errors import DimensionMismatchError, InvalidStateError
 from .symplectic import swap_halves, symplectic_form
@@ -305,14 +305,16 @@ def _embed_action(a: np.ndarray, n: int, total: int) -> np.ndarray:
 def _channel_actions(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encoder, decoder and readout actions on the n + c sender and receiver modes.
 
-    The encoder is the compiled circuit.  The decoder is its symplectic
-    inverse ``-J A^T J``, and the readout is the closed form of
+    The encoder is the code's exact quadrature action, the one that
+    `verify_circuit` checks a compiled circuit against; the decoder is its
+    symplectic inverse ``-J A^T J``, so the channel does not depend on
+    which circuit realises the encoder.  The readout is the closed form of
     `balanced_beamsplitter` on every entangled pair (j, n + j): a 45 degree
     rotation of both quadrature planes.
     """
     n, _, _, c = code.params
     total = n + c
-    enc = _embed_action(circuit_action(compile_encoder(code)), n, total)
+    enc = _embed_action(encoder_quad_action(code), n, total)
     j = symplectic_form(total)
     dec = -j @ enc.T @ j
     readout = np.eye(2 * total)
@@ -366,12 +368,13 @@ def run_ec_experiment(
     """Monte-Carlo error correction of a fixed single-mode displacement.
 
     Each trial prepares resource states at squeezing r with random
-    coherent data, encodes with the compiled circuit, applies the error,
-    un-encodes on the receiver side, reads the canonical check values by
-    single-mode homodyne (entangled pairs pass through an exact
-    beamsplitter first so both commuting pair observables become local),
-    decodes, applies the correction displacement, and compares the data
-    modes against their inputs.
+    coherent data, encodes with the code's exact encoder action (the one
+    its compiled circuit is verified against, so nothing is compiled
+    here), applies the error, un-encodes on the receiver side, reads the
+    canonical check values by single-mode homodyne (entangled pairs pass
+    through an exact beamsplitter first so both commuting pair
+    observables become local), decodes, applies the correction
+    displacement, and compares the data modes against their inputs.
 
     Every step is linear-Gaussian, so the covariance after each homodyne
     readout does not depend on its outcome: it is computed once and

@@ -85,7 +85,7 @@ def require_symplectic(m, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.
     n = _check_square_even(m)
     j = symplectic_form(n)
     defect = float(np.max(np.abs(m.T @ j @ m - j)))
-    if defect > tol:
+    if not defect <= tol:  # a non-finite entry gives a NaN defect
         raise NotSymplecticError(f"{what} violates the symplectic condition (defect {defect:.3e} > tol {tol:.3e})")
     return m
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqec import reference
+from cvqec import codes, compiler, reference, simulator
 from cvqec.cli import main
 from cvqec.codes import canonical_parity_check, save_parity_check
 
@@ -188,3 +188,94 @@ def test_dimension_error_exit_code(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"n": 3, "rows": [[1.0, 0.0, 0.0, 0.0]]}))
     assert main(["decompose", str(path)]) == 3
+
+
+def test_compile_elimination_failure_exit_code(monkeypatch, tmp_path, code_file):
+    # Skipping every elimination gate leaves the identity unreached.
+    monkeypatch.setattr(compiler, "GATE_EPS", 1e6)
+    assert main(["compile", code_file, "--output", str(tmp_path / "circuit.json")]) == 6
+
+
+def test_simulate_does_not_compile(monkeypatch, tmp_path, code_file):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate compiled a circuit")
+
+    for module in (compiler, simulator):
+        for name in ("decompose", "circuit_action"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    cfg = {"code_file": code_file, "error": {"mode": 2, "p": 0.5, "x": -0.5}, "squeezing_r": 8.0, "trials": 50, "seed": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "sim.json")
+    assert main(["simulate", str(cfg_path), "--output", out]) == 0
+    assert read(out)["mode_match_rate"] == 1.0
+
+
+CODE_KEYS = {"params", "h", "f", "h_aug", "f_aug", "upsilon", "basis", "pairs", "isotropic", "dropped_rows", "input_rows", "verified"}
+REPORT_KEYS = {"gate_counts", "squeezer_count", "max_abs_param", "rounds"}
+
+
+def assert_rounded(got, want):
+    """Every float in ``got`` is ``want``'s float rounded to 12 significant digits; the rest is equal."""
+    if isinstance(want, float):
+        assert type(got) is float and got == float(f"{want:.12g}")
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_rounded(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_rounded(a, b)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed):
+    rows = reference.symplectic_basis_rows() if seed is None else np.random.default_rng(seed).normal(size=(5, 12))
+    matrix, code_path, circuit_path = (str(tmp_path / name) for name in ("check.json", "code.json", "circuit.json"))
+    save_parity_check(matrix, rows)
+    assert main(["build", matrix, "--output", code_path]) == 0
+    assert main(["compile", code_path, "--output", circuit_path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for path in (code_path, circuit_path):
+        with open(path) as fh:
+            assert fh.read().count("\n") == 1  # one line of compact JSON
+
+    code_file = read(code_path)
+    assert set(code_file) == CODE_KEYS
+    assert_rounded(code_file, codes.code_to_dict(codes.build_code(codes.load_parity_check(matrix), tol=1e-9)))
+
+    circuit, want_report = compiler.decompose(compiler.encoder_quad_action(codes.load_code(code_path)), tol=1e-9)
+    gates = read(circuit_path)
+    assert gates and all(set(g) in ({"gate", "modes"}, {"gate", "modes", "param"}) for g in gates)
+    assert_rounded(gates, compiler.circuit_to_dicts(circuit))
+    assert set(report) == REPORT_KEYS
+    assert_rounded(
+        report,
+        {
+            "gate_counts": want_report.gate_counts,
+            "squeezer_count": want_report.squeezer_count,
+            "max_abs_param": want_report.max_abs_param,
+            "rounds": want_report.rounds,
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "gate, exit_code",
+    [
+        ({"gate": "BEAMSPLITTER", "modes": [1, 2], "param": 0.5}, 2),
+        ({"gate": "PHASE_X", "modes": [1], "param": float("nan")}, 2),
+        ({"gate": "SQUEEZE", "modes": [1], "param": 0.0}, 2),
+        ({"gate": "QND_X", "modes": [1], "param": 0.5}, 2),
+        ({"gate": "SWAP", "modes": 1}, 2),
+        ({"gate": "SWAP", "modes": [1, 5]}, 3),
+    ],
+    ids=["unknown-kind", "nan-param", "zero-squeeze", "wrong-mode-count", "modes-not-a-list", "mode-above-n"],
+)
+def test_verify_rejects_malformed_circuit_files(tmp_path, code_file, gate, exit_code):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps([{"gate": "FOURIER", "modes": [1]}, gate]))
+    assert main(["verify", str(path), code_file]) == exit_code

@@ -120,6 +120,8 @@ def test_decompose_single_generator_roundtrip():
 def test_decompose_rejects_nonsymplectic():
     with pytest.raises(NotSymplecticError):
         decompose(np.diag([2.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(NotSymplecticError), np.errstate(invalid="ignore"):  # a NaN defect is no pass
+        decompose(np.full((2, 2), np.inf))
 
 
 def test_decompose_random_gate_products(rng):
@@ -256,3 +258,21 @@ def test_verify_circuit_returns_deviation_and_raises():
     broken = Circuit(code.n, circuit.gates[:-1])
     with pytest.raises(CircuitVerificationError):
         verify_circuit(broken, code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_decompose_emits_gates_that_revalidate(n, seed, from_gates):
+    # The eliminator builds its gates without the constructor's checks;
+    # every one of them must still pass those checks.
+    rng = np.random.default_rng(seed)
+    if from_gates:
+        a = random_symplectic_from_gates(n, rng, count=30)
+    else:
+        a = random_symplectic_from_hamiltonian(n, rng)
+    circuit, _ = decompose(a)
+    for g in circuit.gates:
+        assert type(g) is Gate
+        assert Gate(g.kind, g.modes, g.param) == g
+        assert max(g.modes) <= n
+        assert g.param is None or type(g.param) is float

@@ -8,6 +8,7 @@ from cvqec.codes import build_code, canonical_parity_check
 from cvqec.compiler import Circuit, circuit_action, compile_encoder, fourier, invert_circuit, phase_x, squeeze
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
+from cvqec import simulator
 from cvqec.simulator import (
     ExperimentStats,
     GaussianState,
@@ -29,7 +30,7 @@ from cvqec.simulator import (
     uncertainty_defect,
     vacuum,
 )
-from cvqec.symplectic import swap_halves
+from cvqec.symplectic import swap_halves, symplectic_form
 
 from conftest import random_gates
 
@@ -414,8 +415,7 @@ def _dense_code():
     return build_code(canonical_parity_check(5, 2, 2, 1) @ circuit_action(mixing).T)
 
 
-@pytest.mark.parametrize("r", [3.0, 20.0])
-@pytest.mark.parametrize(
+EXPERIMENT_CODES = pytest.mark.parametrize(
     "make_code, error",
     [
         (reference.build_example_code, single_mode_error(4, 1, 0.5, 0.5)),
@@ -425,6 +425,10 @@ def _dense_code():
     ],
     ids=["reference", "canonical-5-2-2-1", "dense-5-2-2-1"],
 )
+
+
+@pytest.mark.parametrize("r", [3.0, 20.0])
+@EXPERIMENT_CODES
 def test_batched_experiment_matches_looped_oracle(make_code, error, r):
     code = make_code()
     got = run_ec_experiment(code, error, r=r, trials=200, seed=31)
@@ -440,3 +444,32 @@ def test_batched_experiment_matches_looped_oracle(make_code, error, r):
         a, b = getattr(got, name), getattr(want, name)
         floor = 2.0 * np.sqrt(np.abs(b)) * ROUNDING + ROUNDING**2
         assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + floor), name
+
+
+def _compiled_channel_actions(code):
+    """`_channel_actions` with the encoder taken from the compiled circuit's action."""
+    n, _, _, c = code.params
+    total = n + c
+    enc = _embed_action(circuit_action(compile_encoder(code)), n, total)
+    j = symplectic_form(total)
+    _, _, readout = _channel_actions(code)
+    return enc, -j @ enc.T @ j, readout
+
+
+@pytest.mark.parametrize("r", [3.0, 10.0])
+@EXPERIMENT_CODES
+def test_experiment_matches_compiled_encoder(monkeypatch, make_code, error, r):
+    # The decoder undoes the encoder on the covariance, so the code's exact
+    # encoder action and its compiled circuit give the same channel.
+    code = make_code()
+    got = run_ec_experiment(code, error, r=r, trials=200, seed=31)
+    monkeypatch.setattr(simulator, "_channel_actions", _compiled_channel_actions)
+    want = run_ec_experiment(code, error, r=r, trials=200, seed=31)
+    assert (got.mode_match_rate, got.ambiguity_rate, got.uncorrectable_rate) == (
+        want.mode_match_rate,
+        want.ambiguity_rate,
+        want.uncorrectable_rate,
+    )
+    for name in ("mean_residual", "residual_variance", "excess_variance", "syndrome_noise_variance"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + 1e-12), name
