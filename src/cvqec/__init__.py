@@ -8,9 +8,7 @@ Gaussian-state simulator with homodyne feedforward.
 
 from .symplectic import (
     DEFAULT_TOL,
-    apply,
     is_symplectic,
-    phase_map_to_quad_action,
     quad_action_to_phase_map,
     swap_halves,
     symplectic_form,
@@ -23,21 +21,16 @@ from .decomposition import (
     symplectic_gram_schmidt,
 )
 from .codes import (
-    AugmentedParityCheck,
     CodeParameters,
     CodeSpec,
-    augment,
     build_code,
-    canonical_encode_layout,
     canonical_parity_check,
     load_code,
     load_parity_check,
-    save_code,
     save_parity_check,
 )
 from .decoder import (
     Correction,
-    canonical_reverse,
     decode_single_mode,
     is_correctable_pair,
     min_norm_correction,
@@ -62,7 +55,6 @@ from .compiler import (
     phase_x,
     qnd_p,
     qnd_x,
-    save_circuit,
     squeeze,
     swap,
     verify_circuit,
@@ -79,7 +71,6 @@ from .simulator import (
     homodyne,
     phase_gate_protocol,
     position_squeezed,
-    prepare,
     run_ec_experiment,
     tensor,
     uncertainty_defect,

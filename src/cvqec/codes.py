@@ -12,11 +12,9 @@ position-squeezed ancillas, and modes ``c+l+1..n`` carry data.  The
 receiver's halves of the entangled pairs are appended as modes
 ``n+1..n+c`` wherever the augmented checks are concerned.
 
-Augmented check rows use the column layout
-``(p-half | p-aug | x-half | x-aug)``: the row paired with receiver
-mode j carries -1 in p-aug column j on the u side and +1 in x-aug
-column j on the v side, which renders all rows symplectically
-orthogonal to one another.
+A code stores its parameters, symplectic basis, decomposition and
+input rows; the check, canonical, augmented and encoding matrices are
+derived from them.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .decomposition import (
     symplectic_gram_schmidt,
 )
 from .errors import BuildVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, as_phase_vector, is_symplectic, symplectic_form
+from .symplectic import DEFAULT_TOL, is_symplectic, symplectic_form
 
 
 class CodeParameters(NamedTuple):
@@ -67,110 +65,19 @@ def canonical_parity_check(n: int, k: int, l: int, c: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AugmentedParityCheck:
-    """Check rows extended over the receiver's noiseless modes.
-
-    Attributes:
-        n_alice: sender-side mode count.
-        c: receiver-side (entangled) mode count.
-        rows: (m, 2(n_alice + c)) array in (p-half | p-aug | x-half | x-aug) layout.
-        row_permutation: map from normalized row order to the input row order.
-    """
-
-    n_alice: int
-    c: int
-    rows: np.ndarray
-    row_permutation: tuple[int, ...]
-
-    def strip_augmentation(self) -> np.ndarray:
-        """Recover the unaugmented rows (p-half | x-half)."""
-        n, c = self.n_alice, self.c
-        return np.hstack([self.rows[:, :n], self.rows[:, n + c : 2 * n + c]])
-
-
-def _augment_rows(h: np.ndarray, n: int, c: int, perm: tuple[int, ...]) -> AugmentedParityCheck:
-    m = h.shape[0]
-    rows = np.zeros((m, 2 * (n + c)))
-    rows[:, :n] = h[:, :n]
-    rows[:, n + c : 2 * n + c] = h[:, n:]
-    for i in range(c):
-        rows[i, n + i] = -1.0  # u-row i: receiver momentum column i
-        rows[m - c + i, 2 * n + c + i] = 1.0  # v-row i: receiver position column i
-    return AugmentedParityCheck(n_alice=n, c=c, rows=rows, row_permutation=perm)
-
-
-def _match_rows_to_decomposition(h: np.ndarray, dec: SymplecticDecomposition, tol: float) -> tuple[int, ...]:
-    """Permutation sending normalized decomposition order to input rows."""
-    target = dec.vectors()
-    if h.shape != target.shape:
-        raise DimensionMismatchError(
-            f"parity check shape {h.shape} does not match the decomposition ({target.shape})"
-        )
-    scale = max(1.0, float(np.max(np.abs(target))))
-    perm: list[int] = []
-    for t in target:
-        hits = [i for i in range(h.shape[0]) if i not in perm and np.max(np.abs(h[i] - t)) <= 1e3 * tol * scale]
-        if not hits:
-            raise DimensionMismatchError("parity-check rows do not coincide with the decomposition vectors")
-        perm.append(hits[0])
-    return tuple(perm)
-
-
-def augment(h, dec: SymplecticDecomposition, tol: float = DEFAULT_TOL) -> AugmentedParityCheck:
-    """Extend check rows over the receiver's entangled modes.
-
-    The rows of `h` must be the decomposition's vectors up to order; they
-    are normalized to (u_1..u_c, isotropic, v_1..v_c) order internally and
-    the permutation back to the caller's order is recorded.  With c = 0
-    the output rows equal the input.
-
-    Raises:
-        DimensionMismatchError: if `h` is not a row permutation of the
-            decomposition's vectors.
-    """
-    h = np.array([as_phase_vector(r, dec.n) for r in np.atleast_2d(np.asarray(h, dtype=float))])
-    perm = _match_rows_to_decomposition(h, dec, tol)
-    out = _augment_rows(dec.vectors(), dec.n, dec.c, perm)
-    check_commuting(out.rows, tol=max(tol, 1e-9))
-    return out
-
-
-def augment_canonical(params: CodeParameters) -> AugmentedParityCheck:
-    """Augmented form of the canonical parity check for the given parameters."""
-    f = canonical_parity_check(*params)
-    return _augment_rows(f, params.n, params.c, tuple(range(f.shape[0])))
-
-
-def check_commuting(rows: np.ndarray, tol: float = 1e-9) -> float:
-    """Raise unless all row pairs are symplectically orthogonal; returns the defect."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n2 = rows.shape[1]
-    j = symplectic_form(n2 // 2)
-    g = rows @ j @ rows.T
-    defect = float(np.max(np.abs(g))) if g.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(rows))) ** 2)
-    if defect > tol * scale:
-        raise BuildVerificationError(f"augmented rows fail to commute (defect {defect:.3e})")
-    return defect
-
-
-@dataclass(frozen=True)
 class CodeSpec:
-    """A fully assembled code: checks, decomposition, and encoding matrix.
+    """A code: its parameters, symplectic basis, rowspace decomposition and input rows.
 
-    ``h`` holds the normalized rows (u_1..u_c, isotropic, v_1..v_c); the
-    encoding matrix satisfies ``h @ upsilon.T = f`` row-wise and maps the
-    i-th hyperbolic pair onto the i-th standard pair.
+    Those four are the stored facts; every other matrix is derived from
+    them on first use and cached read-only.  ``h`` holds the normalized
+    rows (u_1..u_c, isotropic, v_1..v_c), which are rows of ``basis``;
+    the encoding matrix satisfies ``h @ upsilon.T = f`` row-wise and maps
+    the i-th hyperbolic pair onto the i-th standard pair.
     """
 
     params: CodeParameters
-    h: np.ndarray
-    f: np.ndarray
-    h_aug: AugmentedParityCheck
-    f_aug: AugmentedParityCheck
-    upsilon: np.ndarray
-    decomposition: SymplecticDecomposition
     basis: np.ndarray
+    decomposition: SymplecticDecomposition
     input_rows: np.ndarray
 
     @property
@@ -179,7 +86,48 @@ class CodeSpec:
 
     @property
     def m(self) -> int:
-        return self.h.shape[0]
+        return self.decomposition.m
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Normalized check rows, the decomposition's vectors (read-only)."""
+        h = self.decomposition.vectors()
+        h.setflags(write=False)
+        return h
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """Canonical check rows the encoding matrix carries ``h`` onto (read-only)."""
+        f = canonical_parity_check(*self.params)
+        f.setflags(write=False)
+        return f
+
+    @cached_property
+    def upsilon(self) -> np.ndarray:
+        """Encoding matrix ``inv(basis^T)``, in its symplectic closed form ``-J basis J`` (read-only)."""
+        j = symplectic_form(self.n)
+        y = -j @ self.basis @ j
+        y.setflags(write=False)
+        return y
+
+    @cached_property
+    def h_aug(self) -> np.ndarray:
+        """Check rows extended over the receiver's c modes, shape (m, 2(n + c)) (read-only).
+
+        Columns are laid out (p-half | p-aug | x-half | x-aug): the u-row of
+        pair i gains -1 in receiver momentum column i and its v-row +1 in
+        receiver position column i, so all rows commute.
+        """
+        n, _, _, c = self.params
+        m = self.m
+        rows = np.zeros((m, 2 * (n + c)))
+        rows[:, :n] = self.h[:, :n]
+        rows[:, n + c : 2 * n + c] = self.h[:, n:]
+        for i in range(c):
+            rows[i, n + i] = -1.0
+            rows[m - c + i, 2 * n + c + i] = 1.0
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def syndrome_matrix(self) -> np.ndarray:
@@ -216,31 +164,52 @@ class CodeSpec:
         return solves, misfits
 
 
-def verify_code(code: CodeSpec, tol_map: float = 1e-8, tol_symp: float = 1e-9) -> None:
-    """Re-run the build-time consistency checks, raising on any failure."""
-    n = code.n
-    if not is_symplectic(code.upsilon, tol_symp):
-        raise BuildVerificationError("encoding matrix is not symplectic")
-    defect = float(np.max(np.abs(code.h @ code.upsilon.T - code.f)))
-    if defect > tol_map * max(1.0, float(np.max(np.abs(code.h)))):
-        raise BuildVerificationError(f"H Y^T deviates from the canonical check by {defect:.3e}")
-    basis_u, basis_v = code.basis[:n], code.basis[n:]
-    ident = np.eye(2 * n)
-    for i in range(n):
-        if np.max(np.abs(code.upsilon @ basis_u[i] - ident[i])) > 1e3 * tol_symp * max(1.0, np.max(np.abs(basis_u[i]))):
-            raise BuildVerificationError(f"basis vector u_{i + 1} does not map to the standard basis")
-        if np.max(np.abs(code.upsilon @ basis_v[i] - ident[n + i])) > 1e3 * tol_symp * max(1.0, np.max(np.abs(basis_v[i]))):
-            raise BuildVerificationError(f"basis vector v_{i + 1} does not map to the standard basis")
-    check_commuting(code.h_aug.rows, tol=1e-9)
-    check_commuting(code.f_aug.rows, tol=1e-9)
+def verify_code(code: CodeSpec) -> None:
+    """Check a code's stored facts against one another, raising on any failure.
+
+    ``params`` must be the parameters the decomposition implies, the
+    basis rows must form a symplectic basis (Gram matrix J within 1e-9
+    times the squared largest basis entry, if that exceeds 1), each decomposition vector must equal its basis row, and the input
+    rows must be the checks: ``dropped_rows`` names distinct rows, the
+    rest number ``m``, and every input row lies in the check rowspace.
+    That rowspace is the symplectic complement of the basis rows outside
+    it, so each input row must have zero product with each of them,
+    within 1e-8 times the other row's norm and ``max(1, |row|)``, the
+    scale on which the decomposition drops dependent rows.  The derived
+    matrices follow from these facts and are not checked.
+
+    Raises:
+        BuildVerificationError: if any check fails.
+    """
+    dec, basis = code.decomposition, code.basis
+    n, _, l, c = code.params
+    if dec.c + dec.l > dec.n or code.params != code_parameters(dec):
+        raise BuildVerificationError(f"{code.params} disagree with the decomposition (c={dec.c}, l={dec.l})")
+    h = code.h
+    if basis.shape != (2 * n, 2 * n) or h.shape[1] != 2 * n:
+        raise BuildVerificationError(f"basis {basis.shape} and check rows {h.shape} do not fit {n} modes")
+    if not is_symplectic(basis.T, 1e-9 * max(1.0, float(np.max(np.abs(basis)))) ** 2):
+        raise BuildVerificationError("basis rows are not a symplectic basis")
+    if not np.array_equal(h, basis[np.r_[: c + l, n : n + c]]):
+        raise BuildVerificationError("decomposition vectors differ from their basis rows")
+    rows, dropped = code.input_rows, dec.dropped_rows
+    # Intersecting with the row indices drops repeats and out-of-range entries.
+    dropped_ok = len(set(dropped) & set(range(len(rows)))) == len(dropped)
+    if rows.shape[1] != 2 * n or not dropped_ok or len(rows) - len(dropped) != code.m:
+        raise BuildVerificationError(f"input rows {rows.shape} less dropped rows {list(dropped)} are not {code.m} checks on {n} modes")
+    others = basis[np.r_[c:n, n + c + l : 2 * n]]
+    products = np.abs(rows @ symplectic_form(n) @ others.T)
+    scale = np.outer(np.maximum(np.linalg.norm(rows, axis=1), 1.0), np.linalg.norm(others, axis=1))
+    if not np.all(products <= 1e-8 * scale):
+        raise BuildVerificationError("input rows leave the check rowspace")
 
 
 def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     """Assemble a code from arbitrary real parity-check rows.
 
-    Runs the rowspace decomposition, completes it to a symplectic basis
-    B, and sets the encoding matrix to B^{-1}, so the normalized checks
-    map exactly onto the canonical ones.  All invariants are verified
+    Runs the rowspace decomposition and completes it to a symplectic
+    basis B; the encoding matrix is B^{-1}, so the normalized checks map
+    exactly onto the canonical ones.  The stored facts are verified
     before returning; an inconsistent result raises instead of being
     returned silently.
 
@@ -255,57 +224,14 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     """
     input_rows = np.atleast_2d(np.asarray(rows, dtype=float))
     dec = symplectic_gram_schmidt(input_rows, tol)
-    params = CodeParameters(*code_parameters(dec))
-    basis = complete_symplectic_basis(dec, tol)
-    upsilon = np.linalg.inv(basis.T)
-    h = dec.vectors()
-    f = canonical_parity_check(*params)
-    h_aug = _augment_rows(h, params.n, params.c, tuple(range(h.shape[0])))
-    f_aug = augment_canonical(params)
     code = CodeSpec(
-        params=params,
-        h=h,
-        f=f,
-        h_aug=h_aug,
-        f_aug=f_aug,
-        upsilon=upsilon,
+        params=CodeParameters(*code_parameters(dec)),
+        basis=complete_symplectic_basis(dec, tol),
         decomposition=dec,
-        basis=basis,
         input_rows=input_rows,
     )
     verify_code(code)
     return code
-
-
-@dataclass(frozen=True)
-class EncodeLayout:
-    """Which physical mode plays which role in the canonical frame (1-based)."""
-
-    params: CodeParameters
-    entangled_modes: tuple[int, ...]
-    ancilla_modes: tuple[int, ...]
-    data_modes: tuple[int, ...]
-    receiver_modes: tuple[int, ...]
-
-
-def canonical_encode_layout(params) -> EncodeLayout:
-    """Mode-role assignment used to prepare canonical input states.
-
-    Entangled halves sit on modes 1..c (paired with receiver modes
-    n+1..n+c), position-squeezed ancillas on modes c+1..c+l, and data on
-    the remaining k modes.
-    """
-    params = CodeParameters(*params)
-    n, k, l, c = params
-    if min(n, k, l, c) < 0 or k + l + c != n:
-        raise DimensionMismatchError(f"invalid parameters {params}")
-    return EncodeLayout(
-        params=params,
-        entangled_modes=tuple(range(1, c + 1)),
-        ancilla_modes=tuple(range(c + 1, c + l + 1)),
-        data_modes=tuple(range(c + l + 1, n + 1)),
-        receiver_modes=tuple(range(n + 1, n + c + 1)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,51 +256,49 @@ def save_parity_check(path, rows) -> None:
         json.dump({"n": rows.shape[1] // 2, "rows": rows.tolist()}, fh, indent=1)
 
 
+# Version of the code-file layout that `code_to_dict` writes.  A file
+# without a "format" key predates it and is read through the same keys.
+CODE_FORMAT = 2
+
+
 def code_to_dict(code: CodeSpec) -> dict:
+    """File form of a code: its stored facts only."""
     dec = code.decomposition
     return {
-        "params": {"n": code.params.n, "k": code.params.k, "l": code.params.l, "c": code.params.c},
-        "h": code.h.tolist(),
-        "f": code.f.tolist(),
-        "h_aug": code.h_aug.rows.tolist(),
-        "f_aug": code.f_aug.rows.tolist(),
-        "upsilon": code.upsilon.tolist(),
+        "format": CODE_FORMAT,
+        "params": code.params._asdict(),
         "basis": code.basis.tolist(),
         "pairs": [[u.tolist(), v.tolist()] for u, v in dec.pairs],
         "isotropic": [w.tolist() for w in dec.isotropic],
         "dropped_rows": list(dec.dropped_rows),
         "input_rows": code.input_rows.tolist(),
-        "verified": True,
     }
 
 
 def code_from_dict(payload: dict) -> CodeSpec:
-    params = CodeParameters(**{key: int(payload["params"][key]) for key in ("n", "k", "l", "c")})
+    """Code from its file form, verified; derived matrices are recomputed, never read.
+
+    Raises:
+        ValueError: for a format this version cannot read.
+        BuildVerificationError: if the stored facts disagree.
+    """
+    if payload.get("format", CODE_FORMAT) != CODE_FORMAT:
+        raise ValueError(f"unsupported code-file format {payload['format']!r}")
+    params = CodeParameters(**{key: int(payload["params"][key]) for key in CodeParameters._fields})
     dec = SymplecticDecomposition(
         n=params.n,
         pairs=tuple((np.asarray(u, dtype=float), np.asarray(v, dtype=float)) for u, v in payload["pairs"]),
         isotropic=tuple(np.asarray(w, dtype=float) for w in payload["isotropic"]),
-        dropped_rows=tuple(int(i) for i in payload.get("dropped_rows", [])),
+        dropped_rows=tuple(int(i) for i in payload["dropped_rows"]),
     )
-    h = np.atleast_2d(np.asarray(payload["h"], dtype=float))
     code = CodeSpec(
         params=params,
-        h=h,
-        f=np.atleast_2d(np.asarray(payload["f"], dtype=float)),
-        h_aug=AugmentedParityCheck(params.n, params.c, np.atleast_2d(np.asarray(payload["h_aug"], dtype=float)), tuple(range(h.shape[0]))),
-        f_aug=AugmentedParityCheck(params.n, params.c, np.atleast_2d(np.asarray(payload["f_aug"], dtype=float)), tuple(range(h.shape[0]))),
-        upsilon=np.asarray(payload["upsilon"], dtype=float),
-        decomposition=dec,
         basis=np.asarray(payload["basis"], dtype=float),
+        decomposition=dec,
         input_rows=np.atleast_2d(np.asarray(payload["input_rows"], dtype=float)),
     )
     verify_code(code)
     return code
-
-
-def save_code(path, code: CodeSpec) -> None:
-    with open(path, "w") as fh:
-        json.dump(code_to_dict(code), fh, indent=1)
 
 
 def load_code(path) -> CodeSpec:

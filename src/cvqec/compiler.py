@@ -19,7 +19,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import CircuitVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, is_symplectic, phase_map_to_quad_action, require_symplectic
+from .symplectic import DEFAULT_TOL, is_symplectic, quad_action_to_phase_map, require_symplectic
 
 SQUEEZE = "SQUEEZE"
 FOURIER = "FOURIER"
@@ -388,9 +388,10 @@ def encoder_quad_action(code: CodeSpec) -> np.ndarray:
     """Quadrature action the encoding circuit must realize (equals upsilon^T).
 
     The stored basis is the exact inverse of the phase map, so the
-    conversion runs on it directly instead of inverting upsilon.
+    conversion (an involution) runs on it directly instead of inverting
+    upsilon.
     """
-    return phase_map_to_quad_action(code.basis.T)
+    return quad_action_to_phase_map(code.basis.T)
 
 
 def verify_circuit(circuit: Circuit, code: CodeSpec) -> float:
@@ -441,16 +442,7 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     return Circuit(n=n, gates=tuple(gates))
 
 
-def save_circuit(path, circuit: Circuit) -> None:
-    """Write the interchange format: a JSON array of gate records."""
-    with open(path, "w") as fh:
-        json.dump(circuit_to_dicts(circuit), fh, indent=1)
-
-
-def load_circuit(path, n: int | None = None) -> Circuit:
-    """Read a gate-record array; n defaults to the largest mode mentioned."""
+def load_circuit(path, n: int) -> Circuit:
+    """Read a gate-record array as a circuit on n modes."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if n is None:
-        n = max((max(entry["modes"]) for entry in payload), default=0)
-    return circuit_from_dicts(payload, n)
+        return circuit_from_dicts(json.load(fh), n)

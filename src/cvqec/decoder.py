@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeParameters, CodeSpec
+from .codes import CodeSpec
 from .errors import (
     AmbiguousSyndromeError,
     DimensionMismatchError,
@@ -179,37 +179,6 @@ def min_norm_correction(code: CodeSpec, s) -> Correction:
     u_prime = np.linalg.pinv(smat) @ s
     residual = float(np.linalg.norm(smat @ u_prime - s))
     return Correction(u_prime=u_prime, mode_hypothesis=None, residual=residual)
-
-
-def canonical_reverse(params, a, a_1, a_2, alpha, beta) -> np.ndarray:
-    """Assemble the canonical reversal displacement from a reduced syndrome.
-
-    The canonical layout places entangled modes first, ancillas next, and
-    data last, so the result reads ``(a_2, 0, alpha(..) | a_1, a, beta(..))``
-    with the unobservable ancilla-momentum block zeroed.
-
-    Args:
-        params: (n, k, l, c) of the canonical code.
-        a: ancilla position shifts, length l.
-        a_1: entangled-pair relative-position shifts, length c.
-        a_2: entangled-pair total-momentum shifts, length c.
-        alpha, beta: callables (a, a_1, a_2) -> length-k arrays giving the
-            data-mode momentum / position components of the correctable set.
-    """
-    params = CodeParameters(*params)
-    n, k, l, c = params
-    a = np.asarray(a, dtype=float).reshape(-1)
-    a_1 = np.asarray(a_1, dtype=float).reshape(-1)
-    a_2 = np.asarray(a_2, dtype=float).reshape(-1)
-    if a.shape != (l,) or a_1.shape != (c,) or a_2.shape != (c,):
-        raise DimensionMismatchError(f"expected block lengths (l={l}, c={c}, c={c}), got {a.shape}, {a_1.shape}, {a_2.shape}")
-    alpha_val = np.asarray(alpha(a, a_1, a_2), dtype=float).reshape(-1)
-    beta_val = np.asarray(beta(a, a_1, a_2), dtype=float).reshape(-1)
-    if alpha_val.shape != (k,) or beta_val.shape != (k,):
-        raise DimensionMismatchError(f"alpha/beta must return length-{k} arrays")
-    p_part = np.concatenate([a_2, np.zeros(l), alpha_val])
-    x_part = np.concatenate([a_1, a, beta_val])
-    return np.concatenate([p_part, x_part])
 
 
 def is_correctable_pair(code: CodeSpec, u, u2, tol: float = 1e-9) -> bool:

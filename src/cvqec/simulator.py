@@ -98,18 +98,6 @@ def epr_pair(r: float) -> GaussianState:
     return GaussianState(n=2, mean=np.zeros(4), factor=rot @ half)
 
 
-def prepare(kind: str, r: float = 0.0) -> GaussianState:
-    """Resource-state factory: 'vacuum', 'position-squeezed', or 'epr'."""
-    kind = kind.lower().replace("_", "-")
-    if kind == "vacuum":
-        return vacuum(1)
-    if kind in ("position-squeezed", "squeezed"):
-        return position_squeezed(r)
-    if kind == "epr":
-        return epr_pair(r)
-    raise ValueError(f"unknown state kind {kind!r}")
-
-
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state of two registers, second appended after the first."""
     n = a.n + b.n
@@ -334,7 +322,7 @@ def _resource_factor(code: CodeSpec, r: float) -> np.ndarray:
     position-squeezed ancillas, and vacuum-noise data modes whose
     coherent means are added separately.
     """
-    n, k, l, c = code.params
+    n, _, l, c = code.params
     total = n + c
     factor = np.zeros((2 * total, 2 * total))
     col = 0
@@ -343,15 +331,10 @@ def _resource_factor(code: CodeSpec, r: float) -> np.ndarray:
         rows = [j, n + j, total + j, total + n + j]
         factor[np.ix_(rows, range(col, col + 4))] = epr_pair(r).factor
         col += 4
-    for i in range(l):
-        m = c + i
-        factor[m, col] = sq * math.exp(-r)
-        factor[total + m, col + 1] = sq * math.exp(r)
-        col += 2
-    for i in range(k):
-        m = c + l + i
-        factor[m, col] = sq
-        factor[total + m, col + 1] = sq
+    for m in range(c, n):  # ancillas squeezed at r, then data modes at vacuum noise
+        s = r if m < c + l else 0.0
+        factor[m, col] = sq * math.exp(-s)
+        factor[total + m, col + 1] = sq * math.exp(s)
         col += 2
     return factor
 

@@ -13,7 +13,8 @@ A phase vector, read as a plain coefficient tuple, pairs component-wise
 with the quadrature column ``(x_1 .. x_n, p_1 .. p_n)``: the p-components
 multiply position operators and the x-components multiply momentum
 operators.  `quad_action_to_phase_map` converts a quadrature action into
-the matrix by which displacement labels transform under conjugation.
+the matrix by which displacement labels transform under conjugation, and
+back.
 """
 
 from __future__ import annotations
@@ -71,30 +72,24 @@ def _check_square_even(m: np.ndarray) -> int:
     return m.shape[0] // 2
 
 
+def _defect(m: np.ndarray) -> float:
+    """Infinity norm of ``M^T J M - J``; NaN if ``m`` has a non-finite entry."""
+    j = symplectic_form(_check_square_even(m))
+    return float(np.max(np.abs(m.T @ j @ m - j)))
+
+
 def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff ``M^T J M - J`` has infinity norm at most ``tol``."""
-    m = np.asarray(m, dtype=float)
-    n = _check_square_even(m)
-    j = symplectic_form(n)
-    return float(np.max(np.abs(m.T @ j @ m - j))) <= tol
+    return _defect(np.asarray(m, dtype=float)) <= tol
 
 
 def require_symplectic(m, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Validate symplecticity, returning the matrix as a float array."""
     m = np.asarray(m, dtype=float)
-    n = _check_square_even(m)
-    j = symplectic_form(n)
-    defect = float(np.max(np.abs(m.T @ j @ m - j)))
+    defect = _defect(m)
     if not defect <= tol:  # a non-finite entry gives a NaN defect
         raise NotSymplecticError(f"{what} violates the symplectic condition (defect {defect:.3e} > tol {tol:.3e})")
     return m
-
-
-def apply(m, u) -> np.ndarray:
-    """Matrix-vector product of a phase-space map with a phase vector."""
-    m = np.asarray(m, dtype=float)
-    n = _check_square_even(m)
-    return m @ as_phase_vector(u, n)
 
 
 def swap_halves(v) -> np.ndarray:
@@ -115,18 +110,13 @@ def quad_action_to_phase_map(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     conjugating a displacement by that unitary relabels its phase vector
     as ``u -> Y u`` with ``Y = (A^T)^{-1}``.  For symplectic ``A`` this
     equals the similarity ``-J A J``, which is what is returned (no
-    matrix inversion needed).  The map is a group homomorphism.
+    matrix inversion needed).  The map is a group homomorphism and an
+    involution, so the same function converts a phase map back into its
+    quadrature action.
 
     Raises:
         NotSymplecticError: if ``A`` is not symplectic within ``tol``.
     """
-    a = require_symplectic(a, tol, what="quadrature action")
+    a = require_symplectic(a, tol)
     j = symplectic_form(a.shape[0] // 2)
     return -j @ a @ j
-
-
-def phase_map_to_quad_action(y, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of `quad_action_to_phase_map` (the conversion is an involution)."""
-    y = require_symplectic(y, tol, what="phase-space map")
-    j = symplectic_form(y.shape[0] // 2)
-    return -j @ y @ j

@@ -110,7 +110,7 @@ def test_criterion_4_code_construction_contract():
         scale = 1.0 + float(np.max(np.abs(code.h)))
         worst_map = max(worst_map, float(np.max(np.abs(code.h @ code.upsilon.T - code.f))) / scale)
         assert is_symplectic(code.upsilon, 1e-9 * scale)
-        aug = code.h_aug.rows
+        aug = code.h_aug
         j = symplectic_form(n + c)
         comm = float(np.max(np.abs(aug @ j @ aug.T), initial=0.0)) / max(1.0, float(np.max(np.abs(aug))) ** 2)
         worst_comm = max(worst_comm, comm)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -50,11 +51,13 @@ def test_decompose_canonical_and_rank_deficient(tmp_path, capsys):
 
 
 def test_build_emits_verified_code(code_file):
+    # The file holds the stored facts only; the encoding matrix they imply
+    # carries the checks onto the canonical ones.
     payload = read(code_file)
-    assert payload["verified"] is True
-    h = np.array(payload["h"])
-    f = np.array(payload["f"])
-    y = np.array(payload["upsilon"])
+    assert payload["format"] == 2
+    h = np.array([u for u, _ in payload["pairs"]] + payload["isotropic"] + [v for _, v in payload["pairs"]])
+    f = canonical_parity_check(*(payload["params"][key] for key in "nklc"))
+    y = np.linalg.inv(np.array(payload["basis"]).T)
     assert np.max(np.abs(h @ y.T - f)) <= 1e-8
 
 
@@ -64,7 +67,7 @@ def test_build_standard_basis_gives_identity(tmp_path, capsys):
     save_parity_check(path, np.array([e[0], e[1], e[4], e[5]]))
     assert main(["build", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert np.allclose(np.array(payload["upsilon"]), np.eye(8))
+    assert np.allclose(np.array(payload["basis"]), np.eye(8))
 
 
 def test_syndrome_known_values(code_file, capsys):
@@ -162,7 +165,7 @@ def test_selftest(capsys):
 
 def test_tampered_code_file_fails_verification(tmp_path, code_file):
     payload = read(code_file)
-    payload["upsilon"][0][0] += 0.25
+    payload["basis"][0][0] += 0.25
     bad = tmp_path / "bad_code.json"
     bad.write_text(json.dumps(payload))
     assert main(["syndrome", str(bad), "--mode", "1", "--p", "1"]) == 4
@@ -211,7 +214,7 @@ def test_simulate_does_not_compile(monkeypatch, tmp_path, code_file):
     assert read(out)["mode_match_rate"] == 1.0
 
 
-CODE_KEYS = {"params", "h", "f", "h_aug", "f_aug", "upsilon", "basis", "pairs", "isotropic", "dropped_rows", "input_rows", "verified"}
+CODE_KEYS = {"format", "params", "basis", "pairs", "isotropic", "dropped_rows", "input_rows"}
 REPORT_KEYS = {"gate_counts", "squeezer_count", "max_abs_param", "rounds"}
 
 
@@ -279,3 +282,97 @@ def test_verify_rejects_malformed_circuit_files(tmp_path, code_file, gate, exit_
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps([{"gate": "FOURIER", "modes": [1]}, gate]))
     assert main(["verify", str(path), code_file]) == exit_code
+
+
+def chain_outputs(tmp_path, code_path, tag):
+    """Bytes of the circuit, verify and simulate files that one code file gives, at a fixed seed."""
+    circuit, verify, sim, cfg = (str(tmp_path / f"{tag}-{name}.json") for name in ("circuit", "verify", "sim", "cfg"))
+    with open(cfg, "w") as fh:
+        json.dump({"code_file": code_path, "error": {"mode": 3, "p": 0.5, "x": -0.25}, "squeezing_r": 6.0, "trials": 40, "seed": 5}, fh)
+    assert main(["compile", code_path, "--output", circuit]) == 0
+    assert main(["verify", circuit, code_path, "--output", verify]) == 0
+    assert main(["simulate", cfg, "--output", sim]) == 0
+    outputs = []
+    for path in (circuit, verify, sim):
+        with open(path, "rb") as fh:
+            outputs.append(fh.read())
+    return outputs
+
+
+V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference-code-v1.json")
+
+
+def test_old_format_code_file_gives_the_same_chain(tmp_path, capsys):
+    # The fixture is a code file from before the "format" key, with the
+    # derived matrices it then stored; they are ignored on load.
+    old = read(V1_FIXTURE)
+    assert "format" not in old and {"h", "f", "h_aug", "f_aug", "upsilon"} <= set(old)
+    assert tuple(codes.load_code(V1_FIXTURE).params) == (4, 2, 0, 2)
+    matrix, fresh = str(tmp_path / "raw.json"), str(tmp_path / "code.json")
+    save_parity_check(matrix, reference.raw_parity_rows())
+    assert main(["build", matrix, "--output", fresh]) == 0
+    assert read(fresh)["format"] == 2
+    from_old = chain_outputs(tmp_path, V1_FIXTURE, "old")
+    old_report = capsys.readouterr().out
+    from_new = chain_outputs(tmp_path, fresh, "new")
+    assert from_old == from_new
+    assert old_report == capsys.readouterr().out
+
+
+def test_unknown_code_format_exit_code(tmp_path, code_file):
+    payload = dict(read(code_file), format=3)
+    path = tmp_path / "future.json"
+    path.write_text(json.dumps(payload))
+    assert main(["syndrome", str(path), "--mode", "1", "--p", "1"]) == 2
+
+
+def _foreign_input_rows(payload):
+    payload["input_rows"] = np.random.default_rng(0).normal(size=np.shape(payload["input_rows"])).tolist()
+
+
+def _shift_pair_entry(payload):
+    payload["pairs"][0][0][0] += 0.25
+
+
+def _foreign_dropped_row(payload):
+    payload["dropped_rows"].append(len(payload["input_rows"]))
+    payload["input_rows"].append(np.random.default_rng(0).normal(size=len(payload["input_rows"][0])).tolist())
+
+
+def _dropped_row_out_of_range(payload):
+    payload["dropped_rows"].append(len(payload["input_rows"]))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda payload: payload.update(params={"n": 4, "k": 1, "l": 1, "c": 2}),
+        lambda payload: payload.update(params={"n": 4, "k": 3, "l": 0, "c": 1}),
+        _shift_pair_entry,
+        _foreign_input_rows,
+        _foreign_dropped_row,
+        _dropped_row_out_of_range,
+    ],
+    ids=[
+        "params-sum-off",
+        "params-one-pair",
+        "pair-entry-shifted",
+        "foreign-input-rows",
+        "foreign-dropped-row",
+        "dropped-row-out-of-range",
+    ],
+)
+def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, tamper):
+    circuit = str(tmp_path / "circuit.json")
+    assert main(["compile", code_file, "--output", circuit]) == 0
+    payload = read(code_file)
+    tamper(payload)
+    bad = str(tmp_path / "tampered.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"code_file": bad, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 8.0, "trials": 10, "seed": 1}))
+    assert main(["compile", bad, "--output", str(tmp_path / "out.json")]) == 4
+    assert main(["verify", circuit, bad]) == 4
+    assert main(["simulate", str(cfg)]) == 4
+    assert main(["syndrome", bad, "--mode", "1", "--p", "1"]) == 4

@@ -3,9 +3,7 @@ import pytest
 
 from cvqec import reference
 from cvqec.codes import (
-    augment,
     build_code,
-    canonical_encode_layout,
     canonical_parity_check,
     code_from_dict,
     code_to_dict,
@@ -13,7 +11,7 @@ from cvqec.codes import (
     save_parity_check,
 )
 from cvqec.decomposition import symplectic_gram_schmidt, code_parameters
-from cvqec.errors import DimensionMismatchError
+from cvqec.errors import BuildVerificationError, DimensionMismatchError
 from cvqec.symplectic import is_symplectic, symplectic_form
 
 
@@ -40,38 +38,51 @@ def test_canonical_parity_check_validates_sum():
 
 
 def test_augment_reference_rows_commute():
-    rows = reference.symplectic_basis_rows()
-    dec = symplectic_gram_schmidt(rows)
-    aug = augment(rows, dec)
-    j = symplectic_form(6)
-    assert np.max(np.abs(aug.rows @ j @ aug.rows.T)) <= 1e-9 * np.max(np.abs(aug.rows)) ** 2
-    assert np.allclose(aug.strip_augmentation(), dec.vectors())
+    code = build_code(reference.symplectic_basis_rows())
+    aug, n, c = code.h_aug, code.n, code.params.c
+    j = symplectic_form(n + c)
+    assert np.max(np.abs(aug @ j @ aug.T)) <= 1e-9 * np.max(np.abs(aug)) ** 2
+    # without the receiver columns the rows are the normalized checks again
+    assert np.array_equal(np.hstack([aug[:, :n], aug[:, n + c : 2 * n + c]]), code.h)
 
 
-def test_augment_without_pairs_is_identity(rng):
+def test_augment_without_pairs_is_identity():
     rows = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    dec = symplectic_gram_schmidt(rows)
-    aug = augment(rows, dec)
-    assert aug.rows.shape == (1, 6)
-    assert np.array_equal(aug.rows, rows)
+    aug = build_code(rows).h_aug
+    assert aug.shape == (1, 6)
+    assert np.array_equal(aug, rows)
 
 
 def test_augment_canonical_block_pattern():
-    code = build_code(canonical_parity_check(3, 1, 1, 1))
-    aug = code.f_aug
+    aug = build_code(canonical_parity_check(3, 1, 1, 1)).h_aug
     n, c = 3, 1
     # u-row picks up -1 in the receiver momentum column, v-row +1 in the
     # receiver position column, isotropic rows stay untouched.
-    assert aug.rows[0, n] == -1.0
-    assert aug.rows[2, 2 * n + c] == 1.0
-    assert np.all(aug.rows[1, [n, 2 * n + c]] == 0.0)
+    assert aug[0, n] == -1.0
+    assert aug[2, 2 * n + c] == 1.0
+    assert np.all(aug[1, [n, 2 * n + c]] == 0.0)
 
 
-def test_augment_rejects_foreign_rows(rng):
-    rows = reference.symplectic_basis_rows()
-    dec = symplectic_gram_schmidt(rows)
-    with pytest.raises(DimensionMismatchError):
-        augment(rng.normal(size=(4, 8)), dec)
+def test_code_from_dict_rejects_foreign_rows(rng):
+    payload = code_to_dict(build_code(reference.symplectic_basis_rows()))
+    code_from_dict(payload)
+    foreign = dict(payload, input_rows=rng.normal(size=(4, 8)).tolist())
+    with pytest.raises(BuildVerificationError, match="rowspace"):
+        code_from_dict(foreign)
+    shifted = dict(payload, pairs=[[[u[0] + 0.25] + u[1:], v] for u, v in payload["pairs"]])
+    with pytest.raises(BuildVerificationError, match="basis rows"):
+        code_from_dict(shifted)
+
+
+def test_load_check_accepts_dependent_tiny_and_scaled_rows(rng):
+    # Dropped rows (a combination, a row below the zero threshold, a zero
+    # row) and rows of large or small scale all lie in the check rowspace.
+    for scale in (1e-3, 1.0, 1e3):
+        rows = scale * rng.normal(size=(4, 10))
+        rows = np.vstack([rows, rng.normal(size=(1, 4)) @ rows, 1e-11 * rng.normal(size=(1, 10)), np.zeros((1, 10))])
+        code = build_code(rows[rng.permutation(len(rows))])
+        assert len(code.decomposition.dropped_rows) == 3
+        assert np.array_equal(code_from_dict(code_to_dict(code)).basis, code.basis)
 
 
 def test_build_reference_code():
@@ -110,7 +121,7 @@ def test_build_random_codes_pass_invariants(rng):
         assert np.max(np.abs(code.h @ code.upsilon.T - code.f)) <= 1e-8 * scale
         assert is_symplectic(code.upsilon, 1e-9 * scale)
         j = symplectic_form(code.n + code.params.c)
-        aug = code.h_aug.rows
+        aug = code.h_aug
         assert np.max(np.abs(aug @ j @ aug.T), initial=0.0) <= 1e-9 * max(1.0, np.max(np.abs(aug)) ** 2)
         assert aug.shape == (code.params.l + 2 * code.params.c, 2 * (n + code.params.c))
 
@@ -130,24 +141,6 @@ def test_codespace_duality(rng):
     assert np.max(np.abs(pulled - code.h)) <= 1e-8
 
 
-def test_layout_reference_code():
-    layout = canonical_encode_layout((4, 2, 0, 2))
-    assert layout.entangled_modes == (1, 2)
-    assert layout.data_modes == (3, 4)
-    assert layout.receiver_modes == (5, 6)
-    assert layout.ancilla_modes == ()
-
-
-def test_layout_mixed_and_trivial():
-    layout = canonical_encode_layout((3, 1, 1, 1))
-    assert layout.entangled_modes == (1,)
-    assert layout.ancilla_modes == (2,)
-    assert layout.data_modes == (3,)
-    trivial = canonical_encode_layout((1, 1, 0, 0))
-    assert trivial.data_modes == (1,)
-    assert trivial.entangled_modes == ()
-
-
 def test_parity_check_file_roundtrip(tmp_path):
     path = tmp_path / "check.json"
     rows = reference.raw_parity_rows()
@@ -159,5 +152,6 @@ def test_code_dict_roundtrip():
     code = build_code(reference.symplectic_basis_rows())
     clone = code_from_dict(code_to_dict(code))
     assert np.array_equal(clone.h, code.h)
+    assert np.array_equal(clone.basis, code.basis)
     assert np.array_equal(clone.upsilon, code.upsilon)
     assert tuple(clone.params) == tuple(code.params)

@@ -11,7 +11,6 @@ from cvqec.decoder import (
     DEFAULT_DECODE_TOL,
     NO_ERROR,
     UNCORRECTABLE,
-    canonical_reverse,
     decode_batch,
     decode_single_mode,
     is_correctable_pair,
@@ -138,30 +137,15 @@ def test_min_norm_correction(code, rng):
         assert np.linalg.norm(corr.u_prime) <= np.linalg.norm(u) + 1e-9
 
 
-def test_canonical_reverse_zero():
-    u = canonical_reverse((3, 1, 1, 1), [0.0], [0.0], [0.0], lambda *a: [0.0], lambda *a: [0.0])
-    assert np.array_equal(u, np.zeros(6))
-
-
-def test_canonical_reverse_assembly():
-    # layout (entangled | ancilla | data): momentum block (a_2, 0, alpha),
-    # position block (a_1, a, beta)
-    u = canonical_reverse((3, 1, 1, 1), [2.0], [3.0], [5.0], lambda *a: [0.0], lambda *a: [0.0])
-    assert np.array_equal(u, np.array([5.0, 0.0, 0.0, 3.0, 2.0, 0.0]))
-
-
-def test_canonical_reverse_syndrome_consistency(rng):
-    params = (4, 1, 2, 1)
-    code = build_code(canonical_parity_check(*params))
+def test_canonical_syndrome_reads_block_shifts(rng):
+    # Canonical layout (entangled | ancilla | data): a shift with momenta
+    # (a_2, 0, alpha) and positions (a_1, a, beta) reads (a_1, a, a_2),
+    # whatever it does to the data modes.
+    code = build_code(canonical_parity_check(4, 1, 2, 1))
     for _ in range(10):
-        a = rng.normal(size=2)
-        a1 = rng.normal(size=1)
-        a2 = rng.normal(size=1)
-        alpha = lambda a_, a1_, a2_: a1_ + a2_
-        beta = lambda a_, a1_, a2_: [a_[0] - a_[1]]
-        u = canonical_reverse(params, a, a1, a2, alpha, beta)
-        s = syndrome(code, u)
-        assert np.allclose(s, np.concatenate([a1, a, a2]), atol=1e-12)
+        a, a1, a2, alpha, beta = rng.normal(size=2), rng.normal(size=1), rng.normal(size=1), rng.normal(size=1), rng.normal(size=1)
+        u = np.concatenate([a2, np.zeros(2), alpha, a1, a, beta])
+        assert np.allclose(syndrome(code, u), np.concatenate([a1, a, a2]), atol=1e-12)
 
 
 def test_correctable_pair_distinct_modes(code):

@@ -24,7 +24,6 @@ from cvqec.simulator import (
     homodyne,
     phase_gate_protocol,
     position_squeezed,
-    prepare,
     run_ec_experiment,
     tensor,
     uncertainty_defect,
@@ -71,14 +70,6 @@ def test_epr_pair_covariance_blocks():
         ]
     )
     assert np.allclose(st.cov, want, atol=1e-12)
-
-
-def test_prepare_dispatch():
-    assert prepare("vacuum").n == 1
-    assert prepare("position-squeezed", 1.0).variance(0) < 0.5
-    assert prepare("epr", 1.0).n == 2
-    with pytest.raises(ValueError):
-        prepare("thermal")
 
 
 def test_tensor_block_structure():
