@@ -9,7 +9,6 @@ Gaussian-state simulator with homodyne feedforward.
 from .symplectic import (
     DEFAULT_TOL,
     is_symplectic,
-    quad_action_to_phase_map,
     swap_halves,
     symplectic_form,
     symplectic_product,
@@ -43,7 +42,6 @@ from .compiler import (
     Gate,
     apply_gate,
     circuit_action,
-    compile_encoder,
     decompose,
     encoder_quad_action,
     fourier,

@@ -233,18 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvqec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tolerance", type=float, default=1e-9, help="numerical zero threshold")
+    def common(p, tolerance=False):
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=1e-9, help="numerical zero threshold")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     p = sub.add_parser("decompose", help="split a parity-check rowspace into pairs and isotropic basis")
     p.add_argument("matrix_file")
-    common(p)
+    common(p, tolerance=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("build", help="build a code and emit its JSON description")
     p.add_argument("matrix_file")
-    common(p)
+    common(p, tolerance=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("syndrome", help="syndrome of a displacement error")
@@ -256,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_syndrome)
 
-    p = sub.add_parser("decode", help="decode a syndrome to a correction")
+    # Without abbreviations, so that a dropped --tolerance is refused, not
+    # read as --tolerance-decode.
+    p = sub.add_parser("decode", help="decode a syndrome to a correction", allow_abbrev=False)
     p.add_argument("code_file")
     p.add_argument("--syndrome", help="syndrome as a JSON array")
     p.add_argument("--syndrome-file", help="JSON file holding the syndrome")
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a code's encoder into a gate sequence")
     p.add_argument("code_file")
-    common(p)
+    common(p, tolerance=True)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="check a circuit file against a code's encoder")

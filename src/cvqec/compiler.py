@@ -19,7 +19,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import CircuitVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, is_symplectic, quad_action_to_phase_map, require_symplectic
+from .symplectic import DEFAULT_TOL, is_symplectic, require_symplectic
 
 SQUEEZE = "SQUEEZE"
 FOURIER = "FOURIER"
@@ -307,7 +307,9 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
 
     Args:
         a: symplectic (x | p)-ordered quadrature action.
-        tol: symplecticity and pivot threshold.
+        tol: pivot threshold; the input is checked symplectic within
+            ``max(tol, DEFAULT_TOL) * max(1, max |a|)^2``, the scale on
+            which `verify_code` checks a code's basis.
         debug: assert symplecticity of every intermediate and the
             unit-row/column structure after each round.
 
@@ -315,11 +317,12 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
         (circuit, report): the circuit's composed action reproduces ``a``.
 
     Raises:
-        NotSymplecticError: if ``a`` is not symplectic within ``tol``.
+        NotSymplecticError: if ``a`` is not symplectic on that scale.
         CircuitVerificationError: if the elimination does not reach the
             identity.
     """
-    a = require_symplectic(a, max(tol, DEFAULT_TOL) * max(1.0, float(np.max(np.abs(np.asarray(a))))), what="compiler input")
+    a = np.asarray(a, dtype=float)
+    a = require_symplectic(a, max(tol, DEFAULT_TOL) * max(1.0, float(np.max(np.abs(a)))) ** 2, what="compiler input")
     n = a.shape[0] // 2
     el = _Eliminator(a, n, debug)
     w = el.work  # every record rewrites it in place
@@ -371,27 +374,16 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
     return circuit, report
 
 
-def compile_encoder(code: CodeSpec) -> Circuit:
-    """Encoding circuit of a code: the gate sequence realizing its encoder.
-
-    The encoder's quadrature action is the transpose of the code's
-    phase-space matrix (conjugating a displacement label by the encoder
-    applies the inverse phase map, which is what carries the canonical
-    checks onto the code's own).  A canonical code compiles to the empty
-    circuit.
-    """
-    circuit, _ = decompose(encoder_quad_action(code))
-    return circuit
-
-
 def encoder_quad_action(code: CodeSpec) -> np.ndarray:
-    """Quadrature action the encoding circuit must realize (equals upsilon^T).
+    """Quadrature action the encoding circuit must realize: the closed form ``upsilon^T``.
 
-    The stored basis is the exact inverse of the phase map, so the
-    conversion (an involution) runs on it directly instead of inverting
-    upsilon.
+    Conjugating a displacement label by the encoder applies the inverse
+    phase map, which is what carries the canonical checks onto the
+    code's own; a canonical code's encoder is the identity.  The code's
+    basis was checked symplectic when it was built or loaded, so this
+    checks nothing again.
     """
-    return quad_action_to_phase_map(code.basis.T)
+    return code.upsilon.T
 
 
 def verify_circuit(circuit: Circuit, code: CodeSpec) -> float:

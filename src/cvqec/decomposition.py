@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionError
-from .symplectic import DEFAULT_TOL, as_phase_vector, symplectic_form, symplectic_product
+from .symplectic import DEFAULT_TOL, as_phase_vector, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,10 @@ def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT
         # products untouched and zeroes the antisymmetric defect exactly.
         s = z @ j @ z.T
         z = z - 0.5 * s @ iso
-        for i in range(l):
-            for jdx in range(l):
-                got = symplectic_product(iso[i], z[jdx])
-                want = 1.0 if i == jdx else 0.0
-                if abs(got - want) > 1e3 * tol * max(1.0, np.linalg.norm(z[jdx])):
-                    raise DecompositionError("failed to complete isotropic partners")
+        # Entry (i, j) is w_i (.) z_j, bounded per partner column j.
+        defect = np.abs(iso @ j @ z.T - np.eye(l))
+        if not np.all(defect <= 1e3 * tol * np.maximum(1.0, np.linalg.norm(z, axis=1))):
+            raise DecompositionError("failed to complete isotropic partners")
         for i in range(l):
             pairs.append((iso[i].copy(), z[i].copy()))
 

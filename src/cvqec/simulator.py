@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .compiler import Circuit, apply_gate, encoder_quad_action, fourier, qnd_p, qnd_x
+from .compiler import Circuit, apply_gate, fourier, qnd_p, qnd_x
 from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from .errors import DimensionMismatchError, InvalidStateError
 from .symplectic import swap_halves, symplectic_form
@@ -257,7 +257,8 @@ class ExperimentStats:
 
     ``excess_variance`` combines the trial-to-trial jitter of the
     corrected data means with the surplus of the output quantum variance
-    over the vacuum 1/2, per data quadrature (x block then p block).
+    over the vacuum 1/2, per data quadrature (x block then p block).  A
+    data quadrature that no noise reaches reads exactly 0.
     """
 
     trials: int
@@ -282,61 +283,26 @@ class ExperimentStats:
         }
 
 
-def _embed_action(a: np.ndarray, n: int, total: int) -> np.ndarray:
-    """Embed an n-mode quadrature action into the first n of `total` modes."""
-    rows = list(range(n)) + list(range(total, total + n))
-    out = np.eye(2 * total)
-    out[np.ix_(rows, rows)] = a
-    return out
+# Standard deviation of a vacuum quadrature, as `vacuum` stores it.
+_VACUUM_SD = 1.0 / math.sqrt(2.0)
 
 
-def _channel_actions(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder, decoder and readout actions on the n + c sender and receiver modes.
+def _readout_frame_factor(code: CodeSpec, r: float) -> np.ndarray:
+    """Covariance factor of the canonical resource on sender + receiver modes, after the readout beamsplitters.
 
-    The encoder is the code's exact quadrature action, the one that
-    `verify_circuit` checks a compiled circuit against; the decoder is its
-    symplectic inverse ``-J A^T J``, so the channel does not depend on
-    which circuit realises the encoder.  The readout is the closed form of
-    `balanced_beamsplitter` on every entangled pair (j, n + j): a 45 degree
-    rotation of both quadrature planes.
-    """
-    n, _, _, c = code.params
-    total = n + c
-    enc = _embed_action(encoder_quad_action(code), n, total)
-    j = symplectic_form(total)
-    dec = -j @ enc.T @ j
-    readout = np.eye(2 * total)
-    s = math.sqrt(0.5)
-    for off in (0, total):  # x plane, then p plane
-        first = off + np.arange(c)
-        second = first + n
-        readout[first, first] = readout[second, first] = readout[second, second] = s
-        readout[first, second] = -s
-    return enc, dec, readout
-
-
-def _resource_factor(code: CodeSpec, r: float) -> np.ndarray:
-    """Covariance factor of the canonical resource states on sender + receiver modes.
-
-    Entangled pairs (sender mode j, receiver mode n + j) at squeezing r,
-    position-squeezed ancillas, and vacuum-noise data modes whose
-    coherent means are added separately.
+    An entangled pair (sender mode j, receiver mode n + j) at squeezing r
+    is two single-mode squeezed modes on a balanced beamsplitter, so the
+    readout beamsplitter on (j, n + j) hands them back: the sender half
+    squeezed in position and the receiver half in momentum.  Ancillas are
+    squeezed in position and data modes carry vacuum noise, so the factor
+    is diagonal with entries e^{+-r} / sqrt(2) and 1 / sqrt(2).
     """
     n, _, l, c = code.params
     total = n + c
-    factor = np.zeros((2 * total, 2 * total))
-    col = 0
-    sq = 1.0 / math.sqrt(2.0)
-    for j in range(c):
-        rows = [j, n + j, total + j, total + n + j]
-        factor[np.ix_(rows, range(col, col + 4))] = epr_pair(r).factor
-        col += 4
-    for m in range(c, n):  # ancillas squeezed at r, then data modes at vacuum noise
-        s = r if m < c + l else 0.0
-        factor[m, col] = sq * math.exp(-s)
-        factor[total + m, col + 1] = sq * math.exp(s)
-        col += 2
-    return factor
+    sd = np.ones(2 * total)
+    sd[: c + l] = sd[total + n :] = math.exp(-r)  # sender positions of pairs and ancillas, receiver momenta
+    sd[total : total + c + l] = sd[n:total] = math.exp(r)
+    return np.diag(sd * _VACUUM_SD)
 
 
 def run_ec_experiment(
@@ -346,18 +312,23 @@ def run_ec_experiment(
     trials: int,
     seed: int,
     decode_tol: float = 0.1,
-    coherent_scale: float = 1.0,
 ) -> ExperimentStats:
     """Monte-Carlo error correction of a fixed single-mode displacement.
 
-    Each trial prepares resource states at squeezing r with random
-    coherent data, encodes with the code's exact encoder action (the one
-    its compiled circuit is verified against, so nothing is compiled
-    here), applies the error, un-encodes on the receiver side, reads the
-    canonical check values by single-mode homodyne (entangled pairs pass
-    through an exact beamsplitter first so both commuting pair
-    observables become local), decodes, applies the correction
-    displacement, and compares the data modes against their inputs.
+    Each trial prepares resource states at squeezing r, encodes, applies
+    the error, un-encodes on the receiver side, reads the canonical check
+    values by single-mode homodyne (entangled pairs pass through an exact
+    beamsplitter first so both commuting pair observables become local),
+    decodes, applies the correction displacement, and compares the data
+    modes against their inputs.
+
+    The channel is linear and the decoder undoes the encoder exactly, so
+    only what the error does is applied: the decoder maps it to the
+    canonical shift ``code.basis @ swap_halves(error)``, the decoder's
+    quadrature action being the basis itself.  The resource enters
+    already in the readout frame, in the closed form of
+    `_readout_frame_factor`, and data-mode means would pass through
+    unchanged and cancel, so none are drawn.  Nothing is compiled here.
 
     Every step is linear-Gaussian, so the covariance after each homodyne
     readout does not depend on its outcome: it is computed once and
@@ -367,12 +338,11 @@ def run_ec_experiment(
     `homodyne` and `apply_symplectic` give one trial at a time.
 
     Decode failures are counted, never raised; a failed trial applies no
-    correction.  Randomness comes from ``np.random.default_rng(seed)``:
-    first the (trials, 2k) data means, ``normal(0, coherent_scale)`` in
-    (x | p) order per trial, then a (trials, m) array z of standard
-    normals.  Column i of z drives the i-th readout, and the readouts run
-    in this order: receiver momenta of the entangled pairs from the last
-    pair to the first, ancilla positions from the last to the first, then
+    correction.  Randomness comes from ``np.random.default_rng(seed)``,
+    which draws one (trials, m) array z of standard normals and nothing
+    else.  Column i of z drives the i-th readout, and the readouts run in
+    this order: receiver momenta of the entangled pairs from the last pair
+    to the first, ancilla positions from the last to the first, then
     sender positions from the last pair to the first.  Trial t's outcome
     of a readout with mean mu and variance v is ``mu + sqrt(v) z[t, i]``.
     A fixed seed gives bit-identical results.
@@ -385,13 +355,12 @@ def run_ec_experiment(
         seed: seed of the random stream (non-negative).
         decode_tol: residual tolerance handed to the decoder; generous by
             default because measured syndromes carry finite-squeezing noise.
-        coherent_scale: standard deviation of the random data-mode means.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    n, k, l, c = code.params
+    n, _, l, c = code.params
     error = np.asarray(error, dtype=float)
     if error.shape != (2 * n,):
         raise DimensionMismatchError(f"error must have length {2 * n}")
@@ -400,22 +369,20 @@ def run_ec_experiment(
         raise ValueError("the experiment injects single-mode errors only")
     error_mode = (support.pop() + 1) if support else 0
 
-    rng = np.random.default_rng(seed)
-    data_means = rng.normal(0.0, coherent_scale, size=(trials, 2 * k))
-    z = rng.standard_normal((trials, code.m))
+    z = np.random.default_rng(seed).standard_normal((trials, code.m))
 
     total = n + c
     data_rows = np.r_[c + l : n, total + c + l : total + n]
-    enc, dec, readout = _channel_actions(code)
-    d_error = np.zeros(2 * total)
-    d_error[:n] = error[n:]
-    d_error[total : total + n] = error[:n]
-    factor = readout @ (dec @ (enc @ _resource_factor(code, r)))
-    # Means before any readout: the data's coherent means and the error,
-    # carried through encoder, decoder and readout.
-    unread = readout @ dec
-    offset = unread @ d_error
-    from_data = (unread @ enc)[:, data_rows]
+    factor = _readout_frame_factor(code, r)
+    # Means before any readout: the decoded error on the sender modes, of
+    # which the readout beamsplitter hands each pair's sender and receiver
+    # half 1/sqrt(2) (the receiver halves start with zero means).
+    shift = code.basis @ swap_halves(error)
+    offset = np.zeros(2 * total)
+    offset[:n], offset[total : total + n] = shift[:n], shift[n:]
+    for off in (0, total):  # x plane, then p plane
+        offset[off : off + c] *= math.sqrt(0.5)
+        offset[off + n : off + total] = offset[off : off + c]
 
     # (quadrature row, syndrome index, scale) of each readout, in the
     # documented order; pair observables come out of the beamsplitter
@@ -443,14 +410,12 @@ def run_ec_experiment(
     # sequential conditioning; later kicks reach a measured quadrature only
     # through rounding, since its outcome pins it.
     outcomes = z @ np.triu(kicks[:, rows])
-    outcomes += data_means @ from_data[rows].T
     outcomes += offset[rows]
     s_meas = np.empty_like(outcomes)
     s_meas[:, index] = outcomes * scale
     residuals = z @ kicks[:, data_rows]
-    residuals += data_means @ (from_data[data_rows] - np.eye(2 * k)).T
     residuals += offset[data_rows]
-    del z, data_means, outcomes  # with the decoder's work arrays they would set the memory peak
+    del z, outcomes  # with the decoder's work arrays they would set the memory peak
 
     # A decoded shift (p, x) on mode j displaces the canonical frame by
     # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
@@ -463,7 +428,9 @@ def run_ec_experiment(
         step *= size
         residuals -= step
     residual_variance = residuals.var(axis=0)
-    cov_excess = np.einsum("ij,ij->i", factor[data_rows], factor[data_rows]) - 0.5
+    # Surplus over the vacuum entry the factor was built with, so a data
+    # row that no readout reaches reads exactly 0.
+    cov_excess = np.einsum("ij,ij->i", factor[data_rows], factor[data_rows]) - _VACUUM_SD**2
     matched = np.isin(decoded.status, (NO_ERROR, DECODED)) & (decoded.mode_hypothesis == error_mode)
     return ExperimentStats(
         trials=trials,

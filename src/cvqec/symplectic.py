@@ -12,9 +12,9 @@ Both orderings share the same block form matrix ``J = [[0, I], [-I, 0]]``.
 A phase vector, read as a plain coefficient tuple, pairs component-wise
 with the quadrature column ``(x_1 .. x_n, p_1 .. p_n)``: the p-components
 multiply position operators and the x-components multiply momentum
-operators.  `quad_action_to_phase_map` converts a quadrature action into
-the matrix by which displacement labels transform under conjugation, and
-back.
+operators.  If a Gaussian unitary rewrites the quadrature column as
+``R -> A R``, conjugating a displacement by it relabels the phase vector
+as ``u -> (A^T)^{-1} u``, which for symplectic ``A`` is ``-J A J``.
 """
 
 from __future__ import annotations
@@ -101,22 +101,3 @@ def swap_halves(v) -> np.ndarray:
     u = np.asarray(v, dtype=float)
     n = mode_count(u)
     return np.concatenate([u[n:], u[:n]])
-
-
-def quad_action_to_phase_map(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Phase-vector transformation induced by a quadrature action.
-
-    If a Gaussian unitary rewrites the quadrature column as ``R -> A R``,
-    conjugating a displacement by that unitary relabels its phase vector
-    as ``u -> Y u`` with ``Y = (A^T)^{-1}``.  For symplectic ``A`` this
-    equals the similarity ``-J A J``, which is what is returned (no
-    matrix inversion needed).  The map is a group homomorphism and an
-    involution, so the same function converts a phase map back into its
-    quadrature action.
-
-    Raises:
-        NotSymplecticError: if ``A`` is not symplectic within ``tol``.
-    """
-    a = require_symplectic(a, tol)
-    j = symplectic_form(a.shape[0] // 2)
-    return -j @ a @ j

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvqec import codes, compiler, reference, simulator
-from cvqec.cli import main
+from cvqec.cli import build_parser, main
 from cvqec.codes import canonical_parity_check, save_parity_check
 
 
@@ -297,6 +297,49 @@ def chain_outputs(tmp_path, code_path, tag):
         with open(path, "rb") as fh:
             outputs.append(fh.read())
     return outputs
+
+
+SCALED_ROWS = os.path.join(os.path.dirname(__file__), "data", "scaled-rows.json")
+
+
+def _scaled_random_rows(seed):
+    """n = 2..8 modes, 2..n+1 rows (the last one dependent in about half the draws), scaled by 10^-2..10^5."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    rows = rng.normal(size=(int(rng.integers(2, n + 2)), 2 * n))
+    if len(rows) > 2 and rng.random() < 0.5:
+        rows[-1] = rng.normal() * rows[0] + rng.normal() * rows[1]
+    return rows * 10.0 ** rng.uniform(-2.0, 5.0)
+
+
+def test_every_built_code_runs_the_chain_or_fails_compile_loudly(tmp_path):
+    # A code that loads has a basis checked on one scale, and nothing in
+    # the chain checks it again on another: compile either succeeds, and
+    # then verify and simulate do too, or misses the identity and exits 6.
+    matrix, code, circuit, cfg = (str(tmp_path / f"{name}.json") for name in ("matrix", "code", "circuit", "cfg"))
+    with open(cfg, "w") as fh:
+        json.dump({"code_file": code, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 20, "seed": 1}, fh)
+    inputs = [codes.load_parity_check(SCALED_ROWS)] + [_scaled_random_rows(seed) for seed in range(60)]
+    built = 0
+    for index, rows in enumerate(inputs):
+        save_parity_check(matrix, rows)
+        if main(["build", matrix, "--output", code]) != 0:
+            continue
+        built += 1
+        exit_code = main(["compile", code, "--output", circuit])
+        assert exit_code in (0, 6), index
+        if exit_code == 0:
+            assert main(["verify", circuit, code, "--output", str(tmp_path / "verify.json")]) == 0, index
+            assert main(["simulate", cfg, "--output", str(tmp_path / "sim.json")]) == 0, index
+    assert built >= 50
+
+
+def test_tolerance_is_an_option_only_where_it_is_read(code_file):
+    for argv in (["decompose", "m.json"], ["build", "m.json"], ["compile", code_file]):
+        assert build_parser().parse_args(argv + ["--tolerance", "1e-8"]).tolerance == 1e-8
+    for argv in (["syndrome", code_file], ["decode", code_file], ["verify", "c.json", code_file], ["simulate", "cfg.json"], ["selftest"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--tolerance", "1e-8"])
 
 
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference-code-v1.json")

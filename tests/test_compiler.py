@@ -21,7 +21,6 @@ from cvqec.compiler import (
     circuit_action,
     circuit_from_dicts,
     circuit_to_dicts,
-    compile_encoder,
     decompose,
     encoder_quad_action,
     fourier,
@@ -155,13 +154,13 @@ def test_decompose_needs_fourier_fallback():
 
 def test_compile_canonical_code_is_empty():
     code = build_code(canonical_parity_check(3, 1, 1, 1))
-    assert len(compile_encoder(code)) == 0
+    assert len(decompose(encoder_quad_action(code))[0]) == 0
 
 
 def test_compile_reference_encoder_matches_target():
     code = reference.build_example_code()
     target = encoder_quad_action(code)
-    circuit = compile_encoder(code)
+    circuit, _ = decompose(target)
     assert np.max(np.abs(circuit_action(circuit) - target)) <= 1e-8 * (1 + np.max(np.abs(target)))
 
 
@@ -169,7 +168,7 @@ def test_compile_random_code(rng):
     rows = rng.normal(size=(3, 6))
     code = build_code(rows)
     target = encoder_quad_action(code)
-    circuit = compile_encoder(code)
+    circuit, _ = decompose(target)
     assert np.max(np.abs(circuit_action(circuit) - target)) <= 1e-8 * (1 + np.max(np.abs(target)))
 
 
@@ -253,8 +252,9 @@ def test_decompose_round_trip_large(n):
 
 def test_verify_circuit_returns_deviation_and_raises():
     code = reference.build_example_code()
-    circuit = compile_encoder(code)
-    assert 0.0 <= verify_circuit(circuit, code) <= 1e-8 * (1.0 + np.max(np.abs(encoder_quad_action(code))))
+    target = encoder_quad_action(code)
+    circuit, _ = decompose(target)
+    assert 0.0 <= verify_circuit(circuit, code) <= 1e-8 * (1.0 + np.max(np.abs(target)))
     broken = Circuit(code.n, circuit.gates[:-1])
     with pytest.raises(CircuitVerificationError):
         verify_circuit(broken, code)

@@ -3,7 +3,7 @@ import pytest
 
 from cvqec import reference
 from cvqec.codes import build_code, canonical_parity_check
-from cvqec.compiler import compile_encoder, verify_circuit
+from cvqec.compiler import decompose, encoder_quad_action, verify_circuit
 from cvqec.decomposition import (
     SymplecticDecomposition,
     _pairing_loop,
@@ -176,7 +176,7 @@ def test_small_pair_product_builds_and_compiles():
     e = np.eye(12)
     code = build_code([e[0], e[1] + 1e-6 * e[6]])
     assert tuple(code.params) == (6, 5, 0, 1)
-    assert verify_circuit(compile_encoder(code), code) <= 1e-8
+    assert verify_circuit(decompose(encoder_quad_action(code))[0], code) <= 1e-8
 
 
 @pytest.mark.parametrize(

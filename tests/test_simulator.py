@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from cvqec import reference
 from cvqec.codes import build_code, canonical_parity_check
-from cvqec.compiler import Circuit, circuit_action, compile_encoder, fourier, invert_circuit, phase_x, squeeze
+from cvqec.compiler import (
+    Circuit,
+    circuit_action,
+    decompose,
+    encoder_quad_action,
+    fourier,
+    invert_circuit,
+    phase_x,
+    squeeze,
+)
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
 from cvqec import simulator
 from cvqec.simulator import (
     ExperimentStats,
     GaussianState,
-    _channel_actions,
-    _embed_action,
-    _resource_factor,
     apply_circuit,
     apply_symplectic,
     balanced_beamsplitter,
@@ -244,6 +251,29 @@ def test_experiment_zero_error(rng):
     assert np.max(stats.excess_variance) <= 10 * math.exp(-40.0) + 1e-10
 
 
+def test_syndrome_noise_at_r20_follows_chi2():
+    # Each row's noise variance times the trial count is chi^2(trials - 1)
+    # around e^{-2r}; rounding left by a dense encoder and decoder would
+    # read hundreds of times larger at r = 20.
+    code = reference.build_example_code()
+    trials = 300
+    stats = run_ec_experiment(code, single_mode_error(4, 1, 0.5, 0.5), r=20.0, trials=trials, seed=3)
+    low, high = chi2.ppf([0.5e-6, 1.0 - 0.5e-6], trials - 1)
+    statistic = trials * stats.syndrome_noise_variance / math.exp(-40.0)
+    assert np.all((low <= statistic) & (statistic <= high)), statistic
+
+
+def test_excess_variance_counts_from_the_stored_vacuum():
+    # A data quadrature that no noise reaches reads exactly 0, and none reads below it.
+    code = build_code(canonical_parity_check(5, 2, 2, 1))
+    stats = run_ec_experiment(code, np.zeros(10), r=10.0, trials=50, seed=3)
+    assert np.array_equal(stats.excess_variance, np.zeros(4))
+    code = reference.build_example_code()
+    for r in (10.0, 15.0, 20.0):
+        stats = run_ec_experiment(code, single_mode_error(4, 1, 0.5, 0.5), r=r, trials=300, seed=3)
+        assert np.all(stats.excess_variance >= 0.0), r
+
+
 def test_experiment_decodes_injected_mode():
     code = reference.build_example_code()
     stats = run_ec_experiment(code, single_mode_error(4, 1, 0.5, 0.5), r=10.0, trials=300, seed=42)
@@ -292,20 +322,101 @@ def test_apply_symplectic_dimension_check():
         apply_symplectic(vacuum(2), np.eye(2))
 
 
-def test_channel_actions_match_compiled_circuits():
-    # Closed-form readout against the three-QND beamsplitters, and the
-    # symplectic-inverse decoder against the compiled inverse circuit.
-    code = reference.build_example_code()
-    n, c = code.n, code.params.c
+def _embed(a, n, total):
+    """An n-mode quadrature action on the first n of `total` modes."""
+    rows = np.r_[:n, total : total + n]
+    out = np.eye(2 * total)
+    out[np.ix_(rows, rows)] = a
+    return out
+
+
+def _readout(a, n, c):
+    """The readout beamsplitters on rows of ``a``: a 45 degree rotation of both quadrature planes on every pair (j, n + j).
+
+    Computed row-wise, so equal rows of a pair cancel exactly, which a
+    fused multiply-add in a dense product would not give.
+    """
     total = n + c
-    enc, dec, readout = _channel_actions(code)
-    want = np.eye(2 * total)
-    for j in range(c):
-        want = circuit_action(balanced_beamsplitter(j + 1, n + j + 1, total)) @ want
-    assert np.max(np.abs(readout - want)) <= 1e-12
-    inverse = _embed_action(circuit_action(invert_circuit(compile_encoder(code))), n, total)
-    assert np.max(np.abs(dec - inverse)) <= 1e-12 * np.max(np.abs(enc)) ** 2
-    assert np.max(np.abs(dec @ enc - np.eye(2 * total))) <= 1e-12 * np.max(np.abs(enc)) ** 2
+    out = np.array(a, dtype=float)
+    s = math.sqrt(0.5)
+    for off in (0, total):
+        first = off + np.arange(c)
+        second = first + n
+        out[first] = s * a[first] - s * a[second]
+        out[second] = s * a[first] + s * a[second]
+    return out
+
+
+def _resource_state(code, r):
+    """The canonical resource from the public states: pairs, ancillas, then data; receiver halves last."""
+    n, k, l, c = code.params
+    total = n + c
+    # tensor order: pair 1 (sender, receiver), ..., pair c, ancillas, data
+    parts = [epr_pair(r)] * c + [position_squeezed(r)] * l + ([vacuum(k)] if k else [])
+    st = parts[0]
+    for part in parts[1:]:
+        st = tensor(st, part)
+    order = [2 * j for j in range(c)] + list(range(2 * c, 2 * c + l + k)) + [2 * j + 1 for j in range(c)]
+    rows = order + [total + o for o in order]
+    return GaussianState(n=total, mean=np.zeros(2 * total), factor=st.factor[rows])
+
+
+def test_readout_frame_factor_matches_beamsplitters_on_the_resource():
+    # The closed-form factor has the covariance of the resource, built from
+    # the public states, after the three-QND beamsplitter on every pair.
+    r = 3.0
+    for params in [(4, 2, 0, 2), (5, 2, 2, 1), (6, 1, 2, 3)]:
+        code = build_code(canonical_parity_check(*params))
+        n, c = code.n, code.params.c
+        gates = sum((balanced_beamsplitter(j + 1, n + j + 1, n + c).gates for j in range(c)), ())
+        want = apply_circuit(_resource_state(code, r), Circuit(n + c, gates)).cov
+        got = simulator._readout_frame_factor(code, r)
+        got = got @ got.T
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), params
+        assert np.all(np.abs(np.diag(got) - np.diag(want)) <= 1e-12 * np.diag(want)), params
+
+
+def test_channel_actions_match_compiled_circuits(rng):
+    # The readout rotation is the three-QND beamsplitters, and the decoder
+    # acts on an error as the basis itself, as the compiled inverse circuit does.
+    for code in (reference.build_example_code(), _dense_code()):
+        n, c = code.n, code.params.c
+        total = n + c
+        want = np.eye(2 * total)
+        for j in range(c):
+            want = circuit_action(balanced_beamsplitter(j + 1, n + j + 1, total)) @ want
+        assert np.max(np.abs(_readout(np.eye(2 * total), n, c) - want)) <= 1e-12
+        circuit, _ = decompose(encoder_quad_action(code))
+        inverse = invert_circuit(circuit)
+        bound = 1e-12 * np.max(np.abs(circuit_action(circuit))) ** 2
+        for mode in range(1, n + 1):
+            u = single_mode_error(n, mode, *rng.normal(size=2))
+            shifted = apply_circuit(displace_error(vacuum(n), u), inverse).mean
+            assert np.max(np.abs(code.basis @ swap_halves(u) - shifted)) <= bound
+
+
+def _exact_channel(code, r):
+    """The code's exact encoder action and its symplectic inverse, with the resource factor at readout.
+
+    The factor skips the encoder and decoder, which cancel on it; carried
+    through them it would keep their rounding, which at r = 20 swamps the
+    e^{-2r} noise.
+    """
+    n, _, _, c = code.params
+    total = n + c
+    enc = _embed(encoder_quad_action(code), n, total)
+    j = symplectic_form(total)
+    return enc, -j @ enc.T @ j, _readout(_resource_state(code, r).factor, n, c)
+
+
+def _compiled_channel(code, r):
+    """The compiled encoder circuit and its inverse circuit, with the resource carried through both and the readout."""
+    n, _, _, c = code.params
+    total = n + c
+    circuit, _ = decompose(encoder_quad_action(code))
+    enc = _embed(circuit_action(circuit), n, total)
+    dec = _embed(circuit_action(invert_circuit(circuit)), n, total)
+    return enc, dec, _readout(dec @ (enc @ _resource_state(code, r).factor), n, c)
 
 
 class _ScriptedNormals:
@@ -318,20 +429,22 @@ class _ScriptedNormals:
         return loc + scale * next(self._z)
 
 
-def _looped_experiment(code, error, r, trials, seed, decode_tol=0.1, coherent_scale=1.0):
+def _looped_experiment(code, error, trials, seed, enc, dec, factor, decode_tol=0.1):
     """`run_ec_experiment` one trial at a time, through the scalar state API.
 
-    Each trial evolves its own `GaussianState`, and every readout is a
-    `homodyne` call that drops the measured mode; the randomness follows
-    the documented stream.
+    Each trial gives the data modes coherent means from a generator of its
+    own, which `run_ec_experiment` does not have, and carries them through
+    the dense encoder ``enc``, the error, the dense decoder ``dec`` and the
+    readout beamsplitters.  ``factor`` is the covariance factor at
+    readout: the channel moves means and factor by separate products, so
+    the caller may form it.  Every readout is a `homodyne` call that drops
+    the measured mode, driven by z from the documented stream, and the
+    excess variance counts from the vacuum variance as `vacuum` stores it.
     """
     n, k, l, c = code.params
     total = n + c
-    rng = np.random.default_rng(seed)
-    data_means = rng.normal(0.0, coherent_scale, size=(trials, 2 * k))
-    z = rng.standard_normal((trials, code.m))
-    enc, dec, readout = _channel_actions(code)
-    factor = _resource_factor(code, r)
+    z = np.random.default_rng(seed).standard_normal((trials, code.m))
+    data_means = np.random.default_rng(seed + 1).normal(size=(trials, 2 * k))
     data_rows = np.r_[c + l : n, total + c + l : total + n]
     d_error = np.zeros(2 * total)
     d_error[:n] = error[n:]
@@ -348,8 +461,7 @@ def _looped_experiment(code, error, r, trials, seed, decode_tol=0.1, coherent_sc
     for t in range(trials):
         mean = np.zeros(2 * total)
         mean[data_rows] = data_means[t]
-        st = apply_symplectic(GaussianState(n=total, mean=mean, factor=factor), enc)
-        st = apply_symplectic(apply_symplectic(displace(st, d_error), dec), readout)
+        st = GaussianState(n=total, mean=_readout(dec @ (enc @ mean + d_error), n, c), factor=factor)
         gen = _ScriptedNormals(z[t])
         values = {}
         live = list(range(total))
@@ -377,7 +489,7 @@ def _looped_experiment(code, error, r, trials, seed, decode_tol=0.1, coherent_sc
         d_corr = code.basis @ swap_halves(u_prime)
         st = displace(st, -np.concatenate([d_corr[c + l : n], d_corr[n + c + l :]]))
         residuals[t] = st.mean - data_means[t]
-        cov_excess[t] = np.einsum("ij,ij->i", st.factor, st.factor) - 0.5
+        cov_excess[t] = np.einsum("ij,ij->i", st.factor, st.factor) - vacuum(1).variance(0)
     return ExperimentStats(
         trials=trials,
         mean_residual=residuals.mean(axis=0),
@@ -418,18 +530,24 @@ EXPERIMENT_CODES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize("r", [3.0, 20.0])
-@EXPERIMENT_CODES
-def test_batched_experiment_matches_looped_oracle(make_code, error, r):
-    code = make_code()
-    got = run_ec_experiment(code, error, r=r, trials=200, seed=31)
-    want = _looped_experiment(code, error, r=r, trials=200, seed=31)
+def _assert_rates_equal(got, want):
     assert got.trials == want.trials
     assert (got.mode_match_rate, got.ambiguity_rate, got.uncorrectable_rate) == (
         want.mode_match_rate,
         want.ambiguity_rate,
         want.uncorrectable_rate,
     )
+
+
+@pytest.mark.parametrize("r", [3.0, 20.0])
+@EXPERIMENT_CODES
+def test_batched_experiment_matches_looped_oracle(make_code, error, r):
+    # The oracle's data means pass through the dense encoder and decoder, so
+    # agreement shows they cancel.
+    code = make_code()
+    got = run_ec_experiment(code, error, r=r, trials=200, seed=31)
+    want = _looped_experiment(code, error, 200, 31, *_exact_channel(code, r))
+    _assert_rates_equal(got, want)
     assert np.all(np.abs(got.mean_residual - want.mean_residual) <= 1e-9 * np.abs(want.mean_residual) + ROUNDING)
     for name in ("residual_variance", "excess_variance", "syndrome_noise_variance"):
         a, b = getattr(got, name), getattr(want, name)
@@ -437,30 +555,15 @@ def test_batched_experiment_matches_looped_oracle(make_code, error, r):
         assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + floor), name
 
 
-def _compiled_channel_actions(code):
-    """`_channel_actions` with the encoder taken from the compiled circuit's action."""
-    n, _, _, c = code.params
-    total = n + c
-    enc = _embed_action(circuit_action(compile_encoder(code)), n, total)
-    j = symplectic_form(total)
-    _, _, readout = _channel_actions(code)
-    return enc, -j @ enc.T @ j, readout
-
-
 @pytest.mark.parametrize("r", [3.0, 10.0])
 @EXPERIMENT_CODES
-def test_experiment_matches_compiled_encoder(monkeypatch, make_code, error, r):
-    # The decoder undoes the encoder on the covariance, so the code's exact
-    # encoder action and its compiled circuit give the same channel.
+def test_experiment_matches_compiled_encoder(make_code, error, r):
+    # The physical channel, a compiled circuit, its inverse circuit and the
+    # readout, gives the statistics of the closed-form channel.
     code = make_code()
     got = run_ec_experiment(code, error, r=r, trials=200, seed=31)
-    monkeypatch.setattr(simulator, "_channel_actions", _compiled_channel_actions)
-    want = run_ec_experiment(code, error, r=r, trials=200, seed=31)
-    assert (got.mode_match_rate, got.ambiguity_rate, got.uncorrectable_rate) == (
-        want.mode_match_rate,
-        want.ambiguity_rate,
-        want.uncorrectable_rate,
-    )
+    want = _looped_experiment(code, error, 200, 31, *_compiled_channel(code, r))
+    _assert_rates_equal(got, want)
     for name in ("mean_residual", "residual_variance", "excess_variance", "syndrome_noise_variance"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + 1e-12), name

@@ -5,7 +5,6 @@ from cvqec import reference
 from cvqec.errors import DimensionMismatchError, NotSymplecticError
 from cvqec.symplectic import (
     is_symplectic,
-    quad_action_to_phase_map,
     require_symplectic,
     swap_halves,
     symplectic_form,
@@ -82,54 +81,3 @@ def test_swap_halves_roundtrip(rng):
     u = rng.normal(size=8)
     assert np.array_equal(swap_halves(swap_halves(u)), u)
     assert np.array_equal(swap_halves(u)[:4], u[4:])
-
-
-def test_quad_map_identity():
-    assert np.allclose(quad_action_to_phase_map(np.eye(4)), np.eye(4))
-
-
-def test_quad_map_fourier_single_mode():
-    # x -> -p, p -> x on one mode sends the displacement label (p|x) to (-x|p).
-    a = np.array([[0.0, -1.0], [1.0, 0.0]])
-    y = quad_action_to_phase_map(a)
-    assert np.allclose(y @ np.array([2.0, 3.0]), np.array([-3.0, 2.0]))
-
-
-def test_quad_map_qnd_x_matches_substitution_oracle():
-    # Conjugating the observable map by the gate substitutes each quadrature
-    # with its image under the inverse coupling; reading off coefficients for
-    # the four basis labels of a two-mode register gives the matrix below.
-    g = 0.8
-    a = np.eye(4)
-    a[3, 3] = 1.0
-    a[1, 0] = g  # x_2 -> x_2 + g x_1
-    a[2, 3] = -g  # p_1 -> p_1 - g p_2
-    expected = np.array(
-        [
-            [1.0, -g, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, g, 1.0],
-        ]
-    )
-    assert np.allclose(quad_action_to_phase_map(a), expected, atol=1e-12)
-
-
-def test_quad_map_is_homomorphism(rng):
-    for _ in range(10):
-        a = random_symplectic_from_gates(3, rng, count=12)
-        b = random_symplectic_from_gates(3, rng, count=12)
-        lhs = quad_action_to_phase_map(a @ b)
-        rhs = quad_action_to_phase_map(a) @ quad_action_to_phase_map(b)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1.0 + np.max(np.abs(lhs)))
-
-
-def test_quad_map_inverse_contract(rng):
-    # the conversion is an involution: applied twice it gives the action back
-    a = random_symplectic_from_gates(2, rng)
-    assert np.allclose(quad_action_to_phase_map(quad_action_to_phase_map(a)), a, atol=1e-10)
-
-
-def test_quad_map_rejects_nonsymplectic():
-    with pytest.raises(NotSymplecticError):
-        quad_action_to_phase_map(np.diag([2.0, 1.0, 1.0, 1.0]))
