@@ -257,8 +257,9 @@ class ExperimentStats:
 
     ``excess_variance`` combines the trial-to-trial jitter of the
     corrected data means with the surplus of the output quantum variance
-    over the vacuum 1/2, per data quadrature (x block then p block).  A
-    data quadrature that no noise reaches reads exactly 0.
+    over the vacuum 1/2, per data quadrature (x block then p block).  The
+    decoded data modes keep the vacuum covariance exactly, so it equals
+    ``residual_variance``; both keys stay in the output.
     """
 
     trials: int
@@ -286,23 +287,10 @@ class ExperimentStats:
 # Standard deviation of a vacuum quadrature, as `vacuum` stores it.
 _VACUUM_SD = 1.0 / math.sqrt(2.0)
 
-
-def _readout_frame_factor(code: CodeSpec, r: float) -> np.ndarray:
-    """Covariance factor of the canonical resource on sender + receiver modes, after the readout beamsplitters.
-
-    An entangled pair (sender mode j, receiver mode n + j) at squeezing r
-    is two single-mode squeezed modes on a balanced beamsplitter, so the
-    readout beamsplitter on (j, n + j) hands them back: the sender half
-    squeezed in position and the receiver half in momentum.  Ancillas are
-    squeezed in position and data modes carry vacuum noise, so the factor
-    is diagonal with entries e^{+-r} / sqrt(2) and 1 / sqrt(2).
-    """
-    n, _, l, c = code.params
-    total = n + c
-    sd = np.ones(2 * total)
-    sd[: c + l] = sd[total + n :] = math.exp(-r)  # sender positions of pairs and ancillas, receiver momenta
-    sd[total : total + c + l] = sd[n:total] = math.exp(r)
-    return np.diag(sd * _VACUUM_SD)
+# Residual tolerance handed to the decoder: absolute, and generous because
+# measured syndromes carry finite-squeezing noise.  ROADMAP item 1 replaces
+# it with a threshold calibrated to that noise.
+_DECODE_TOL = 0.1
 
 
 def run_ec_experiment(
@@ -311,7 +299,6 @@ def run_ec_experiment(
     r: float,
     trials: int,
     seed: int,
-    decode_tol: float = 0.1,
 ) -> ExperimentStats:
     """Monte-Carlo error correction of a fixed single-mode displacement.
 
@@ -323,19 +310,19 @@ def run_ec_experiment(
     modes against their inputs.
 
     The channel is linear and the decoder undoes the encoder exactly, so
-    only what the error does is applied: the decoder maps it to the
-    canonical shift ``code.basis @ swap_halves(error)``, the decoder's
-    quadrature action being the basis itself.  The resource enters
-    already in the readout frame, in the closed form of
-    `_readout_frame_factor`, and data-mode means would pass through
-    unchanged and cancel, so none are drawn.  Nothing is compiled here.
-
-    Every step is linear-Gaussian, so the covariance after each homodyne
-    readout does not depend on its outcome: it is computed once and
-    shared by all trials, while the trials' means move by the same affine
-    maps, all trials at once.  Measured modes stay in the layout, pinned
-    to their outcomes.  The trials reproduce, row by row, the state that
-    `homodyne` and `apply_symplectic` give one trial at a time.
+    the experiment runs in closed form and compiles nothing.  The decoder
+    maps the error to the canonical shift ``code.basis @ swap_halves(error)``,
+    the decoder's quadrature action being the basis itself.  At readout
+    the resource is a product of single-mode states: the readout
+    beamsplitter hands each entangled pair back as its sender half
+    squeezed in position and its receiver half in momentum, ancillas are
+    squeezed in position, and data modes hold vacuum.  So each readout is
+    its check value plus independent noise of standard deviation
+    e^{-r}/sqrt(2); a pair's value enters the beamsplitter scaled by
+    sqrt(1/2) and its outcome is read back scaled by sqrt(2).  The data
+    modes take the same shift in every trial and no noise: their means
+    would pass through unchanged and cancel, so none are drawn, and they
+    keep the vacuum covariance exactly.
 
     Decode failures are counted, never raised; a failed trial applies no
     correction.  Randomness comes from ``np.random.default_rng(seed)``,
@@ -343,24 +330,26 @@ def run_ec_experiment(
     else.  Column i of z drives the i-th readout, and the readouts run in
     this order: receiver momenta of the entangled pairs from the last pair
     to the first, ancilla positions from the last to the first, then
-    sender positions from the last pair to the first.  Trial t's outcome
-    of a readout with mean mu and variance v is ``mu + sqrt(v) z[t, i]``.
-    A fixed seed gives bit-identical results.
+    sender positions from the last pair to the first, so readout i gives
+    syndrome entry m - 1 - i.  Trial t's outcome of a readout with mean mu
+    is ``mu + e^{-r}/sqrt(2) z[t, i]``.  A fixed seed gives bit-identical
+    results.
 
     Args:
         code: a built code.
         error: phase vector supported on at most one mode.
-        r: resource squeezing parameter.
+        r: resource squeezing parameter (>= 0; infinity reads without noise).
         trials: number of Monte-Carlo runs (>= 1).
         seed: seed of the random stream (non-negative).
-        decode_tol: residual tolerance handed to the decoder; generous by
-            default because measured syndromes carry finite-squeezing noise.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if not r >= 0:  # written so that NaN fails too
+        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     n, _, l, c = code.params
+    m = code.m
     error = np.asarray(error, dtype=float)
     if error.shape != (2 * n,):
         raise DimensionMismatchError(f"error must have length {2 * n}")
@@ -369,74 +358,37 @@ def run_ec_experiment(
         raise ValueError("the experiment injects single-mode errors only")
     error_mode = (support.pop() + 1) if support else 0
 
-    z = np.random.default_rng(seed).standard_normal((trials, code.m))
-
-    total = n + c
-    data_rows = np.r_[c + l : n, total + c + l : total + n]
-    factor = _readout_frame_factor(code, r)
-    # Means before any readout: the decoded error on the sender modes, of
-    # which the readout beamsplitter hands each pair's sender and receiver
-    # half 1/sqrt(2) (the receiver halves start with zero means).
+    # Check values in syndrome order (sender positions of the pairs,
+    # ancilla positions, pair momenta), each pair's scaled as it leaves the
+    # readout beamsplitter.
     shift = code.basis @ swap_halves(error)
-    offset = np.zeros(2 * total)
-    offset[:n], offset[total : total + n] = shift[:n], shift[n:]
-    for off in (0, total):  # x plane, then p plane
-        offset[off : off + c] *= math.sqrt(0.5)
-        offset[off + n : off + total] = offset[off : off + c]
-
-    # (quadrature row, syndrome index, scale) of each readout, in the
-    # documented order; pair observables come out of the beamsplitter
-    # scaled by 1/sqrt(2).
-    sqrt2 = math.sqrt(2.0)
-    readouts = [(total + n + j, c + l + j, sqrt2) for j in reversed(range(c))]
-    readouts += [(c + i, c + i, 1.0) for i in reversed(range(l))]
-    readouts += [(j, j, sqrt2) for j in reversed(range(c))]
-    rows, index, scale = (list(col) for col in zip(*readouts))
-
-    # Readout i conditions every mean by gain * (outcome - mean[q]), and
-    # outcome - mean[q] = sqrt(var) z_i, so the means are affine in z: row
-    # i of `kicks` is sqrt(var) * gain, the move per unit of z_i.
-    kicks = np.zeros((code.m, 2 * total))
-    for i, q in enumerate(rows):
-        v = factor[q]
-        var = float(v @ v)
-        if var <= 0.0:
-            raise InvalidStateError(f"readout row {q} has nonpositive variance {var}")
-        kicks[i] = factor @ v / math.sqrt(var)
-        vhat = v / math.sqrt(var)
-        factor = factor - np.outer(factor @ vhat, vhat)
-
-    # Readout i sees the kicks of readouts 0..i, its own included, as in
-    # sequential conditioning; later kicks reach a measured quadrature only
-    # through rounding, since its outcome pins it.
-    outcomes = z @ np.triu(kicks[:, rows])
-    outcomes += offset[rows]
-    s_meas = np.empty_like(outcomes)
-    s_meas[:, index] = outcomes * scale
-    residuals = z @ kicks[:, data_rows]
-    residuals += offset[data_rows]
-    del z, outcomes  # with the decoder's work arrays they would set the memory peak
+    pairs = np.r_[:c, c + l : m]
+    value = shift[np.r_[: c + l, n : n + c]]
+    value[pairs] *= math.sqrt(0.5)
+    s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]  # readout i -> entry m - 1 - i
+    s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
+    s_meas += value
+    s_meas[:, pairs] *= math.sqrt(2.0)
 
     # A decoded shift (p, x) on mode j displaces the canonical frame by
     # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
-    decoded = decode_batch(code, s_meas, tol=decode_tol)
+    data = np.r_[c + l : n, n + c + l : 2 * n]
+    residuals = np.tile(shift[data], (trials, 1))
+    decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
     shift = decoded.shift * (decoded.status == DECODED)[:, None]
     j = np.maximum(decoded.mode_hypothesis - 1, 0)
-    data_basis = code.basis[np.r_[c + l : n, n + c + l : 2 * n]].T
+    data_basis = code.basis[data].T
     for column, size in ((n + j, shift[:, :1]), (j, shift[:, 1:])):  # in place: one temporary
         step = data_basis[column]
         step *= size
         residuals -= step
     residual_variance = residuals.var(axis=0)
-    # Surplus over the vacuum entry the factor was built with, so a data
-    # row that no readout reaches reads exactly 0.
-    cov_excess = np.einsum("ij,ij->i", factor[data_rows], factor[data_rows]) - _VACUUM_SD**2
     matched = np.isin(decoded.status, (NO_ERROR, DECODED)) & (decoded.mode_hypothesis == error_mode)
     return ExperimentStats(
         trials=trials,
         mean_residual=residuals.mean(axis=0),
         residual_variance=residual_variance,
-        excess_variance=residual_variance + cov_excess,
+        excess_variance=residual_variance,
         syndrome_noise_variance=(s_meas - syndrome(code, error)).var(axis=0),
         mode_match_rate=int(np.count_nonzero(matched)) / trials,
         ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,

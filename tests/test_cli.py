@@ -214,6 +214,23 @@ def test_simulate_does_not_compile(monkeypatch, tmp_path, code_file):
     assert read(out)["mode_match_rate"] == 1.0
 
 
+@pytest.mark.parametrize("r, exit_code", [("-1", 2), ("NaN", 2), ("800", 0), ("1e400", 0)])
+def test_simulate_bounds_the_squeezing(tmp_path, code_file, r, exit_code):
+    # A negative or NaN squeezing is refused as bad input; any larger one,
+    # infinity included, reads the syndromes without noise.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        f'{{"code_file": {json.dumps(code_file)}, "error": {{"mode": 1, "p": 0.5, "x": 0.5}}, '
+        f'"squeezing_r": {r}, "trials": 20, "seed": 1}}'
+    )
+    out = str(tmp_path / "sim.json")
+    assert main(["simulate", str(cfg_path), "--output", out]) == exit_code
+    if exit_code == 0:
+        stats = read(out)
+        assert stats["syndrome_noise_variance"] == [0.0] * 4
+        assert stats["mode_match_rate"] == 1.0
+
+
 CODE_KEYS = {"format", "params", "basis", "pairs", "isotropic", "dropped_rows", "input_rows"}
 REPORT_KEYS = {"gate_counts", "squeezer_count", "max_abs_param", "rounds"}
 

@@ -18,7 +18,6 @@ from cvqec.compiler import (
 )
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
-from cvqec import simulator
 from cvqec.simulator import (
     ExperimentStats,
     GaussianState,
@@ -361,19 +360,25 @@ def _resource_state(code, r):
     return GaussianState(n=total, mean=np.zeros(2 * total), factor=st.factor[rows])
 
 
-def test_readout_frame_factor_matches_beamsplitters_on_the_resource():
-    # The closed-form factor has the covariance of the resource, built from
-    # the public states, after the three-QND beamsplitter on every pair.
+def test_resource_reads_out_as_independent_squeezed_quadratures():
+    # The fact the closed-form experiment rests on: after the three-QND
+    # beamsplitter on every pair, the resource built from the public states
+    # is a product of single-mode states.  Every measured quadrature has
+    # variance e^{-2r}/2 and every data quadrature the vacuum's 1/2.
     r = 3.0
     for params in [(4, 2, 0, 2), (5, 2, 2, 1), (6, 1, 2, 3)]:
         code = build_code(canonical_parity_check(*params))
-        n, c = code.n, code.params.c
-        gates = sum((balanced_beamsplitter(j + 1, n + j + 1, n + c).gates for j in range(c)), ())
-        want = apply_circuit(_resource_state(code, r), Circuit(n + c, gates)).cov
-        got = simulator._readout_frame_factor(code, r)
-        got = got @ got.T
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), params
-        assert np.all(np.abs(np.diag(got) - np.diag(want)) <= 1e-12 * np.diag(want)), params
+        n, _, l, c = code.params
+        total = n + c
+        gates = sum((balanced_beamsplitter(j + 1, n + j + 1, total).gates for j in range(c)), ())
+        cov = apply_circuit(_resource_state(code, r), Circuit(total, gates)).cov
+        off_diagonal = cov - np.diag(np.diag(cov))
+        assert np.max(np.abs(off_diagonal)) <= 1e-12 * np.max(np.abs(cov)), params
+        measured = np.r_[: c + l, total + n : 2 * total]
+        data = np.r_[c + l : n, total + c + l : total + n]
+        squeezed = math.exp(-2 * r) / 2
+        assert np.all(np.abs(np.diag(cov)[measured] - squeezed) <= 1e-12 * squeezed), params
+        assert np.all(np.abs(np.diag(cov)[data] - 0.5) <= 1e-12 * 0.5), params
 
 
 def test_channel_actions_match_compiled_circuits(rng):
@@ -512,10 +517,14 @@ def _looped_experiment(code, error, trials, seed, enc, dec, factor, decode_tol=0
 ROUNDING = 1e-13
 
 
+def _mixed_code(n, k, l, c, seed):
+    """The canonical (n,k,l,c) checks carried through a seeded random symplectic map."""
+    mixing = random_gates(n, 20, np.random.default_rng(seed))
+    return build_code(canonical_parity_check(n, k, l, c) @ circuit_action(mixing).T)
+
+
 def _dense_code():
-    """The canonical (5,2,2,1) checks carried through a seeded random symplectic map."""
-    mixing = random_gates(5, 20, np.random.default_rng(51))
-    return build_code(canonical_parity_check(5, 2, 2, 1) @ circuit_action(mixing).T)
+    return _mixed_code(5, 2, 2, 1, seed=51)
 
 
 EXPERIMENT_CODES = pytest.mark.parametrize(
@@ -525,8 +534,12 @@ EXPERIMENT_CODES = pytest.mark.parametrize(
         # ancilla mode: a rank-1 decoding system
         (lambda: build_code(canonical_parity_check(5, 2, 2, 1)), single_mode_error(5, 2, 0.5, 0.5)),
         (_dense_code, single_mode_error(5, 5, 0.5, -0.5)),
+        # no entangled pairs
+        (lambda: _mixed_code(3, 1, 2, 0, seed=55), single_mode_error(3, 1, 0.5, 0.5)),
+        # no data modes
+        (lambda: _mixed_code(4, 0, 2, 2, seed=53), single_mode_error(4, 3, -0.5, 0.5)),
     ],
-    ids=["reference", "canonical-5-2-2-1", "dense-5-2-2-1"],
+    ids=["reference", "canonical-5-2-2-1", "dense-5-2-2-1", "dense-3-1-2-0", "dense-4-0-2-2"],
 )
 
 
