@@ -170,15 +170,15 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.config_file) as fh:
         cfg = json.load(fh)
-    code = codes.load_code(cfg["code_file"])
-    err = cfg["error"]
-    u = decoder.single_mode_error(code.n, int(err["mode"]), float(err["p"]), float(err["x"]))
-    seed = int(cfg["seed"]) if args.seed is None else args.seed
+    code = codes.load_code(codes.read_key(cfg, "code_file", str))
+    mode, p, x = codes.read_key(cfg, "error", lambda err: (int(err["mode"]), float(err["p"]), float(err["x"])))
+    u = decoder.single_mode_error(code.n, mode, p, x)
+    seed = codes.read_key(cfg, "seed", int) if args.seed is None else args.seed
     stats = simulator.run_ec_experiment(
         code,
         u,
-        r=float(cfg["squeezing_r"]),
-        trials=int(cfg["trials"]),
+        r=codes.read_key(cfg, "squeezing_r", float),
+        trials=codes.read_key(cfg, "trials", int),
         seed=seed,
     )
     _emit(stats.to_dict(), args.output)
@@ -261,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     # read as --tolerance-decode.
     p = sub.add_parser("decode", help="decode a syndrome to a correction", allow_abbrev=False)
     p.add_argument("code_file")
-    p.add_argument("--syndrome", help="syndrome as a JSON array")
-    p.add_argument("--syndrome-file", help="JSON file holding the syndrome")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--syndrome", help="syndrome as a JSON array")
+    given.add_argument("--syndrome-file", help="JSON file holding the syndrome")
     p.add_argument("--min-norm", action="store_true", help="least-norm correction instead of single-mode decode")
     p.add_argument("--tolerance-decode", type=float, default=decoder.DEFAULT_DECODE_TOL)
     common(p)

@@ -12,9 +12,9 @@ position-squeezed ancillas, and modes ``c+l+1..n`` carry data.  The
 receiver's halves of the entangled pairs are appended as modes
 ``n+1..n+c`` wherever the augmented checks are concerned.
 
-A code stores its parameters, symplectic basis, decomposition and
-input rows; the check, canonical, augmented and encoding matrices are
-derived from them.
+A code stores its parameters, symplectic basis, dropped-row indices
+and input rows; its checks are the basis rows `check_rows` names, and
+the check, canonical, augmented and encoding matrices are derived.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import (
-    SymplecticDecomposition,
+    check_rows,
     code_parameters,
     complete_symplectic_basis,
     symplectic_gram_schmidt,
@@ -53,31 +53,24 @@ def canonical_parity_check(n: int, k: int, l: int, c: int) -> np.ndarray:
     """
     if min(n, k, l, c) < 0 or k + l + c != n:
         raise DimensionMismatchError(f"need k + l + c = n >= 0, got (n,k,l,c)=({n},{k},{l},{c})")
-    m = l + 2 * c
-    f = np.zeros((m, 2 * n))
-    for i in range(c):
-        f[i, i] = 1.0
-    for i in range(l):
-        f[c + i, c + i] = 1.0
-    for i in range(c):
-        f[c + l + i, n + i] = 1.0
-    return f
+    checks, _ = check_rows(n, l, c)
+    return np.eye(2 * n)[checks]
 
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A code: its parameters, symplectic basis, rowspace decomposition and input rows.
+    """A code: its parameters, symplectic basis, dropped-row indices and input rows.
 
     Those four are the stored facts; every other matrix is derived from
     them on first use and cached read-only.  ``h`` holds the normalized
-    rows (u_1..u_c, isotropic, v_1..v_c), which are rows of ``basis``;
-    the encoding matrix satisfies ``h @ upsilon.T = f`` row-wise and maps
-    the i-th hyperbolic pair onto the i-th standard pair.
+    rows (u_1..u_c, isotropic, v_1..v_c), the basis rows `check_rows`
+    names; the encoding matrix satisfies ``h @ upsilon.T = f`` row-wise
+    and maps the i-th hyperbolic pair onto the i-th standard pair.
     """
 
     params: CodeParameters
     basis: np.ndarray
-    decomposition: SymplecticDecomposition
+    dropped_rows: tuple[int, ...]
     input_rows: np.ndarray
 
     @property
@@ -86,12 +79,12 @@ class CodeSpec:
 
     @property
     def m(self) -> int:
-        return self.decomposition.m
+        return self.params.l + 2 * self.params.c
 
     @cached_property
     def h(self) -> np.ndarray:
-        """Normalized check rows, the decomposition's vectors (read-only)."""
-        h = self.decomposition.vectors()
+        """Normalized check rows, the basis rows `check_rows` names (read-only)."""
+        h = self.basis[check_rows(self.n, self.params.l, self.params.c)[0]]
         h.setflags(write=False)
         return h
 
@@ -167,37 +160,34 @@ class CodeSpec:
 def verify_code(code: CodeSpec) -> None:
     """Check a code's stored facts against one another, raising on any failure.
 
-    ``params`` must be the parameters the decomposition implies, the
-    basis rows must form a symplectic basis (Gram matrix J within 1e-9
-    times the squared largest basis entry, if that exceeds 1), each decomposition vector must equal its basis row, and the input
-    rows must be the checks: ``dropped_rows`` names distinct rows, the
-    rest number ``m``, and every input row lies in the check rowspace.
-    That rowspace is the symplectic complement of the basis rows outside
-    it, so each input row must have zero product with each of them,
-    within 1e-8 times the other row's norm and ``max(1, |row|)``, the
-    scale on which the decomposition drops dependent rows.  The derived
-    matrices follow from these facts and are not checked.
+    The parameters must be non-negative with ``k + l + c = n``, the 2n x
+    2n basis rows a symplectic basis (Gram matrix J within 1e-9 times the
+    squared largest basis entry, if that exceeds 1), and the input rows
+    the checks: ``dropped_rows`` names distinct rows, the rest number
+    ``m``, and each input row has zero product with each isotropic check
+    and data row, within 1e-8 times the other row's norm and
+    ``max(1, |row|)``, the scale on which the decomposition drops
+    dependent rows.  Those rows span the symplectic complement of the
+    check rows, so every input row lies in the span of the checks, which
+    pins the parameters when ``m`` input rows are independent.  The
+    derived matrices follow from these facts and are not checked.
 
     Raises:
         BuildVerificationError: if any check fails.
     """
-    dec, basis = code.decomposition, code.basis
-    n, _, l, c = code.params
-    if dec.c + dec.l > dec.n or code.params != code_parameters(dec):
-        raise BuildVerificationError(f"{code.params} disagree with the decomposition (c={dec.c}, l={dec.l})")
-    h = code.h
-    if basis.shape != (2 * n, 2 * n) or h.shape[1] != 2 * n:
-        raise BuildVerificationError(f"basis {basis.shape} and check rows {h.shape} do not fit {n} modes")
+    basis = code.basis
+    n, k, l, c = code.params
+    if min(code.params) < 0 or k + l + c != n or basis.shape != (2 * n, 2 * n):
+        raise BuildVerificationError(f"{code.params} and a {basis.shape} basis do not describe a code")
     if not is_symplectic(basis.T, 1e-9 * max(1.0, float(np.max(np.abs(basis)))) ** 2):
         raise BuildVerificationError("basis rows are not a symplectic basis")
-    if not np.array_equal(h, basis[np.r_[: c + l, n : n + c]]):
-        raise BuildVerificationError("decomposition vectors differ from their basis rows")
-    rows, dropped = code.input_rows, dec.dropped_rows
+    rows, dropped = code.input_rows, code.dropped_rows
     # Intersecting with the row indices drops repeats and out-of-range entries.
     dropped_ok = len(set(dropped) & set(range(len(rows)))) == len(dropped)
     if rows.shape[1] != 2 * n or not dropped_ok or len(rows) - len(dropped) != code.m:
         raise BuildVerificationError(f"input rows {rows.shape} less dropped rows {list(dropped)} are not {code.m} checks on {n} modes")
-    others = basis[np.r_[c:n, n + c + l : 2 * n]]
+    checks, data = check_rows(n, l, c)
+    others = basis[np.concatenate((checks[c : c + l], data))]  # the isotropic checks and the data rows
     products = np.abs(rows @ symplectic_form(n) @ others.T)
     scale = np.outer(np.maximum(np.linalg.norm(rows, axis=1), 1.0), np.linalg.norm(others, axis=1))
     if not np.all(products <= 1e-8 * scale):
@@ -227,7 +217,7 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     code = CodeSpec(
         params=CodeParameters(*code_parameters(dec)),
         basis=complete_symplectic_basis(dec, tol),
-        decomposition=dec,
+        dropped_rows=dec.dropped_rows,
         input_rows=input_rows,
     )
     verify_code(code)
@@ -239,12 +229,20 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
 # ---------------------------------------------------------------------------
 
 
+def read_key(payload, key: str, parse):
+    """``parse(payload[key])`` for input JSON; a non-object payload or a wrong JSON type raises ValueError naming the key."""
+    try:
+        return parse(payload[key])
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot read {key!r}: {exc}") from exc
+
+
 def load_parity_check(path) -> np.ndarray:
     """Read a parity-check file: ``{"n": int, "rows": [[2n floats], ...]}``."""
     with open(path) as fh:
         payload = json.load(fh)
-    n = int(payload["n"])
-    rows = np.atleast_2d(np.asarray(payload["rows"], dtype=float))
+    n = read_key(payload, "n", int)
+    rows = read_key(payload, "rows", lambda v: np.atleast_2d(np.asarray(v, dtype=float)))
     if rows.shape[1] != 2 * n:
         raise DimensionMismatchError(f"rows have {rows.shape[1]} columns, expected {2 * n}")
     return rows
@@ -261,43 +259,46 @@ def save_parity_check(path, rows) -> None:
 CODE_FORMAT = 2
 
 
+def _copied_rows(code: CodeSpec) -> tuple[list, list]:
+    """The check rows as a code file also writes them: ``pairs`` and ``isotropic``."""
+    _, _, l, c = code.params
+    h = code.h.tolist()
+    return [[u, v] for u, v in zip(h[:c], h[c + l :])], h[c : c + l]
+
+
 def code_to_dict(code: CodeSpec) -> dict:
-    """File form of a code: its stored facts only."""
-    dec = code.decomposition
+    """File form of a code: its stored facts, and its check rows again as ``pairs`` and ``isotropic``."""
+    pairs, isotropic = _copied_rows(code)
     return {
         "format": CODE_FORMAT,
         "params": code.params._asdict(),
         "basis": code.basis.tolist(),
-        "pairs": [[u.tolist(), v.tolist()] for u, v in dec.pairs],
-        "isotropic": [w.tolist() for w in dec.isotropic],
-        "dropped_rows": list(dec.dropped_rows),
+        "pairs": pairs,
+        "isotropic": isotropic,
+        "dropped_rows": list(code.dropped_rows),
         "input_rows": code.input_rows.tolist(),
     }
 
 
 def code_from_dict(payload: dict) -> CodeSpec:
-    """Code from its file form, verified; derived matrices are recomputed, never read.
+    """Code from its file form, verified; ``pairs`` and ``isotropic`` must equal its check rows.
 
     Raises:
-        ValueError: for a format this version cannot read.
+        ValueError: for a format this version cannot read, or a key of
+            the wrong JSON type.
         BuildVerificationError: if the stored facts disagree.
     """
-    if payload.get("format", CODE_FORMAT) != CODE_FORMAT:
-        raise ValueError(f"unsupported code-file format {payload['format']!r}")
-    params = CodeParameters(**{key: int(payload["params"][key]) for key in CodeParameters._fields})
-    dec = SymplecticDecomposition(
-        n=params.n,
-        pairs=tuple((np.asarray(u, dtype=float), np.asarray(v, dtype=float)) for u, v in payload["pairs"]),
-        isotropic=tuple(np.asarray(w, dtype=float) for w in payload["isotropic"]),
-        dropped_rows=tuple(int(i) for i in payload["dropped_rows"]),
-    )
+    if not isinstance(payload, dict) or payload.get("format", CODE_FORMAT) != CODE_FORMAT:
+        raise ValueError(f"not a code file of format {CODE_FORMAT}")
     code = CodeSpec(
-        params=params,
-        basis=np.asarray(payload["basis"], dtype=float),
-        decomposition=dec,
-        input_rows=np.atleast_2d(np.asarray(payload["input_rows"], dtype=float)),
+        params=read_key(payload, "params", lambda p: CodeParameters(**{key: int(p[key]) for key in CodeParameters._fields})),
+        basis=read_key(payload, "basis", lambda rows: np.asarray(rows, dtype=float)),
+        dropped_rows=read_key(payload, "dropped_rows", lambda indices: tuple(int(i) for i in indices)),
+        input_rows=read_key(payload, "input_rows", lambda rows: np.atleast_2d(np.asarray(rows, dtype=float))),
     )
     verify_code(code)
+    if (read_key(payload, "pairs", list), read_key(payload, "isotropic", list)) != _copied_rows(code):
+        raise BuildVerificationError("pairs and isotropic differ from the basis rows they copy")
     return code
 
 

@@ -245,10 +245,6 @@ class CompilerReport:
     max_abs_param: float = 0.0
     rounds: int = 0
 
-    @property
-    def total_gates(self) -> int:
-        return sum(self.gate_counts.values())
-
 
 class _Eliminator:
     """Accumulates left-multiplied elimination records against a working matrix.

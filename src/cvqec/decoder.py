@@ -185,9 +185,9 @@ def is_correctable_pair(code: CodeSpec, u, u2, tol: float = 1e-9) -> bool:
     """Whether two errors are distinguishable or act identically on the codespace.
 
     True when the syndromes differ (the difference leaves the codespace
-    detectably) or when the difference lies in the span of the
-    decomposition's isotropic vectors (a degenerate pair: same action on
-    every encoded state).
+    detectably) or when the difference lies in the span of the code's
+    isotropic check rows (a degenerate pair: same action on every encoded
+    state).
     """
     u = as_phase_vector(u, code.n)
     u2 = as_phase_vector(u2, code.n)
@@ -195,9 +195,9 @@ def is_correctable_pair(code: CodeSpec, u, u2, tol: float = 1e-9) -> bool:
     scale = 1.0 + float(np.linalg.norm(diff))
     if float(np.max(np.abs(syndrome(code, diff)), initial=0.0)) > tol * scale:
         return True
-    iso = code.decomposition.isotropic
-    if not iso:
+    _, _, l, c = code.params
+    if not l:
         return float(np.linalg.norm(diff)) <= tol * scale
-    basis = np.array(iso).T
+    basis = code.basis[c : c + l].T
     coeff, *_ = np.linalg.lstsq(basis, diff, rcond=None)
     return float(np.linalg.norm(basis @ coeff - diff)) <= tol * scale

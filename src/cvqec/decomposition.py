@@ -58,13 +58,9 @@ class SymplecticDecomposition:
         return vecs @ j @ vecs.T
 
     def canonical_gram(self) -> np.ndarray:
-        """The block form `gram` must reproduce: +-1 per pair, zeros elsewhere."""
-        c, m = self.c, self.m
-        g = np.zeros((m, m))
-        for i in range(c):
-            g[i, c + self.l + i] = 1.0
-            g[c + self.l + i, i] = -1.0
-        return g
+        """The block form `gram` must reproduce: J on the check rows, +-1 per pair."""
+        checks, _ = check_rows(self.n, self.l, self.c)
+        return symplectic_form(self.n)[np.ix_(checks, checks)]
 
 
 def _independent_rows(rows: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
@@ -160,19 +156,19 @@ def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecompo
     )
 
 
-def check_decomposition(dec: SymplecticDecomposition, tol: float = 1e-8) -> None:
-    """Raise unless the stored vectors satisfy the canonical Gram form."""
+def check_decomposition(dec: SymplecticDecomposition) -> None:
+    """Raise unless the stored vectors satisfy the canonical Gram form within 1e-8."""
     if dec.m == 0:
         return
     vecs = dec.vectors()
     scale = max(1.0, float(np.max(np.abs(vecs))) ** 2)
     defect = float(np.max(np.abs(dec.gram() - dec.canonical_gram())))
-    if defect > tol * scale:
+    if defect > 1e-8 * scale:
         raise DecompositionError(f"decomposition invariants violated (Gram defect {defect:.3e})")
     # Rank of the unit-normalised rows: a partner rescaled by 1 / product
     # must not swamp the tolerance of the other rows.
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    if not np.all(norms > 0.0) or np.linalg.matrix_rank(vecs / norms, tol=tol) < dec.m:
+    if not np.all(norms > 0.0) or np.linalg.matrix_rank(vecs / norms, tol=1e-8) < dec.m:
         raise DecompositionError("decomposition vectors are linearly dependent")
 
 
@@ -184,23 +180,28 @@ def code_parameters(dec: SymplecticDecomposition) -> tuple[int, int, int, int]:
     return n, n - c - l, l, c
 
 
+def check_rows(n: int, l: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-row indices of a code's checks, in syndrome order, and of its data quadratures."""
+    return np.r_[: c + l, n : n + c], np.r_[c + l : n, n + c + l : 2 * n]
+
+
 def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Extend a decomposition to a full symplectic basis of phase space.
 
     Returns a (2n, 2n) array whose rows are ordered ``(u_1..u_n,
     v_1..v_n)`` with ``u_i (.) v_j = delta_ij`` and all other products
     zero.  The first c pairs coincide with ``dec.pairs`` and
-    ``u_{c+1}..u_{c+l}`` are exactly ``dec.isotropic``; their partners
-    are found by a least-norm dual solve, and the remaining pairs by
-    running the pairing loop on standard-basis candidates projected
-    against everything already fixed.
+    ``u_{c+1}..u_{c+l}`` are exactly ``dec.isotropic``, which puts the
+    checks at the `check_rows`; the isotropic partners are found by a
+    least-norm dual solve, and the remaining pairs by running the pairing
+    loop on standard-basis candidates projected against everything fixed.
 
     Raises:
         DecompositionError: if the input violates its own invariants or
             does not fit inside n modes.
     """
-    check_decomposition(dec)
     n, k, l, c = code_parameters(dec)
+    check_decomposition(dec)
     j = symplectic_form(n)
     pairs: list[tuple[np.ndarray, np.ndarray]] = [(u.copy(), v.copy()) for u, v in dec.pairs]
 

@@ -22,6 +22,7 @@ import numpy as np
 from .codes import CodeSpec
 from .compiler import Circuit, apply_gate, fourier, qnd_p, qnd_x
 from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
+from .decomposition import check_rows
 from .errors import DimensionMismatchError, InvalidStateError
 from .symplectic import swap_halves, symplectic_form
 
@@ -54,11 +55,6 @@ class GaussianState:
         """Variance of one quadrature (0-based row index), cancellation-free."""
         row = self.factor[index]
         return float(row @ row)
-
-    def combination_variance(self, coeffs) -> float:
-        """Variance of a real linear combination of quadratures."""
-        w = np.asarray(coeffs, dtype=float) @ self.factor
-        return float(w @ w)
 
 
 def vacuum(n: int) -> GaussianState:
@@ -361,9 +357,10 @@ def run_ec_experiment(
     # Check values in syndrome order (sender positions of the pairs,
     # ancilla positions, pair momenta), each pair's scaled as it leaves the
     # readout beamsplitter.
+    checks, data = check_rows(n, l, c)
     shift = code.basis @ swap_halves(error)
     pairs = np.r_[:c, c + l : m]
-    value = shift[np.r_[: c + l, n : n + c]]
+    value = shift[checks]
     value[pairs] *= math.sqrt(0.5)
     s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]  # readout i -> entry m - 1 - i
     s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
@@ -372,7 +369,6 @@ def run_ec_experiment(
 
     # A decoded shift (p, x) on mode j displaces the canonical frame by
     # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
-    data = np.r_[c + l : n, n + c + l : 2 * n]
     residuals = np.tile(shift[data], (trials, 1))
     decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
     shift = decoded.shift * (decoded.status == DECODED)[:, None]

@@ -386,6 +386,18 @@ def test_unknown_code_format_exit_code(tmp_path, code_file):
     assert main(["syndrome", str(path), "--mode", "1", "--p", "1"]) == 2
 
 
+def _params_same_m(payload):
+    # (4, 2, 0, 2) -> (4, 1, 2, 1) keeps m and k + l + c = n; pairs and
+    # isotropic are rewritten to the basis rows the new params name, so
+    # only the input rows can tell.
+    basis = payload["basis"]
+    payload.update(params={"n": 4, "k": 1, "l": 2, "c": 1}, pairs=[[basis[0], basis[4]]], isotropic=basis[1:3])
+
+
+def _shift_isotropic_entry(payload):
+    payload["isotropic"][0][0] += 0.25
+
+
 def _foreign_input_rows(payload):
     payload["input_rows"] = np.random.default_rng(0).normal(size=np.shape(payload["input_rows"])).tolist()
 
@@ -404,25 +416,33 @@ def _dropped_row_out_of_range(payload):
 
 
 @pytest.mark.parametrize(
-    "tamper",
+    "matrix, tamper",
     [
-        lambda payload: payload.update(params={"n": 4, "k": 1, "l": 1, "c": 2}),
-        lambda payload: payload.update(params={"n": 4, "k": 3, "l": 0, "c": 1}),
-        _shift_pair_entry,
-        _foreign_input_rows,
-        _foreign_dropped_row,
-        _dropped_row_out_of_range,
+        (None, lambda payload: payload.update(params={"n": 4, "k": 1, "l": 1, "c": 2})),
+        (None, lambda payload: payload.update(params={"n": 4, "k": 3, "l": 0, "c": 1})),
+        (None, _params_same_m),
+        (None, _shift_pair_entry),
+        # The (5, 3, 1, 1) code of the scaled rows has an isotropic check.
+        (SCALED_ROWS, _shift_isotropic_entry),
+        (None, _foreign_input_rows),
+        (None, _foreign_dropped_row),
+        (None, _dropped_row_out_of_range),
     ],
     ids=[
         "params-sum-off",
         "params-one-pair",
+        "params-same-m",
         "pair-entry-shifted",
+        "isotropic-entry-shifted",
         "foreign-input-rows",
         "foreign-dropped-row",
         "dropped-row-out-of-range",
     ],
 )
-def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, tamper):
+def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, matrix, tamper):
+    if matrix is not None:
+        code_file = str(tmp_path / "scaled-code.json")
+        assert main(["build", matrix, "--output", code_file]) == 0
     circuit = str(tmp_path / "circuit.json")
     assert main(["compile", code_file, "--output", circuit]) == 0
     payload = read(code_file)
@@ -436,3 +456,53 @@ def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, tamper):
     assert main(["verify", circuit, bad]) == 4
     assert main(["simulate", str(cfg)]) == 4
     assert main(["syndrome", bad, "--mode", "1", "--p", "1"]) == 4
+
+
+def _code_with(key, value):
+    return lambda payload: dict(payload, **{key: value})
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [
+        ("code", _code_with("params", [4, 2, 0, 2])),
+        ("code", _code_with("pairs", 5)),
+        ("code", _code_with("isotropic", None)),
+        ("code", _code_with("dropped_rows", None)),
+        ("code", lambda payload: [payload]),
+        ("matrix", lambda payload: [payload]),
+        ("config", lambda cfg: [cfg]),
+        ("config", lambda cfg: dict(cfg, error=[1, 0.5, 0.5])),
+        ("config", lambda cfg: dict(cfg, trials=None)),
+    ],
+    ids=[
+        "code-params-list",
+        "code-pairs-int",
+        "code-isotropic-null",
+        "code-dropped-rows-null",
+        "code-top-level-list",
+        "matrix-top-level-list",
+        "config-top-level-list",
+        "config-error-list",
+        "config-trials-null",
+    ],
+)
+def test_wrong_json_types_exit_as_parse_errors(tmp_path, code_file, capsys, kind, edit):
+    # Valid JSON of the wrong shape exits 2 with a message, not a traceback.
+    path = str(tmp_path / "input.json")
+    source, argv = {
+        "code": (read(code_file), ["syndrome", path, "--mode", "1", "--p", "1"]),
+        "matrix": ({"n": 1, "rows": [[1.0, 0.0]]}, ["build", path]),
+        "config": ({"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1}, ["simulate", path]),
+    }[kind]
+    with open(path, "w") as fh:
+        json.dump(edit(source), fh)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_decode_needs_exactly_one_syndrome_option(code_file):
+    for extra in ([], ["--syndrome", "[0, 0, 0, 0]", "--syndrome-file", "s.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["decode", code_file] + extra)
+        assert exc.value.code == 2

@@ -107,7 +107,7 @@ def test_invert_circuit_gate_by_gate():
 def test_decompose_identity_is_empty():
     circuit, report = decompose(np.eye(6))
     assert len(circuit) == 0
-    assert report.total_gates == 0
+    assert sum(report.gate_counts.values()) == 0
 
 
 def test_decompose_single_generator_roundtrip():
@@ -130,7 +130,7 @@ def test_decompose_random_gate_products(rng):
         circuit, report = decompose(a, debug=True)
         bound = 1e-8 * (1.0 + np.max(np.abs(a)))
         assert np.max(np.abs(circuit_action(circuit) - a)) <= bound
-        assert report.total_gates <= 8 * n * n + 8 * n
+        assert sum(report.gate_counts.values()) <= 8 * n * n + 8 * n
         assert all(g.kind in GATE_KINDS for g in circuit.gates)
 
 
@@ -247,7 +247,7 @@ def test_decompose_round_trip_large(n):
     a = random_symplectic_from_hamiltonian(n, np.random.default_rng(n))
     circuit, report = decompose(a)
     assert np.max(np.abs(circuit_action(circuit) - a)) <= 1e-8 * (1.0 + np.max(np.abs(a)))
-    assert report.total_gates <= 8 * n * n + 8 * n
+    assert sum(report.gate_counts.values()) <= 8 * n * n + 8 * n
 
 
 def test_verify_circuit_returns_deviation_and_raises():

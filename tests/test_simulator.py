@@ -59,8 +59,9 @@ def test_position_squeezed_variances():
 def test_epr_pair_squeezed_combinations(r):
     st = epr_pair(r)
     # Cancellation-free even when e^{2r} dwarfs machine precision of e^{-2r}.
-    assert st.combination_variance([1, -1, 0, 0]) == pytest.approx(math.exp(-2 * r), rel=1e-12)
-    assert st.combination_variance([0, 0, 1, 1]) == pytest.approx(math.exp(-2 * r), rel=1e-12)
+    for coeffs in ([1, -1, 0, 0], [0, 0, 1, 1]):
+        w = np.asarray(coeffs, dtype=float) @ st.factor
+        assert float(w @ w) == pytest.approx(math.exp(-2 * r), rel=1e-12)
 
 
 def test_epr_pair_covariance_blocks():
