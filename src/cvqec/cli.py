@@ -171,14 +171,14 @@ def cmd_simulate(args) -> int:
     with open(args.config_file) as fh:
         cfg = json.load(fh)
     code = codes.load_code(codes.read_key(cfg, "code_file", str))
-    mode, p, x = codes.read_key(cfg, "error", lambda err: (int(err["mode"]), float(err["p"]), float(err["x"])))
+    mode, p, x = codes.read_key(cfg, "error", lambda err: (codes.json_int(err["mode"]), float(err["p"]), float(err["x"])))
     u = decoder.single_mode_error(code.n, mode, p, x)
-    seed = codes.read_key(cfg, "seed", int) if args.seed is None else args.seed
+    seed = codes.read_key(cfg, "seed", codes.json_int) if args.seed is None else args.seed
     stats = simulator.run_ec_experiment(
         code,
         u,
         r=codes.read_key(cfg, "squeezing_r", float),
-        trials=codes.read_key(cfg, "trials", int),
+        trials=codes.read_key(cfg, "trials", codes.json_int),
         seed=seed,
     )
     _emit(stats.to_dict(), args.output)

@@ -237,11 +237,20 @@ def read_key(payload, key: str, parse):
         raise ValueError(f"cannot read {key!r}: {exc}") from exc
 
 
+def json_int(value) -> int:
+    """An integer read from JSON: an int, or a float of integral value; a bool or anything else raises TypeError."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 def load_parity_check(path) -> np.ndarray:
     """Read a parity-check file: ``{"n": int, "rows": [[2n floats], ...]}``."""
     with open(path) as fh:
         payload = json.load(fh)
-    n = read_key(payload, "n", int)
+    n = read_key(payload, "n", json_int)
     rows = read_key(payload, "rows", lambda v: np.atleast_2d(np.asarray(v, dtype=float)))
     if rows.shape[1] != 2 * n:
         raise DimensionMismatchError(f"rows have {rows.shape[1]} columns, expected {2 * n}")
@@ -291,9 +300,9 @@ def code_from_dict(payload: dict) -> CodeSpec:
     if not isinstance(payload, dict) or payload.get("format", CODE_FORMAT) != CODE_FORMAT:
         raise ValueError(f"not a code file of format {CODE_FORMAT}")
     code = CodeSpec(
-        params=read_key(payload, "params", lambda p: CodeParameters(**{key: int(p[key]) for key in CodeParameters._fields})),
+        params=read_key(payload, "params", lambda p: CodeParameters(**{key: json_int(p[key]) for key in CodeParameters._fields})),
         basis=read_key(payload, "basis", lambda rows: np.asarray(rows, dtype=float)),
-        dropped_rows=read_key(payload, "dropped_rows", lambda indices: tuple(int(i) for i in indices)),
+        dropped_rows=read_key(payload, "dropped_rows", lambda indices: tuple(map(json_int, indices))),
         input_rows=read_key(payload, "input_rows", lambda rows: np.atleast_2d(np.asarray(rows, dtype=float))),
     )
     verify_code(code)

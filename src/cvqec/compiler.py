@@ -129,9 +129,17 @@ def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
     rewrites at most four rows (x_i, p_i, x_j, p_j) and leaves the rest
     untouched, so applying it costs O(K) for a (2n, K) array instead of a
     dense O(n^2 K) product.  ``gate`` may be a bare (kind, modes, param)
-    record, which is not validated.  A gate on a mode beyond the n modes
-    of ``rows`` raises IndexError, possibly after rewriting one row;
-    `gate_action` and `Circuit` check the modes up front.
+    record, which is not validated.  A QND record may also carry a
+    ``range`` or an integer array of distinct target modes, none of them
+    the control, with an array of parameters: that is the run of those
+    QND gates from one control, which commute, applied as one rank-1
+    update (``p_c -= g @ p_T; x_T += outer(g, x_c)`` for QND_X, mirrored
+    for QND_P).  A range of targets is read and updated through views;
+    an array is gathered and scattered, and numpy's fancy indexing would
+    silently lose a repeated target, so it must not hold one.  A gate on
+    a mode beyond the n modes of ``rows`` raises IndexError, possibly
+    after rewriting one row; `gate_action` and `Circuit` check the modes
+    up front.
     """
     kind, modes, param = gate
     n = rows.shape[0] // 2
@@ -153,16 +161,61 @@ def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
     elif kind == PHASE_P:
         rows[xi] += param * rows[pi]
     else:
-        xj = modes[1] - 1
-        pj = n + xj
+        xj = modes[1]
+        if isinstance(xj, range):
+            if xj.step < 0:  # views run fastest in memory order
+                xj, param = xj[::-1], param[::-1]
+            start, stop = xj.start - 1, xj.stop - 1
+            xj, pj = slice(start, stop, xj.step), slice(n + start, n + stop, xj.step)
+        else:
+            xj = xj - 1
+            pj = n + xj
         if kind == QND_X:
-            rows[pi] -= param * rows[pj]
-            rows[xj] += param * rows[xi]
+            rows[pi] -= np.dot(param, rows[pj])
+            rows[xj] += np.multiply.outer(param, rows[xi])
         elif kind == QND_P:
-            rows[xi] -= param * rows[xj]
-            rows[pj] += param * rows[pi]
+            rows[xi] -= np.dot(param, rows[xj])
+            rows[pj] += np.multiply.outer(param, rows[pi])
         else:  # SWAP
             rows[[xi, xj, pi, pj]] = rows[[xj, xi, pj, pi]]
+
+
+def apply_gates(rows: np.ndarray, gates) -> None:
+    """Left-multiply a (2n, K) array by a gate sequence (first gate first), in place.
+
+    Consecutive QND gates of one kind and one control commute, so each
+    such run goes to `apply_gate` as one record, its targets a ``range``
+    where they are evenly spaced.  A run closes at its first repeated
+    target, which fancy indexing would drop.
+    """
+    run_kind = control = None
+    run: dict = {}  # the open run's targets and parameters, in order
+    for gate in gates:
+        kind, modes, param = gate
+        if kind == QND_X or kind == QND_P:
+            if kind != run_kind or modes[0] != control or modes[1] in run:
+                _apply_run(rows, run_kind, control, run)
+                run_kind, control, run = kind, modes[0], {}
+            run[modes[1]] = param
+        else:
+            if run:
+                _apply_run(rows, run_kind, control, run)
+                run_kind, run = None, {}
+            apply_gate(rows, gate)
+    _apply_run(rows, run_kind, control, run)
+
+
+def _apply_run(rows: np.ndarray, kind: str | None, control: int | None, run: dict) -> None:
+    """Apply an open run of `apply_gates` as one record; a run of one gate as that gate."""
+    if len(run) == 1:
+        ((target, param),) = run.items()
+        apply_gate(rows, (kind, (control, target), param))
+    elif run:
+        targets = list(run)
+        step = targets[1] - targets[0]
+        spaced = range(targets[0], targets[-1] + step, step)
+        targets = spaced if list(spaced) == targets else np.array(targets)
+        apply_gate(rows, (kind, (control, targets), np.array(list(run.values()))))
 
 
 def gate_action(gate: Gate, n: int) -> np.ndarray:
@@ -191,8 +244,7 @@ def gate_action(gate: Gate, n: int) -> np.ndarray:
 def circuit_action(circuit: Circuit) -> np.ndarray:
     """Composed quadrature action, first gate innermost."""
     a = np.eye(2 * circuit.n)
-    for g in circuit.gates:
-        apply_gate(a, g)
+    apply_gates(a, circuit.gates)
     return a
 
 
@@ -217,25 +269,6 @@ def invert_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n, tuple(invert_gate(g) for g in reversed(circuit.gates)))
 
 
-def _drop_inverse_pairs(records: list[tuple]) -> list[tuple]:
-    """Drop adjacent exact-inverse record pairs until none remain.
-
-    Removes the Fourier bookkeeping that elimination rounds emit around
-    sub-steps that turned out to be no-ops; the composed action is
-    bit-identical since only exact inverse pairs are cancelled.  Each pass
-    scans left to right, so the result is fixed even where 1/(1/a) != a
-    makes squeeze cancellation depend on the order.
-    """
-    while True:
-        drop: set[int] = set()
-        for i, (a, b) in enumerate(zip(records, records[1:])):
-            if i not in drop and a[1] == b[1] and b == _inverse_record(*a):
-                drop.update((i, i + 1))
-        if not drop:
-            return records
-        records = [rec for i, rec in enumerate(records) if i not in drop]
-
-
 @dataclass(frozen=True)
 class CompilerReport:
     """Bookkeeping emitted alongside a decomposition."""
@@ -250,7 +283,10 @@ class _Eliminator:
     """Accumulates left-multiplied elimination records against a working matrix.
 
     Records are bare (kind, modes, param) tuples: the elimination builds
-    only valid gates, and `decompose` turns the survivors into `Gate`s once.
+    only valid gates, and `decompose` turns them into `Gate`s once.  A
+    sweep of more than one gate is one record whose targets are a range
+    or an array and whose parameters are an array, as `apply_gate`
+    takes them.
     """
 
     def __init__(self, a: np.ndarray, n: int, debug: bool):
@@ -262,12 +298,38 @@ class _Eliminator:
     def push(self, kind: str, modes: tuple[int, ...], param: float | None = None) -> None:
         if param is not None and abs(param - 1.0 if kind == SQUEEZE else param) <= GATE_EPS:
             return
-        rec = (kind, modes, param)
+        self._emit((kind, modes, param))
+
+    def sweep(self, kind: str, mode: int, g: np.ndarray, rotate: str | None = None) -> None:
+        """QND gates of one kind from ``mode`` onto modes ``mode + 1 ..``, as one step.
+
+        ``g[i]`` is the parameter onto mode ``mode + 1 + i``; entries with
+        |g| <= GATE_EPS are dropped, as `push` drops a no-op gate.  With
+        ``rotate``, a nonempty sweep is bracketed by that Fourier gate on
+        ``mode`` and its inverse.  That Fourier leaves the rows the sweep
+        reads alone, so ``g`` may be read before it.
+        """
+        keep = (np.abs(g) > GATE_EPS).nonzero()[0]
+        if not keep.size:
+            return
+        if keep.size == 1:  # one gate: a scalar record costs less
+            targets, g = mode + 1 + int(keep[0]), float(g[keep[0]])
+        elif keep.size == g.size:
+            targets = range(mode + 1, mode + 1 + g.size)
+        else:
+            targets, g = keep + (mode + 1), g[keep]
+        if rotate:
+            self._emit((rotate, (mode,), None))
+        self._emit((kind, (mode, targets), g))
+        if rotate:
+            self._emit((_INVERSE_KIND[rotate], (mode,), None))
+
+    def _emit(self, rec: tuple) -> None:
         apply_gate(self.work, rec)
         self.records.append(rec)
         if self.debug:
             assert is_symplectic(self.work, 1e-8 * max(1.0, float(np.max(np.abs(self.work))))), (
-                "intermediate matrix left the symplectic group"
+                f"intermediate matrix left the symplectic group after {rec[0]} from mode {rec[1][0]}"
             )
 
 
@@ -301,13 +363,20 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
     After each round the cleared rows and columns are unit vectors, and
     symplecticity confines all later work to the trailing submatrix.
 
+    A sweep's gates share their control and commute, and its parameters
+    come from a column the sweep leaves unchanged, so each sweep is read
+    up front and applied as one array-target record (see `apply_gate`);
+    gates with |param| <= GATE_EPS are dropped.  A Fourier bracket is
+    emitted only around a nonempty sweep, so the circuit holds no
+    adjacent inverse pair to cancel afterwards.
+
     Args:
         a: symplectic (x | p)-ordered quadrature action.
         tol: pivot threshold; the input is checked symplectic within
             ``max(tol, DEFAULT_TOL) * max(1, max |a|)^2``, the scale on
             which `verify_code` checks a code's basis.
-        debug: assert symplecticity of every intermediate and the
-            unit-row/column structure after each round.
+        debug: assert symplecticity after every emitted gate and every
+            sweep, and the unit-row/column structure after each round.
 
     Returns:
         (circuit, report): the circuit's composed action reproduces ``a``.
@@ -326,21 +395,14 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
     for r in range(n):
         _pivot(el, r, tol)
         mode = r + 1
-        for i in range(r + 1, n):  # clear position block of column r
-            el.push(QND_X, (mode, i + 1), -w.item(i, r))
+        below = slice(r + 1, n)  # the later modes' position rows
+        el.sweep(QND_X, mode, -w[below, r])  # clear position block of column r
         el.push(PHASE_X, (mode,), -w.item(n + r, r))
-        el.push(FOURIER, (mode,))
-        for i in range(r + 1, n):  # clear momentum block of column r
-            el.push(QND_P, (mode, i + 1), -w.item(n + i, r))
-        el.push(FOURIER_INV, (mode,))
+        el.sweep(QND_P, mode, -w[n + r + 1 :, r], rotate=FOURIER)  # clear momentum block of column r
 
-        for i in range(r + 1, n):  # clear momentum block of column n + r
-            el.push(QND_P, (mode, i + 1), -w.item(n + i, n + r))
+        el.sweep(QND_P, mode, -w[n + r + 1 :, n + r])  # clear momentum block of column n + r
         el.push(PHASE_P, (mode,), -w.item(r, n + r))
-        el.push(FOURIER_INV, (mode,))
-        for i in range(r + 1, n):  # clear position block of column n + r
-            el.push(QND_X, (mode, i + 1), -w.item(i, n + r))
-        el.push(FOURIER, (mode,))
+        el.sweep(QND_X, mode, -w[below, n + r], rotate=FOURIER_INV)  # clear position block of column n + r
 
         if debug:
             scale = max(1.0, float(np.max(np.abs(w))))
@@ -353,11 +415,21 @@ def decompose(a, tol: float = DEFAULT_TOL, debug: bool = False) -> tuple[Circuit
     if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(a)))):  # NaN fails too
         raise CircuitVerificationError(f"elimination failed to reach the identity (residual {residual:.3e})")
 
+    # The circuit is the records' inverses in reverse order; a sweep's
+    # gates are inverted one by one, so its targets come out descending.
     # Every record has in-range modes, and its parameter is finite and
     # nonzero while the work matrix stays finite, which the residual check
     # confirms; so the gates skip the constructor's checks.
-    records = _drop_inverse_pairs([_inverse_record(*rec) for rec in reversed(el.records)])
-    circuit = Circuit(n, tuple(tuple.__new__(Gate, rec) for rec in records))
+    gates: list[Gate] = []
+    for kind, modes, param in reversed(el.records):
+        if isinstance(param, np.ndarray):
+            control = modes[0]
+            targets = list(modes[1]) if isinstance(modes[1], range) else modes[1].tolist()
+            for t, g in zip(reversed(targets), reversed(param.tolist())):
+                gates.append(tuple.__new__(Gate, (kind, (control, t), -g)))
+        else:
+            gates.append(tuple.__new__(Gate, _inverse_record(kind, modes, param)))
+    circuit = Circuit(n, tuple(gates))
     counts: dict[str, int] = {}
     for g in circuit.gates:
         counts[g.kind] = counts.get(g.kind, 0) + 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .compiler import Circuit, apply_gate, fourier, qnd_p, qnd_x
+from .compiler import Circuit, apply_gates, fourier, qnd_p, qnd_x
 from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from .decomposition import check_rows
 from .errors import DimensionMismatchError, InvalidStateError
@@ -116,12 +116,11 @@ def apply_symplectic(state: GaussianState, a: np.ndarray) -> GaussianState:
 
 
 def apply_circuit(state: GaussianState, circuit: Circuit) -> GaussianState:
-    """Apply a gate sequence (first gate first), gate by gate on mean and factor."""
+    """Apply a gate sequence (first gate first) to mean and factor, run by run through `apply_gates`."""
     if circuit.n != state.n:
         raise DimensionMismatchError(f"circuit is on {circuit.n} modes, state has {state.n}")
     work = np.column_stack((state.mean, state.factor))
-    for g in circuit.gates:
-        apply_gate(work, g)
+    apply_gates(work, circuit.gates)
     return GaussianState(n=state.n, mean=work[:, 0].copy(), factor=work[:, 1:])
 
 

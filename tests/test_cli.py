@@ -501,6 +501,56 @@ def test_wrong_json_types_exit_as_parse_errors(tmp_path, code_file, capsys, kind
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _set(path, value):
+    """Edit that sets payload[path[0]][path[1]]... to value."""
+
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, key",
+    [
+        ("matrix", _set(["n"], 4.5), "n"),
+        ("matrix", lambda m: {"n": True, "rows": [[1.0, 0.0]]}, "n"),
+        ("code", _set(["params", "k"], 2.5), "params"),
+        ("code", _set(["params", "l"], False), "params"),
+        ("dependent-code", _set(["dropped_rows", 0], 4.9), "dropped_rows"),
+        ("dependent-code", _set(["dropped_rows", 0], True), "dropped_rows"),
+        ("config", _set(["trials"], 10.5), "trials"),
+        ("config", _set(["seed"], True), "seed"),
+        ("config", _set(["error", "mode"], 1.5), "error"),
+    ],
+    ids=["n-float", "n-bool", "params-float", "params-bool", "dropped-float", "dropped-bool", "trials-float", "seed-bool", "mode-float"],
+)
+def test_integer_fields_must_be_integers(tmp_path, reference_matrix, code_file, capsys, kind, edit, key):
+    # int() used to truncate these or read a bool as 0 or 1, so each edit
+    # still made a valid input: n = 4.5 as 4, k = 2.5 as 2, row 4.9 as 4.
+    rows = reference.raw_parity_rows()
+    dependent = str(tmp_path / "dependent-code.json")
+    save_parity_check(tmp_path / "dependent.json", np.vstack([rows, rows[:1]]))
+    assert main(["build", str(tmp_path / "dependent.json"), "--output", dependent]) == 0
+    assert read(dependent)["dropped_rows"] == [4]
+    path = str(tmp_path / "input.json")
+    source, argv = {
+        "matrix": (read(reference_matrix), ["build", path]),
+        "code": (read(code_file), ["syndrome", path, "--mode", "1", "--p", "1"]),
+        "dependent-code": (read(dependent), ["syndrome", path, "--mode", "1", "--p", "1"]),
+        "config": ({"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1}, ["simulate", path]),
+    }[kind]
+    with open(path, "w") as fh:
+        json.dump(edit(source), fh)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
 def test_decode_needs_exactly_one_syndrome_option(code_file):
     for extra in ([], ["--syndrome", "[0, 0, 0, 0]", "--syndrome-file", "s.json"]):
         with pytest.raises(SystemExit) as exc:

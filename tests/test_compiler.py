@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqec import reference
+from cvqec import compiler, reference
 from cvqec.codes import build_code, canonical_parity_check
 from cvqec.compiler import (
     FOURIER,
@@ -276,3 +276,144 @@ def test_decompose_emits_gates_that_revalidate(n, seed, from_gates):
         assert Gate(g.kind, g.modes, g.param) == g
         assert max(g.modes) <= n
         assert g.param is None or type(g.param) is float
+
+
+@st.composite
+def qnd_runs_on_arrays(draw):
+    """A QND record with many targets: a range either way, or an array in any order."""
+    kind = draw(st.sampled_from([QND_X, QND_P]))
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+        first = draw(st.integers(1, n))
+        count = draw(st.integers(1, min(n - 1, len(range(first, 0 if step < 0 else n + 1, step)))))
+        targets = range(first, first + step * count, step)
+    else:
+        targets = np.array(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
+    control = draw(st.sampled_from([m for m in range(1, n + 1) if m not in targets]))
+    params = [draw(st.floats(0.05, 20.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in targets]
+    k = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).normal(size=(2 * n, k)) * 10.0 ** draw(st.integers(-3, 3))
+    return kind, control, targets, params, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(qnd_runs_on_arrays())
+def test_apply_gate_array_targets_match_dense_table(case):
+    kind, control, targets, params, rows = case
+    n = rows.shape[0] // 2
+    want = rows.copy()
+    for t, g in zip(targets, params):
+        want = dense_from_table(Gate(kind, (control, int(t)), g), n) @ want
+    got = rows.copy()
+    apply_gate(got, (kind, (control, targets), np.array(params)))
+    scale = (1.0 + sum(abs(g) for g in params)) * float(np.max(np.abs(rows)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+@st.composite
+def circuits_with_qnd_runs(draw):
+    """Random circuits made of QND runs (targets may repeat) and single gates."""
+    n = draw(st.integers(2, 6))
+    param = st.floats(0.1, 2.0).map(float) | st.floats(-2.0, -0.1).map(float)
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 2)):
+            kind = draw(st.sampled_from([QND_X, QND_P]))
+            control = draw(st.integers(1, n))
+            targets = draw(st.lists(st.integers(1, n).filter(lambda t: t != control), min_size=1, max_size=2 * n))
+            gates.extend(Gate(kind, (control, t), draw(param)) for t in targets)
+        else:
+            kind = draw(st.sampled_from([SQUEEZE, FOURIER, FOURIER_INV, PHASE_X, PHASE_P, SWAP]))
+            modes = tuple(draw(st.lists(st.integers(1, n), min_size=2 if kind == SWAP else 1, max_size=2 if kind == SWAP else 1, unique=True)))
+            gates.append(Gate(kind, modes, None if kind in (FOURIER, FOURIER_INV, SWAP) else draw(param)))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits_with_qnd_runs())
+@example(
+    # A run that repeats a target, a run of QND_P after one of QND_X from the
+    # same control, a run's control as a later target, and single-gate runs.
+    Circuit(4, (
+        qnd_x(1, 2, 0.7), qnd_x(1, 3, -1.1), qnd_x(1, 2, 0.4), qnd_x(1, 4, 1.9),
+        qnd_p(1, 3, 0.6), qnd_p(1, 4, -0.3),
+        qnd_x(2, 1, 1.3), squeeze(2, 1.5), qnd_p(3, 1, -0.8), phase_x(1, 0.5), qnd_x(4, 3, 0.9),
+    ))
+)
+@example(
+    # Targets whose ends are evenly spaced but whose middle is not.
+    Circuit(6, tuple(qnd_p(1, t, 0.3 * t) for t in (2, 3, 5, 4, 6)))
+)
+def test_run_grouped_composition_matches_gate_by_gate_fold(circuit):
+    want = np.eye(2 * circuit.n)
+    scale = 1.0
+    for g in circuit.gates:
+        apply_gate(want, g)
+        scale = max(scale, float(np.max(np.abs(want))))
+    got = circuit_action(circuit)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_decompose_debug_checks_each_sweep(monkeypatch, rng):
+    real = compiler.apply_gate
+
+    def corrupt_sweeps(rows, gate):
+        real(rows, gate)
+        if len(gate[1]) == 2 and not isinstance(gate[1][1], int):  # a sweep's record
+            rows[gate[1][0] - 1] *= 2.0  # the control's x row alone: not symplectic
+
+    monkeypatch.setattr(compiler, "apply_gate", corrupt_sweeps)
+    with pytest.raises(AssertionError, match="after QND_X from mode 1"):
+        decompose(random_symplectic_from_hamiltonian(3, rng), debug=True)
+
+
+# The reference code's encoder, compiled gate by gate before sweeps became
+# one step each; the batched eliminator must emit the same circuit.
+REFERENCE_ENCODER_GATES = [
+    (PHASE_X, (4,), 0.75),
+    (SQUEEZE, (4,), 0.5),
+    (PHASE_P, (3,), 0.25),
+    (QND_P, (3, 4), -1.0),
+    (FOURIER, (3,), None),
+    (QND_P, (3, 4), -1.0),
+    (FOURIER_INV, (3,), None),
+    (PHASE_X, (3,), 3.0),
+    (QND_X, (3, 4), -1.0),
+    (SQUEEZE, (3,), 2.0),
+    (FOURIER_INV, (2,), None),
+    (QND_X, (2, 4), 0.5),
+    (QND_X, (2, 3), -1.0),
+    (FOURIER, (2,), None),
+    (PHASE_P, (2,), -0.25),
+    (QND_P, (2, 4), 0.5),
+    (QND_P, (2, 3), -0.5),
+    (FOURIER, (2,), None),
+    (QND_P, (2, 4), -1.5),
+    (QND_P, (2, 3), 1.5),
+    (FOURIER_INV, (2,), None),
+    (PHASE_X, (2,), 0.75),
+    (QND_X, (2, 4), 0.5),
+    (SQUEEZE, (2,), -1.0),
+    (FOURIER_INV, (1,), None),
+    (QND_X, (1, 2), -1.0),
+    (FOURIER, (1,), None),
+    (PHASE_P, (1,), 2.0),
+    (QND_P, (1, 4), -1.0),
+    (QND_P, (1, 3), 1.0),
+    (QND_P, (1, 2), -1.0),
+    (FOURIER, (1,), None),
+    (QND_P, (1, 4), 1.0),
+    (QND_P, (1, 2), 1.0),
+    (FOURIER_INV, (1,), None),
+    (SQUEEZE, (1,), -1.0),
+    (FOURIER_INV, (1,), None),
+]
+
+
+def test_reference_encoder_compiles_to_the_pinned_gates():
+    circuit, _ = decompose(encoder_quad_action(build_code(reference.raw_parity_rows())))
+    assert [(g.kind, g.modes) for g in circuit.gates] == [(kind, modes) for kind, modes, _ in REFERENCE_ENCODER_GATES]
+    for g, (_, _, param) in zip(circuit.gates, REFERENCE_ENCODER_GATES):
+        assert g.param == (None if param is None else pytest.approx(param, rel=1e-12))

@@ -1,0 +1,85 @@
+"""Time each layer of the cvqec chain on the benchmark's code generator, sweeping n.
+
+For each mode count n, the check rows come from `random_code_rows(n, 1, n // 4)`
+in `chainbench/workloads.py` (l = 1, c = n/4), which this script imports and
+does not change. It times `build_code`, `decompose` of the encoder,
+`circuit_action` and `verify_circuit` of the compiled circuit, and one
+`run_ec_experiment`, and prints one JSON object with the median of the
+repeats per layer. `verify_circuit` raises if the circuit is wrong, so a
+sweep that prints has checked every circuit it timed.
+
+Run from the repository root, single-threaded BLAS for stable figures:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/nsweep.py --n 64 128 256
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from cvqec import __version__
+from cvqec.codes import build_code
+from cvqec.compiler import circuit_action, decompose, encoder_quad_action, verify_circuit
+from cvqec.decoder import single_mode_error
+from cvqec.simulator import run_ec_experiment
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
+
+
+REPEATS = 3  # timed repeats per point; the median is reported
+TRIALS = 2000  # trials of the one run_ec_experiment
+
+
+def sweep_point(n: int) -> dict:
+    rows = random_code_rows(n, 1, n // 4)
+    error = single_mode_error(n, 1, 2.0, 2.0)
+    times: dict[str, list[float]] = {}
+
+    def timed(name, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        times.setdefault(name + "_s", []).append(time.perf_counter() - t0)
+        return out
+
+    for _ in range(REPEATS):
+        code = timed("build_code", build_code, rows)
+        circuit, report = timed("decompose", decompose, encoder_quad_action(code))
+        timed("circuit_action", circuit_action, circuit)
+        deviation = timed("verify_circuit", verify_circuit, circuit, code)
+        stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
+    point = {"n": n, "l": 1, "c": n // 4}
+    point.update({key: statistics.median(values) for key, values in times.items()})
+    point.update(gates=len(circuit), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
+    return point
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, nargs="+", default=[64, 128, 256], help="mode counts, each a multiple of 4")
+    args = parser.parse_args(argv)
+    if any(n < 4 or n % 4 for n in args.n):
+        parser.error("--n values must be positive multiples of 4")
+    result = {
+        "cvqec": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "repeats": REPEATS,
+        "trials": TRIALS,
+        "points": [sweep_point(n) for n in args.n],
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
