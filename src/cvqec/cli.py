@@ -10,6 +10,7 @@ decimal recovers a double within one ulp of it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -93,9 +94,17 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _float_array(value, option: str) -> np.ndarray:
+    """An option's JSON value as a float array; a wrong JSON type raises ValueError naming the option."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"cannot read {option}: {exc}") from exc
+
+
 def _load_error_vector(args, n: int) -> np.ndarray:
     if args.error is not None:
-        vec = np.asarray(json.loads(args.error), dtype=float)
+        vec = _float_array(json.loads(args.error), "--error")
         if vec.shape != (2 * n,):
             raise DimensionMismatchError(f"error vector must have length {2 * n}")
         return vec
@@ -115,11 +124,11 @@ def cmd_syndrome(args) -> int:
 def cmd_decode(args) -> int:
     code = codes.load_code(args.code_file)
     if args.syndrome is not None:
-        s = np.asarray(json.loads(args.syndrome), dtype=float)
+        s = _float_array(json.loads(args.syndrome), "--syndrome")
     else:
         with open(args.syndrome_file) as fh:
             payload = json.load(fh)
-        s = np.asarray(payload["syndrome"] if isinstance(payload, dict) else payload, dtype=float)
+        s = _float_array(payload["syndrome"] if isinstance(payload, dict) else payload, "--syndrome-file")
     if args.min_norm:
         corr = decoder.min_norm_correction(code, s)
     else:
@@ -229,7 +238,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_pass else EXIT_BUILD
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(prog="cvqec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -241,12 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split a parity-check rowspace into pairs and isotropic basis")
     p.add_argument("matrix_file")
     common(p, tolerance=True)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("build", help="build a code and emit its JSON description")
     p.add_argument("matrix_file")
     common(p, tolerance=True)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("syndrome", help="syndrome of a displacement error")
     p.add_argument("code_file")
@@ -255,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--error", help="full 2n-component phase vector as a JSON array")
     common(p)
-    p.set_defaults(func=cmd_syndrome)
 
     # Without abbreviations, so that a dropped --tolerance is refused, not
     # read as --tolerance-decode.
@@ -267,38 +275,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-norm", action="store_true", help="least-norm correction instead of single-mode decode")
     p.add_argument("--tolerance-decode", type=float, default=decoder.DEFAULT_DECODE_TOL)
     common(p)
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("compile", help="compile a code's encoder into a gate sequence")
     p.add_argument("code_file")
     common(p, tolerance=True)
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("verify", help="check a circuit file against a code's encoder")
     p.add_argument("circuit_file")
     p.add_argument("code_file")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run a seeded error-correction experiment")
     p.add_argument("config_file")
     p.add_argument("--seed", type=int, help="override the config file's seed")
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("selftest", help="run the bundled example-code checks")
     p.add_argument("--json", action="store_true", help="machine-readable results")
     common(p)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at call time, so a wrapped or patched cmd_* is what runs.
+        return globals()["cmd_" + args.command](args)
     except (json.JSONDecodeError, KeyError, OSError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import CodeSpec
+from .codes import CodeSpec, json_int
 from .errors import CircuitVerificationError, DimensionMismatchError
 from .symplectic import DEFAULT_TOL, is_symplectic, require_symplectic
 
@@ -487,6 +487,9 @@ def circuit_to_dicts(circuit: Circuit) -> list[dict]:
 def circuit_from_dicts(payload, n: int) -> Circuit:
     """Circuit from gate records; every gate is validated here.
 
+    A mode is read by `json_int`, and a parameter must be a JSON number
+    (an int or a float, not a bool or a string).
+
     Raises:
         ValueError: for a malformed or invalid gate record.
         DimensionMismatchError: for a gate on a mode above n.
@@ -494,8 +497,10 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     gates = []
     for entry in payload:
         try:
-            modes = tuple(map(int, entry["modes"]))
+            modes = tuple(map(json_int, entry["modes"]))
             param = entry.get("param")
+            if param is not None and type(param) not in (int, float):
+                raise TypeError(f"param must be a JSON number, got {param!r}")
             gates.append(Gate(entry["gate"], modes, None if param is None else float(param)))
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed gate record {entry!r}: {exc}") from exc

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from cvqec import codes, compiler, reference, simulator
+from cvqec import cli, codes, compiler, reference, simulator
 from cvqec.cli import build_parser, main
 from cvqec.codes import canonical_parity_check, save_parity_check
 
@@ -292,8 +293,25 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
         ({"gate": "QND_X", "modes": [1], "param": 0.5}, 2),
         ({"gate": "SWAP", "modes": 1}, 2),
         ({"gate": "SWAP", "modes": [1, 5]}, 3),
+        ({"gate": "SWAP", "modes": [3.7, 4]}, 2),
+        ({"gate": "SWAP", "modes": ["3", "4"]}, 2),
+        ({"gate": "SWAP", "modes": [True, 2]}, 2),
+        ({"gate": "PHASE_X", "modes": [1], "param": "0.75"}, 2),
+        ({"gate": "PHASE_X", "modes": [1], "param": True}, 2),
     ],
-    ids=["unknown-kind", "nan-param", "zero-squeeze", "wrong-mode-count", "modes-not-a-list", "mode-above-n"],
+    ids=[
+        "unknown-kind",
+        "nan-param",
+        "zero-squeeze",
+        "wrong-mode-count",
+        "modes-not-a-list",
+        "mode-above-n",
+        "mode-float",
+        "mode-string",
+        "mode-bool",
+        "param-string",
+        "param-bool",
+    ],
 )
 def test_verify_rejects_malformed_circuit_files(tmp_path, code_file, gate, exit_code):
     path = tmp_path / "circuit.json"
@@ -556,3 +574,68 @@ def test_decode_needs_exactly_one_syndrome_option(code_file):
         with pytest.raises(SystemExit) as exc:
             main(["decode", code_file] + extra)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["syndrome", "CODE", "--error", '{"a": 1}'], "--error"),
+        (["decode", "CODE", "--syndrome", '{"x": 1}'], "--syndrome"),
+        (["decode", "CODE", "--syndrome-file", "SYNDROME"], "--syndrome-file"),
+    ],
+    ids=["error-object", "syndrome-object", "syndrome-file-object"],
+)
+def test_wrong_json_types_in_options_exit_as_parse_errors(tmp_path, code_file, capsys, argv, option):
+    # These raised TypeError, a traceback and exit 1.
+    syndrome = tmp_path / "syndrome.json"
+    syndrome.write_text(json.dumps({"syndrome": {"x": 1}}))
+    assert main([{"CODE": code_file, "SYNDROME": str(syndrome)}.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and option in err
+
+
+def test_repeated_main_calls_build_the_parser_once(monkeypatch, code_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["syndrome", code_file, "--mode", "1", "--p", "1"]) == 0
+        assert build_parser() is build_parser()
+    finally:
+        build_parser.cache_clear()
+    assert built.count("cvqec") == 1
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(monkeypatch, tmp_path, code_file):
+    # The benchmark's tracer wraps cli.cmd_* by setattr after the parser may
+    # already exist; the wrapper, not the original, must then run.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 8.0, "trials": 10, "seed": 1}))
+    assert main(["simulate", str(cfg)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.seed) or 7)
+    assert main(["simulate", str(cfg), "--seed", "3"]) == 7
+    assert seen == [3]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["--help"], 0), (["build", "--help"], 0), ([], 2), (["bogus"], 2), (["build"], 2), (["simulate", "c.json", "--seed", "x"], 2)],
+    ids=["help", "build-help", "no-command", "unknown-command", "missing-argument", "bad-type"],
+)
+def test_help_and_usage_errors_repeat_exactly(capsys, argv, exit_code):
+    results = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        results.append((exc.value.code, capsys.readouterr()))
+    assert results[0] == results[1]
+    code, output = results[0]
+    assert code == exit_code and (output.out if exit_code == 0 else output.err).startswith("usage: cvqec")

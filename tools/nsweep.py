@@ -8,6 +8,12 @@ does not change. It times `build_code`, `decompose` of the encoder,
 repeats per layer. `verify_circuit` raises if the circuit is wrong, so a
 sweep that prints has checked every circuit it timed.
 
+`cli_chain_s` times the same code through the command line, in process:
+`cvqec.cli.main` runs build, compile, verify and simulate (same error,
+squeezing and trial count) on files in a temporary directory. Its excess
+over the layer times is the fixed cost of each command: parsing its
+arguments and reading and writing its files.
+
 Run from the repository root, single-threaded BLAS for stable figures:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/nsweep.py --n 64 128 256
@@ -16,17 +22,20 @@ Run from the repository root, single-threaded BLAS for stable figures:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from cvqec import __version__
-from cvqec.codes import build_code
+from cvqec import __version__, cli
+from cvqec.codes import build_code, save_parity_check
 from cvqec.compiler import circuit_action, decompose, encoder_quad_action, verify_circuit
 from cvqec.decoder import single_mode_error
 from cvqec.simulator import run_ec_experiment
@@ -37,6 +46,24 @@ from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
 
 REPEATS = 3  # timed repeats per point; the median is reported
 TRIALS = 2000  # trials of the one run_ec_experiment
+
+
+CLI_CHAIN = (
+    ["build", "rows.json", "--output", "code.json"],
+    ["compile", "code.json", "--output", "circuit.json"],
+    ["verify", "circuit.json", "code.json", "--output", "verify.json"],
+    ["simulate", "config.json", "--output", "sim.json"],
+)
+
+
+def cli_chain(work: Path) -> None:
+    """Run the CLI chain in process on the files in ``work``; raise if a step fails."""
+    for step in CLI_CHAIN:
+        argv = [str(work / arg) if arg.endswith(".json") else arg for arg in step]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(argv)
+        if status != 0:
+            raise RuntimeError(f"cvqec {' '.join(step)} exited with {status}")
 
 
 def sweep_point(n: int) -> dict:
@@ -50,12 +77,18 @@ def sweep_point(n: int) -> dict:
         times.setdefault(name + "_s", []).append(time.perf_counter() - t0)
         return out
 
-    for _ in range(REPEATS):
-        code = timed("build_code", build_code, rows)
-        circuit, report = timed("decompose", decompose, encoder_quad_action(code))
-        timed("circuit_action", circuit_action, circuit)
-        deviation = timed("verify_circuit", verify_circuit, circuit, code)
-        stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        save_parity_check(work / "rows.json", rows)
+        config = {"code_file": str(work / "code.json"), "error": {"mode": 1, "p": 2.0, "x": 2.0}, "squeezing_r": RANDOM_CODE_R, "trials": TRIALS, "seed": 1}
+        (work / "config.json").write_text(json.dumps(config))
+        for _ in range(REPEATS):
+            code = timed("build_code", build_code, rows)
+            circuit, report = timed("decompose", decompose, encoder_quad_action(code))
+            timed("circuit_action", circuit_action, circuit)
+            deviation = timed("verify_circuit", verify_circuit, circuit, code)
+            stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
+            timed("cli_chain", cli_chain, work)
     point = {"n": n, "l": 1, "c": n // 4}
     point.update({key: statistics.median(values) for key, values in times.items()})
     point.update(gates=len(circuit), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
