@@ -161,16 +161,16 @@ def verify_code(code: CodeSpec) -> None:
     """Check a code's stored facts against one another, raising on any failure.
 
     The parameters must be non-negative with ``k + l + c = n``, the 2n x
-    2n basis rows a symplectic basis (Gram matrix J within 1e-9 times the
-    squared largest basis entry, if that exceeds 1), and the input rows
-    the checks: ``dropped_rows`` names distinct rows, the rest number
-    ``m``, and each input row has zero product with each isotropic check
-    and data row, within 1e-8 times the other row's norm and
-    ``max(1, |row|)``, the scale on which the decomposition drops
-    dependent rows.  Those rows span the symplectic complement of the
-    check rows, so every input row lies in the span of the checks, which
-    pins the parameters when ``m`` input rows are independent.  The
-    derived matrices follow from these facts and are not checked.
+    2n basis rows a symplectic basis (Gram matrix J within 1e-9 by
+    `symplectic.scaled_defect`), and the input rows the checks: each has
+    zero product with each isotropic check and data row, within 1e-8
+    times the other row's norm and ``max(1, |row|)``, the scale on which
+    the decomposition drops dependent rows.  Those rows span the
+    symplectic complement of the check rows, so every input row lies in
+    the span of the checks.  ``dropped_rows`` names distinct rows, and the
+    ``m`` others, each scaled to unit norm, have rank ``m``: they span the
+    checks, so the dropped rows are dependent and the parameters pinned.
+    The derived matrices follow from these facts and are not checked.
 
     Raises:
         BuildVerificationError: if any check fails.
@@ -179,7 +179,7 @@ def verify_code(code: CodeSpec) -> None:
     n, k, l, c = code.params
     if min(code.params) < 0 or k + l + c != n or basis.shape != (2 * n, 2 * n):
         raise BuildVerificationError(f"{code.params} and a {basis.shape} basis do not describe a code")
-    if not is_symplectic(basis.T, 1e-9 * max(1.0, float(np.max(np.abs(basis)))) ** 2):
+    if not is_symplectic(basis.T, 1e-9):
         raise BuildVerificationError("basis rows are not a symplectic basis")
     rows, dropped = code.input_rows, code.dropped_rows
     # Intersecting with the row indices drops repeats and out-of-range entries.
@@ -192,6 +192,10 @@ def verify_code(code: CodeSpec) -> None:
     scale = np.outer(np.maximum(np.linalg.norm(rows, axis=1), 1.0), np.linalg.norm(others, axis=1))
     if not np.all(products <= 1e-8 * scale):
         raise BuildVerificationError("input rows leave the check rowspace")
+    kept = np.delete(rows, dropped, axis=0)
+    norms = np.linalg.norm(kept, axis=1, keepdims=True)
+    if not np.all((0.0 < norms) & (norms < np.inf)) or np.linalg.matrix_rank(kept / norms) < code.m:
+        raise BuildVerificationError(f"input rows other than dropped rows {list(dropped)} are dependent")
 
 
 def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:

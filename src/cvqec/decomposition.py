@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionError
-from .symplectic import DEFAULT_TOL, as_phase_vector, symplectic_form
+from .symplectic import DEFAULT_TOL, as_phase_vector, scaled_defect, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,8 @@ class SymplecticDecomposition:
         rows = [u for u, _ in self.pairs] + list(self.isotropic) + [v for _, v in self.pairs]
         return np.array(rows) if rows else np.zeros((0, 2 * self.n))
 
-    def gram(self) -> np.ndarray:
-        """Matrix of pairwise symplectic products in `vectors` order."""
-        vecs = self.vectors()
-        j = symplectic_form(self.n)
-        return vecs @ j @ vecs.T
-
     def canonical_gram(self) -> np.ndarray:
-        """The block form `gram` must reproduce: J on the check rows, +-1 per pair."""
+        """The block form the `vectors`' symplectic Gram matrix must reproduce: J on the check rows, +-1 per pair."""
         checks, _ = check_rows(self.n, self.l, self.c)
         return symplectic_form(self.n)[np.ix_(checks, checks)]
 
@@ -157,14 +151,13 @@ def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecompo
 
 
 def check_decomposition(dec: SymplecticDecomposition) -> None:
-    """Raise unless the stored vectors satisfy the canonical Gram form within 1e-8."""
+    """Raise unless the stored vectors are independent and meet the canonical Gram form within 1e-8 (`scaled_defect`)."""
     if dec.m == 0:
         return
     vecs = dec.vectors()
-    scale = max(1.0, float(np.max(np.abs(vecs))) ** 2)
-    defect = float(np.max(np.abs(dec.gram() - dec.canonical_gram())))
-    if defect > 1e-8 * scale:
-        raise DecompositionError(f"decomposition invariants violated (Gram defect {defect:.3e})")
+    defect = scaled_defect(vecs, dec.canonical_gram())
+    if not defect <= 1e-8:
+        raise DecompositionError(f"decomposition invariants violated (scaled Gram defect {defect:.3e})")
     # Rank of the unit-normalised rows: a partner rescaled by 1 / product
     # must not swamp the tolerance of the other rows.
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -197,8 +190,9 @@ def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT
     loop on standard-basis candidates projected against everything fixed.
 
     Raises:
-        DecompositionError: if the input violates its own invariants or
-            does not fit inside n modes.
+        DecompositionError: if the input violates its own invariants, does
+            not fit inside n modes, or the result misses the Gram form J
+            by more than ``1e3 * tol`` (`scaled_defect`).
     """
     n, k, l, c = code_parameters(dec)
     check_decomposition(dec)
@@ -244,8 +238,6 @@ def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT
         pairs.extend(new_pairs)
 
     basis = np.array([u for u, _ in pairs] + [v for _, v in pairs])
-    gram = basis @ j @ basis.T
-    scale = max(1.0, float(np.max(np.abs(basis))) ** 2)
-    if float(np.max(np.abs(gram - j))) > 1e3 * tol * scale:
+    if not scaled_defect(basis, j) <= 1e3 * tol:
         raise DecompositionError("completed basis fails the canonical Gram form")
     return basis

@@ -63,32 +63,46 @@ def symplectic_product(u, v) -> float:
     return float(u[:n] @ v[n:] - u[n:] @ v[:n])
 
 
-def _check_square_even(m: np.ndarray) -> int:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] % 2 != 0:
-        raise DimensionMismatchError(f"matrix dimension must be even, got {m.shape[0]}")
-    return m.shape[0] // 2
+def scaled_defect(rows: np.ndarray, target: np.ndarray, gram: bool = True) -> float:
+    """Largest entry of a defect, each entry measured against its own rows; NaN if ``rows`` is not finite.
+
+    With ``gram``, entry (i, j) of ``rows J rows^T - target`` is divided by
+    ``max(1, |r_i| |r_j|)``, the largest entries of the two rows it pairs;
+    otherwise row i of ``rows - target`` is divided by ``1 + |t_i|``, the
+    largest entry of the target's row.  One large row sets only its own bound.
+    """
+    if not np.isfinite(rows).all():
+        return float("nan")
+    if gram:
+        n = rows.shape[1] // 2
+        products = rows[:, :n] @ rows[:, n:].T  # rows J rows^T = P X^T - X P^T
+        size = np.abs(rows).max(axis=1)
+        defect = products - products.T - target
+        scale = np.maximum(np.outer(size, size), 1.0)
+    else:
+        defect = rows - target
+        scale = 1.0 + np.abs(target).max(axis=1, keepdims=True)
+    return float((np.abs(defect) / scale).max())
 
 
 def _defect(m: np.ndarray) -> float:
-    """Infinity norm of ``M^T J M - J``; NaN if ``m`` has a non-finite entry."""
-    j = symplectic_form(_check_square_even(m))
-    return float(np.max(np.abs(m.T @ j @ m - j)))
+    """`scaled_defect` of ``M^T J M - J``: entry (i, j) against columns i and j of ``m``."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise DimensionMismatchError(f"expected a square matrix of even dimension, got shape {m.shape}")
+    return scaled_defect(m.T, symplectic_form(m.shape[0] // 2))
 
 
 def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ``M^T J M - J`` has infinity norm at most ``tol``."""
+    """True iff each entry of ``M^T J M - J`` is within ``tol`` on its columns' scale (see `scaled_defect`)."""
     return _defect(np.asarray(m, dtype=float)) <= tol
 
 
 def require_symplectic(m, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    """Validate symplecticity, returning the matrix as a float array."""
+    """Validate symplecticity as `is_symplectic` does, returning the matrix as a float array."""
     m = np.asarray(m, dtype=float)
     defect = _defect(m)
     if not defect <= tol:  # a non-finite entry gives a NaN defect
-        raise NotSymplecticError(f"{what} violates the symplectic condition (defect {defect:.3e} > tol {tol:.3e})")
+        raise NotSymplecticError(f"{what} violates the symplectic condition (scaled defect {defect:.3e} > tol {tol:.3e})")
     return m
 
 

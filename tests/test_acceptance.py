@@ -48,7 +48,8 @@ def test_criterion_1_reference_decomposition():
     rows = reference.raw_parity_rows()
     dec, elapsed = best_time(lambda: symplectic_gram_schmidt(rows))
     n, k, l, c = code_parameters(dec)
-    gram = float(np.max(np.abs(dec.gram() - dec.canonical_gram())))
+    vecs = dec.vectors()
+    gram = float(np.max(np.abs(vecs @ symplectic_form(n) @ vecs.T - dec.canonical_gram())))
     ok = (c, l, k) == (2, 0, 2) and gram <= 1e-9 and elapsed < 1e-3
     announce(1, "example decomposition", ok, f"(c,l,k)=({c},{l},{k}), gram defect {gram:.2e}, {elapsed * 1e6:.0f} us")
 

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from cvqec import cli, codes, compiler, reference, simulator
 from cvqec.cli import build_parser, main
@@ -120,6 +122,15 @@ def test_compile_and_verify(tmp_path, code_file, capsys):
     bad_path = tmp_path / "tampered.json"
     bad_path.write_text(json.dumps(tampered))
     assert main(["verify", str(bad_path), code_file]) == 6
+
+    # A 1e-3 shear on a data mode of the ill-conditioned code: its rows of
+    # size 1 are checked on their own scale, not on that of the 1e6 pair.
+    ill_code, ill_circuit = str(tmp_path / "ill-code.json"), str(tmp_path / "ill-circuit.json")
+    assert main(["build", ILL_CONDITIONED_ROWS, "--output", ill_code]) == 0
+    assert main(["compile", ill_code, "--output", ill_circuit]) == 0
+    assert main(["verify", ill_circuit, ill_code]) == 0
+    bad_path.write_text(json.dumps(read(ill_circuit) + [{"gate": "PHASE_X", "modes": [3], "param": 1e-3}]))
+    assert main(["verify", str(bad_path), ill_code]) == 6
 
 
 def test_compile_canonical_code_empty(tmp_path, capsys):
@@ -335,6 +346,9 @@ def chain_outputs(tmp_path, code_path, tag):
 
 
 SCALED_ROWS = os.path.join(os.path.dirname(__file__), "data", "scaled-rows.json")
+# Rows e_1 and e_2 + 1e-6 e_7 on n = 6 modes: the pair's partner is rescaled
+# to entries of 1e6, while the other basis rows keep entries of order 1.
+ILL_CONDITIONED_ROWS = os.path.join(os.path.dirname(__file__), "data", "ill-conditioned-rows.json")
 
 
 def _scaled_random_rows(seed):
@@ -433,6 +447,20 @@ def _dropped_row_out_of_range(payload):
     payload["dropped_rows"].append(len(payload["input_rows"]))
 
 
+def _shift_basis_entry(row, column, delta):
+    def tamper(payload):
+        payload["basis"][row][column] += delta
+
+    return tamper
+
+
+def _independent_row_dropped(payload):
+    # A copy of input row 0 is appended and row 1 named as dropped: the
+    # rows left number m but span only m - 1 dimensions.
+    payload["input_rows"].append(payload["input_rows"][0])
+    payload["dropped_rows"] = [1]
+
+
 @pytest.mark.parametrize(
     "matrix, tamper",
     [
@@ -445,6 +473,10 @@ def _dropped_row_out_of_range(payload):
         (None, _foreign_input_rows),
         (None, _foreign_dropped_row),
         (None, _dropped_row_out_of_range),
+        # Data rows of the (6, 5, 0, 1) code, whose largest basis entry is 1e6.
+        (ILL_CONDITIONED_ROWS, _shift_basis_entry(5, 5, 0.5)),
+        (ILL_CONDITIONED_ROWS, _shift_basis_entry(2, 3, 1e-3)),
+        (None, _independent_row_dropped),
     ],
     ids=[
         "params-sum-off",
@@ -455,6 +487,9 @@ def _dropped_row_out_of_range(payload):
         "foreign-input-rows",
         "foreign-dropped-row",
         "dropped-row-out-of-range",
+        "basis-data-entry-0.5",
+        "basis-data-entry-1e-3",
+        "dropped-row-independent",
     ],
 )
 def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, matrix, tamper):
@@ -474,6 +509,51 @@ def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, matrix, tam
     assert main(["verify", circuit, bad]) == 4
     assert main(["simulate", str(cfg)]) == 4
     assert main(["syndrome", bad, "--mode", "1", "--p", "1"]) == 4
+
+
+def _within_scaled_gram_bound(basis, tol):
+    """Each entry of B J B^T - J within tol * max(1, |b_i| |b_j|), the largest entries of rows i and j."""
+    n = len(basis) // 2
+    form = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    size = np.max(np.abs(basis), axis=1)
+    return bool(np.all(np.abs(basis @ form @ basis.T - form) <= tol * np.maximum(1.0, np.outer(size, size))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(-12.0, 0.0))
+# Loads and compiles, but the elimination amplifies the 6e-10 Gram defect
+# into a 1.2e-7 deviation, so verify exits 6, as it does under the old bound.
+@example(n=2, seed=4838662, log_scale=0.0, log_delta=-9.0)
+def test_a_tampered_basis_entry_is_refused_or_within_the_scaled_bound(tmp_path_factory, n, seed, log_scale, log_delta):
+    # A build drawn as in test_codes.py's round trip; then one basis entry
+    # moves by 10^log_delta times the largest entry of its row, and pairs and
+    # isotropic are rewritten to match, so only the basis checks can refuse it.
+    rng = np.random.default_rng(seed)
+    rows = 10.0**log_scale * rng.normal(size=(int(rng.integers(1, n + 1)), 2 * n))
+    dropped = [rng.normal(size=len(rows)) @ rows, 1e-11 * rng.normal(size=2 * n), np.zeros(2 * n)]
+    rows = np.vstack([rows] + dropped[: int(rng.integers(0, 4))])
+    work = tmp_path_factory.mktemp("tamper")
+    matrix, code, bad, circuit = (str(work / f"{name}.json") for name in ("matrix", "code", "bad", "circuit"))
+    save_parity_check(matrix, rows[rng.permutation(len(rows))])
+    if main(["build", matrix, "--output", code]) != 0:
+        reject()  # about one draw in forty at scale 1e-3 (a known build defect)
+    payload = read(code)
+    basis = np.array(payload["basis"])
+    i, j = rng.integers(0, 2 * n, size=2)
+    basis[i, j] += rng.choice([-1.0, 1.0]) * 10.0**log_delta * np.max(np.abs(basis[i]))
+    l, c = payload["params"]["l"], payload["params"]["c"]
+    h = basis[np.r_[: c + l, n : n + c]].tolist()
+    payload.update(basis=basis.tolist(), pairs=[[h[k], h[c + l + k]] for k in range(c)], isotropic=h[c : c + l])
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    exit_code = main(["compile", bad, "--output", circuit])
+    if exit_code == 4:
+        return
+    # Loaded: the basis meets the bound, and the chain succeeds or fails loudly.
+    assert _within_scaled_gram_bound(basis, 1e-9)
+    assert exit_code in (0, 6)
+    if exit_code == 0:
+        assert main(["verify", circuit, bad]) in (0, 6)
 
 
 def _code_with(key, value):
