@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -35,26 +36,44 @@ EXIT_DECODE = 5
 EXIT_CIRCUIT = 6
 
 
+def _round_floats(values) -> list:
+    """Floats rounded to 12 significant digits, in one ``map``."""
+    return list(map(float, map("%.12g".__mod__, values)))
+
+
 def _round12(obj):
     """Round every float in a JSON-ready structure to 12 significant digits.
 
-    A list of floats only (a row from ``tolist()``) is rounded in one
-    ``map``; other containers recurse.
+    A list of floats only (a row from ``tolist()``) is rounded by
+    `_round_floats`, once per list object: a code file's basis rows, which its
+    ``pairs`` and ``isotropic`` hold again, are rounded once and shared.
+    Other containers recurse.
     """
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) == {float}:
-            return list(map(float, map("%.12g".__mod__, obj)))
-        return [_round12(v) for v in obj]
-    return obj
+    rows: dict[int, list] = {}  # id of a row list seen -> its rounded copy
+
+    def walk(obj):
+        if isinstance(obj, float):
+            return float(f"{obj:.12g}")
+        if isinstance(obj, dict):
+            return {k: walk(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            if obj and set(map(type, obj)) == {float}:
+                if id(obj) not in rows:
+                    rows[id(obj)] = _round_floats(obj)
+                return rows[id(obj)]
+            return [walk(v) for v in obj]
+        return obj
+
+    return walk(obj)
 
 
 def _write(payload, output: str | None) -> None:
-    """Write JSON to a file or stdout, through the C encoder (no indent)."""
-    text = json.dumps(payload)
+    """Write JSON to a file or stdout, through the C encoder (no indent).
+
+    Every payload is a tree the CLI builds, so the encoder skips its
+    check for circular references.
+    """
+    text = json.dumps(payload, check_circular=False)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -146,15 +165,19 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _rounded_param(param):
+    """A circuit record's parameter rounded as every float the CLI writes; a run's array entry by entry."""
+    if isinstance(param, np.ndarray):
+        return np.array(_round_floats(param.tolist()))
+    return None if param is None else float(f"{param:.12g}")
+
+
 def cmd_compile(args) -> int:
     code = codes.load_code(args.code_file)
     circuit, report = compiler.decompose(compiler.encoder_quad_action(code), tol=args.tolerance)
-    gates = compiler.circuit_to_dicts(circuit)
-    for entry in gates:
-        if "param" in entry:
-            entry["param"] = float(f"{entry['param']:.12g}")
+    rounded = compiler.Circuit(circuit.n, tuple((kind, modes, _rounded_param(param)) for kind, modes, param in circuit.records))
     # the circuit file is a bare gate array; the report goes to stdout
-    _write(gates, args.output)
+    _write(compiler.circuit_to_dicts(rounded), args.output)
     if args.output:
         _emit(
             {
@@ -238,6 +261,17 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_pass else EXIT_BUILD
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance option's value: a finite number >= 0; anything else is a usage error naming the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by every later call."""
@@ -246,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tolerance=False):
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-9, help="numerical zero threshold")
+            p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="numerical zero threshold")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     p = sub.add_parser("decompose", help="split a parity-check rowspace into pairs and isotropic basis")
@@ -273,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     given.add_argument("--syndrome", help="syndrome as a JSON array")
     given.add_argument("--syndrome-file", help="JSON file holding the syndrome")
     p.add_argument("--min-norm", action="store_true", help="least-norm correction instead of single-mode decode")
-    p.add_argument("--tolerance-decode", type=float, default=decoder.DEFAULT_DECODE_TOL)
+    p.add_argument("--tolerance-decode", type=_tolerance, default=decoder.DEFAULT_DECODE_TOL)
     common(p)
 
     p = sub.add_parser("compile", help="compile a code's encoder into a gate sequence")

@@ -272,20 +272,24 @@ def save_parity_check(path, rows) -> None:
 CODE_FORMAT = 2
 
 
-def _copied_rows(code: CodeSpec) -> tuple[list, list]:
-    """The check rows as a code file also writes them: ``pairs`` and ``isotropic``."""
-    _, _, l, c = code.params
-    h = code.h.tolist()
+def _copied_rows(h: list, l: int, c: int) -> tuple[list, list]:
+    """The check rows ``h`` (as lists) as a code file also writes them: ``pairs`` and ``isotropic``."""
     return [[u, v] for u, v in zip(h[:c], h[c + l :])], h[c : c + l]
 
 
 def code_to_dict(code: CodeSpec) -> dict:
-    """File form of a code: its stored facts, and its check rows again as ``pairs`` and ``isotropic``."""
-    pairs, isotropic = _copied_rows(code)
+    """File form of a code: its stored facts, and its check rows again as ``pairs`` and ``isotropic``.
+
+    ``pairs`` and ``isotropic`` hold the very row lists of ``basis`` that
+    they copy, so a writer can treat each row once.
+    """
+    n, _, l, c = code.params
+    basis = code.basis.tolist()
+    pairs, isotropic = _copied_rows([basis[i] for i in check_rows(n, l, c)[0].tolist()], l, c)
     return {
         "format": CODE_FORMAT,
         "params": code.params._asdict(),
-        "basis": code.basis.tolist(),
+        "basis": basis,
         "pairs": pairs,
         "isotropic": isotropic,
         "dropped_rows": list(code.dropped_rows),
@@ -310,7 +314,7 @@ def code_from_dict(payload: dict) -> CodeSpec:
         input_rows=read_key(payload, "input_rows", lambda rows: np.atleast_2d(np.asarray(rows, dtype=float))),
     )
     verify_code(code)
-    if (read_key(payload, "pairs", list), read_key(payload, "isotropic", list)) != _copied_rows(code):
+    if (read_key(payload, "pairs", list), read_key(payload, "isotropic", list)) != _copied_rows(code.h.tolist(), code.params.l, code.params.c):
         raise BuildVerificationError("pairs and isotropic differ from the basis rows they copy")
     return code
 

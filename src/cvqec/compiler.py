@@ -1,23 +1,28 @@
 """Linear-optics gate set and compilation of symplectic quadrature actions.
 
-Gates are stored as (kind, modes, param) records; each kind has an exact
-quadrature action in (x | p) ordering.  `decompose` reduces an arbitrary
-symplectic quadrature action to the identity by a pivoted elimination
-that clears one position column and one momentum column per round using
-only gates from the set; the emitted circuit is the inverse sequence in
-reverse order, so its composed action reproduces the input.
+Gates are (kind, modes, param) records; each kind has an exact
+quadrature action in (x | p) ordering.  A circuit holds such records,
+where one record may also be a run of commuting QND gates from one
+control (see `Circuit`).  `decompose` reduces an arbitrary symplectic
+quadrature action to the identity by a pivoted elimination that clears
+one position column and one momentum column per round using only gates
+from the set; the emitted circuit is the inverse sequence in reverse
+order, so its composed action reproduces the input.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .codes import CodeSpec, json_int
+from .codes import CodeSpec
 from .errors import CircuitVerificationError, DimensionMismatchError
 from .symplectic import DEFAULT_TOL, require_symplectic, scaled_defect
 
@@ -106,20 +111,37 @@ def swap(m1: int, m2: int) -> Gate:
     return Gate(SWAP, (m1, m2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """Ordered gate list (first applied first) on n modes."""
+    """Gate sequence on n modes, as records that `apply_gate` takes, first applied first.
+
+    A record is one gate, a (kind, modes, param) tuple such as a `Gate`,
+    or one run of QND gates of one kind from one control,
+    ``(kind, (control, targets), params)``: the targets are distinct modes,
+    a ``range`` where evenly spaced and an integer array otherwise, and
+    ``params`` is a float array, both in the gates' order.  A run's gates
+    commute, so it is applied as one step.  `decompose` and
+    `circuit_from_dicts` build runs and never a `Gate` per gate;
+    hand-built circuits hold `Gate`s.  ``len`` counts gates.  Circuits
+    compare by identity: read gates through `circuit_to_dicts`.
+    """
 
     n: int
-    gates: tuple[Gate, ...] = ()
+    records: tuple = ()
 
     def __post_init__(self):
-        for g in self.gates:
-            if max(g.modes) > self.n:
-                raise DimensionMismatchError(f"gate {g} exceeds mode count {self.n}")
+        for record in self.records:
+            modes = record[1]
+            last = modes[-1]
+            if isinstance(last, np.ndarray):
+                last = last.max()
+            elif isinstance(last, range):
+                last = max(last[0], last[-1])
+            if max(modes[0], last) > self.n:
+                raise DimensionMismatchError(f"gate record {record} exceeds mode count {self.n}")
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return sum(len(param) if isinstance(param, np.ndarray) else 1 for _, _, param in self.records)
 
 
 def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
@@ -180,19 +202,20 @@ def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
             rows[[xi, xj, pi, pj]] = rows[[xj, xi, pj, pi]]
 
 
-def apply_gates(rows: np.ndarray, gates) -> None:
-    """Left-multiply a (2n, K) array by a gate sequence (first gate first), in place.
+def apply_gates(rows: np.ndarray, records) -> None:
+    """Left-multiply a (2n, K) array by a circuit's records (first record first), in place.
 
-    Consecutive QND gates of one kind and one control commute, so each
-    such run goes to `apply_gate` as one record, its targets a ``range``
-    where they are evenly spaced.  A run closes at its first repeated
+    A run record goes to `apply_gate` as it is.  Consecutive single QND
+    gates of one kind and one control commute, so each such run goes to
+    `apply_gate` as one record too, formed as `circuit_from_dicts` forms
+    runs at load (see `_run`).  A run closes at its first repeated
     target, which fancy indexing would drop.
     """
     run_kind = control = None
     run: dict = {}  # the open run's targets and parameters, in order
-    for gate in gates:
-        kind, modes, param = gate
-        if kind == QND_X or kind == QND_P:
+    for record in records:
+        kind, modes, param = record
+        if (kind == QND_X or kind == QND_P) and not isinstance(param, np.ndarray):
             if kind != run_kind or modes[0] != control or modes[1] in run:
                 _apply_run(rows, run_kind, control, run)
                 run_kind, control, run = kind, modes[0], {}
@@ -201,21 +224,32 @@ def apply_gates(rows: np.ndarray, gates) -> None:
             if run:
                 _apply_run(rows, run_kind, control, run)
                 run_kind, run = None, {}
-            apply_gate(rows, gate)
+            apply_gate(rows, record)
     _apply_run(rows, run_kind, control, run)
 
 
 def _apply_run(rows: np.ndarray, kind: str | None, control: int | None, run: dict) -> None:
-    """Apply an open run of `apply_gates` as one record; a run of one gate as that gate."""
-    if len(run) == 1:
-        ((target, param),) = run.items()
-        apply_gate(rows, (kind, (control, target), param))
-    elif run:
-        targets = list(run)
+    """Apply an open run of `apply_gates` as one record."""
+    if run:
+        apply_gate(rows, _run(kind, control, list(run), list(run.values())))
+
+
+def _run(kind: str, control: int, targets: list | range, params) -> tuple:
+    """The record of a run of QND gates from ``control``, in the one form every caller builds.
+
+    A run of one gate is that gate's scalar record.  Otherwise evenly
+    spaced targets become a ``range`` (either direction) and other targets
+    an integer array, and the parameters a new float array.  A composed
+    action depends on this form in its last bits, so building runs here
+    alone keeps a circuit's action the same however it was made.
+    """
+    if len(targets) == 1:
+        return kind, (control, targets[0]), float(params[0])
+    if not isinstance(targets, range):
         step = targets[1] - targets[0]
         spaced = range(targets[0], targets[-1] + step, step)
         targets = spaced if list(spaced) == targets else np.array(targets)
-        apply_gate(rows, (kind, (control, targets), np.array(list(run.values()))))
+    return kind, (control, targets), np.array(params, dtype=float)
 
 
 def gate_action(gate: Gate, n: int) -> np.ndarray:
@@ -242,17 +276,20 @@ def gate_action(gate: Gate, n: int) -> np.ndarray:
 
 
 def circuit_action(circuit: Circuit) -> np.ndarray:
-    """Composed quadrature action, first gate innermost."""
+    """Composed quadrature action, first gate innermost, applied record by record."""
     a = np.eye(2 * circuit.n)
-    apply_gates(a, circuit.gates)
+    apply_gates(a, circuit.records)
     return a
 
 
 _INVERSE_KIND = {FOURIER: FOURIER_INV, FOURIER_INV: FOURIER}
 
 
-def _inverse_record(kind: str, modes: tuple[int, ...], param: float | None) -> tuple:
-    """(kind, modes, param) record of a gate's inverse."""
+def _inverse_record(kind: str, modes: tuple, param) -> tuple:
+    """Record of a record's inverse; a run's is its gates' inverses in reverse order."""
+    if isinstance(param, np.ndarray):
+        targets = modes[1][::-1]
+        return _run(kind, modes[0], targets if isinstance(targets, range) else targets.tolist(), -param[::-1])
     if kind == SQUEEZE:
         return kind, modes, 1.0 / param
     if param is None:
@@ -260,13 +297,9 @@ def _inverse_record(kind: str, modes: tuple[int, ...], param: float | None) -> t
     return kind, modes, -param
 
 
-def invert_gate(gate: Gate) -> Gate:
-    return Gate(*_inverse_record(*gate))
-
-
 def invert_circuit(circuit: Circuit) -> Circuit:
-    """Gate-wise inverses in reverse order; composes to the inverse action."""
-    return Circuit(circuit.n, tuple(invert_gate(g) for g in reversed(circuit.gates)))
+    """Record-wise inverses in reverse order; composes to the inverse action."""
+    return Circuit(circuit.n, tuple(_inverse_record(*record) for record in reversed(circuit.records)))
 
 
 @dataclass(frozen=True)
@@ -282,11 +315,11 @@ class CompilerReport:
 class _Eliminator:
     """Accumulates left-multiplied elimination records against a working matrix.
 
-    Records are bare (kind, modes, param) tuples: the elimination builds
-    only valid gates, and `decompose` turns them into `Gate`s once.  A
-    sweep of more than one gate is one record whose targets are a range
-    or an array and whose parameters are an array, as `apply_gate`
-    takes them.
+    Records are bare (kind, modes, param) tuples, as a `Circuit` holds
+    them: the elimination builds only valid gates.  A sweep of more than
+    one gate is one run record whose targets are a range or an array and
+    whose parameters are an array; `decompose` inverts the records into
+    the circuit without expanding them.
     """
 
     def __init__(self, a: np.ndarray, n: int):
@@ -365,6 +398,14 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     emitted only around a nonempty sweep, so the circuit holds no
     adjacent inverse pair to cancel afterwards.
 
+    The circuit is `invert_circuit` of the elimination's records: each
+    sweep stays one run record, its targets reversed, and no `Gate` is
+    built per gate.  No two runs of one kind and control are adjacent,
+    so these are the runs `circuit_from_dicts` forms when it reads the
+    circuit's file form back, and both give the same composed action.
+    The report counts gates by kind in order of first appearance, and
+    the largest |param|, record by record.
+
     Args:
         a: symplectic (x | p)-ordered quadrature action.
         tol: pivot threshold; `require_symplectic` checks the input within
@@ -400,28 +441,25 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(a)))):  # NaN fails too
         raise CircuitVerificationError(f"elimination failed to reach the identity (residual {residual:.3e})")
 
-    # The circuit is the records' inverses in reverse order; a sweep's
-    # gates are inverted one by one, so its targets come out descending.
-    # Every record has in-range modes, and its parameter is finite and
-    # nonzero while the work matrix stays finite, which the residual check
-    # confirms; so the gates skip the constructor's checks.
-    gates: list[Gate] = []
-    for kind, modes, param in reversed(el.records):
-        if isinstance(param, np.ndarray):
-            control = modes[0]
-            targets = list(modes[1]) if isinstance(modes[1], range) else modes[1].tolist()
-            for t, g in zip(reversed(targets), reversed(param.tolist())):
-                gates.append(tuple.__new__(Gate, (kind, (control, t), -g)))
-        else:
-            gates.append(tuple.__new__(Gate, _inverse_record(kind, modes, param)))
-    circuit = Circuit(n, tuple(gates))
+    # The circuit is the records' inverses in reverse order, as
+    # `invert_circuit` forms them.  Every record has in-range modes, and
+    # its parameter is finite and nonzero while the work matrix stays
+    # finite, which the residual check confirms.
+    circuit = Circuit(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
     counts: dict[str, int] = {}
-    for g in circuit.gates:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
+    max_abs_param = 0.0
+    for kind, _, param in circuit.records:
+        if isinstance(param, np.ndarray):
+            counts[kind] = counts.get(kind, 0) + len(param)
+            max_abs_param = max(max_abs_param, *map(abs, param.tolist()))
+        else:
+            counts[kind] = counts.get(kind, 0) + 1
+            if param is not None:
+                max_abs_param = max(max_abs_param, abs(param))
     report = CompilerReport(
         gate_counts=counts,
         squeezer_count=counts.get(SQUEEZE, 0),
-        max_abs_param=max((abs(g.param) for g in circuit.gates if g.param is not None), default=0.0),
+        max_abs_param=max_abs_param,
         rounds=n,
     )
     return circuit, report
@@ -460,36 +498,160 @@ def verify_circuit(circuit: Circuit, code: CodeSpec) -> float:
 
 
 def circuit_to_dicts(circuit: Circuit) -> list[dict]:
+    """File form of a circuit: one ``{"gate", "modes"[, "param"]}`` dict per gate, a run expanded in its gates' order."""
     out = []
-    for g in circuit.gates:
-        entry: dict = {"gate": g.kind, "modes": list(g.modes)}
-        if g.param is not None:
-            entry["param"] = g.param
-        out.append(entry)
+    for kind, modes, param in circuit.records:
+        if isinstance(param, np.ndarray):
+            control, targets = modes
+            targets = list(targets) if isinstance(targets, range) else targets.tolist()
+            out += [{"gate": kind, "modes": [control, t], "param": g} for t, g in zip(targets, param.tolist())]
+        elif param is None:
+            out.append({"gate": kind, "modes": list(modes)})
+        else:
+            out.append({"gate": kind, "modes": list(modes), "param": param})
     return out
 
 
-def circuit_from_dicts(payload, n: int) -> Circuit:
-    """Circuit from gate records; every gate is validated here.
+_KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+_ARITY = np.array([2 if kind in _TWO_MODE else 1 for kind in GATE_KINDS])
+_HAS_PARAM = np.array([kind not in _PARAMLESS for kind in GATE_KINDS])
 
-    A mode is read by `json_int`, and a parameter must be a JSON number
-    (an int or a float, not a bool or a string).
+
+def _typed(values: list, types: frozenset) -> np.ndarray:
+    """Mask of the values whose exact type is in ``types``, so a bool is not an int."""
+    return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
+
+
+def _keep(values: list, types: frozenset, fill) -> tuple[list, np.ndarray]:
+    """``values`` with each entry of another type replaced by ``fill``, and the mask of the entries kept."""
+    if set(map(type, values)) <= types:
+        return values, np.ones(len(values), bool)
+    kept = _typed(values, types)
+    return [v if ok else fill for v, ok in zip(values, kept.tolist())], kept
+
+
+_STR, _LIST, _NUMBER, _NONE = frozenset((str,)), frozenset((list,)), frozenset((int, float)), frozenset((type(None),))
+_PARAM = _NUMBER | _NONE
+
+
+def _floats(values: list, beyond: float) -> np.ndarray:
+    """JSON numbers or None as doubles: None reads as NaN, and an integer beyond the doubles' range as +-``beyond``."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        huge = [type(v) is int and abs(v) > sys.float_info.max for v in values]
+        return np.array([(beyond if v > 0 else -beyond) if h else v for v, h in zip(values, huge)], dtype=float)
+
+
+def circuit_from_dicts(payload, n: int) -> Circuit:
+    """Circuit from an array of gate records, validated column by column, its QND runs formed once.
+
+    Each record is an object with ``"gate"``, one of `GATE_KINDS`, and
+    ``"modes"``, an array of 1-based modes: two distinct ones for QND_X,
+    QND_P and SWAP, one for the rest.  A mode is an integer, or a float
+    of integral value (`json_int`'s rule).  ``"param"`` is absent or null
+    on FOURIER, FOURIER_INV and SWAP, and on the rest a finite JSON
+    number (an int or a float, not a bool or a string), nonzero for
+    SQUEEZE.  These are the checks of the `Gate` constructor, made on
+    whole columns; no `Gate` is built.  An error names the first
+    offending record.
+
+    Consecutive QND gates of one kind and control then become one run
+    record (see `Circuit`), closed at the first repeated target, with
+    the targets and parameters `apply_gates` would give the same gates.
 
     Raises:
         ValueError: for a malformed or invalid gate record.
-        DimensionMismatchError: for a gate on a mode above n.
+        KeyError: for a record without ``"gate"`` or ``"modes"``.
+        DimensionMismatchError: for a gate on a mode above n, when no
+            record is otherwise invalid.
     """
-    gates = []
-    for entry in payload:
-        try:
-            modes = tuple(map(json_int, entry["modes"]))
-            param = entry.get("param")
-            if param is not None and type(param) not in (int, float):
-                raise TypeError(f"param must be a JSON number, got {param!r}")
-            gates.append(Gate(entry["gate"], modes, None if param is None else float(param)))
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed gate record {entry!r}: {exc}") from exc
-    return Circuit(n=n, gates=tuple(gates))
+    if type(payload) is not list:
+        raise ValueError(f"a circuit is an array of gate records, not {type(payload).__name__}")
+    count = len(payload)
+    try:
+        kinds = list(map(itemgetter("gate"), payload))
+        modes = list(map(itemgetter("modes"), payload))
+        params = list(map(dict.get, payload, repeat("param")))
+    except TypeError:
+        index = next(i for i, entry in enumerate(payload) if type(entry) is not dict)
+        raise ValueError(f"gate record {index} {payload[index]!r} is not an object") from None
+
+    kind = np.fromiter(map(_KIND_CODE.get, _keep(kinds, _STR, "")[0], repeat(-1)), np.intp, count)
+    known = kind >= 0
+    arity, has_param = _ARITY[kind], _HAS_PARAM[kind]  # an unknown kind (-1) reads the last kind's
+
+    modes, is_list = _keep(modes, _LIST, [])
+    lengths = np.fromiter(map(len, modes), np.intp, count)
+    owner = np.repeat(np.arange(count), lengths)  # the record of each mode
+    flat, _ = _keep(list(chain.from_iterable(modes)), _NUMBER, None)
+    values = _floats(flat, sys.float_info.max)  # a huge integer mode is above any n
+    start = np.cumsum(lengths) - lengths
+    # A record's first two modes; where it has fewer, the read is of the
+    # next record or of the padding, and the record fails its arity check.
+    padded = np.append(values, (1.0, 1.0))
+    first, second = padded[start], padded[start + 1]
+    bad_mode = np.zeros(count, bool)  # the records with a mode that is not an integer from 1
+    bad_mode[owner[~((values >= 1) & (values == np.trunc(values)) & (values < np.inf))]] = True
+
+    params, is_number = _keep(params, _PARAM, None)
+    values_p = _floats(params, math.inf)  # a huge integer parameter is not finite
+    is_none = np.isnan(values_p)  # None reads as NaN; a JSON NaN must not pass for it
+    if np.count_nonzero(is_none) != params.count(None):
+        is_none = _typed(params, _NONE)
+    problems = (
+        (~known, "unknown gate kind"),
+        (~is_list, "modes must be an array"),
+        (bad_mode, "modes must be integers from 1"),
+        (known & (lengths != arity), "wrong number of modes"),
+        ((lengths == 2) & (first == second), "the two modes must differ"),
+        (~is_number, "param must be a JSON number"),
+        (~has_param & ~is_none, "this kind takes no parameter"),
+        (has_param & ~np.isfinite(values_p), "this kind needs a finite parameter"),
+        ((kind == _KIND_CODE[SQUEEZE]) & (values_p == 0.0), "squeeze factor must be nonzero"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in problems])
+    if bad.any():
+        index = int(bad.argmax())
+        reason = next(reason for mask, reason in problems if mask[index])
+        raise ValueError(f"invalid gate record {index} {payload[index]!r}: {reason}")
+    above = values > n
+    if above.any():
+        index = int(owner[above.argmax()])
+        raise DimensionMismatchError(f"gate record {index} {payload[index]!r} exceeds mode count {n}")
+
+    # Consecutive QND gates of one kind and control make a segment, which
+    # is one run record unless a target repeats in it; any other gate is a
+    # segment of its own.
+    control, target = first.astype(np.intp), second.astype(np.intp)
+    qnd = (kind == _KIND_CODE[QND_X]) | (kind == _KIND_CODE[QND_P])
+    starts = np.ones(count, bool)
+    starts[1:] = ~(qnd[1:] & (kind[1:] == kind[:-1]) & (control[1:] == control[:-1]))
+    bounds = np.flatnonzero(starts).tolist() + [count]
+    kind_l, control_l, target_l, param_l = kind.tolist(), control.tolist(), target.tolist(), values_p.tolist()
+    two_mode, has_param_l = (lengths == 2).tolist(), has_param.tolist()
+    records = []
+    for s, e in zip(bounds, bounds[1:]):
+        name = GATE_KINDS[kind_l[s]]
+        if e - s > 1:
+            records += [_run(name, control_l[s], target_l[a:b], param_l[a:b]) for a, b in _split_at_repeats(target_l, s, e)]
+        else:
+            gate_modes = (control_l[s], target_l[s]) if two_mode[s] else (control_l[s],)
+            records.append((name, gate_modes, param_l[s] if has_param_l[s] else None))
+    return Circuit(n, tuple(records))
+
+
+def _split_at_repeats(targets: list, s: int, e: int) -> list[tuple[int, int]]:
+    """Spans of the runs in ``targets[s:e]``: a run closes before its first repeated target."""
+    if len(set(targets[s:e])) == e - s:
+        return [(s, e)]
+    spans, seen = [], set()
+    for i in range(s, e):
+        if targets[i] in seen:
+            spans.append((s, i))
+            s, seen = i, set()
+        seen.add(targets[i])
+    return spans + [(s, e)]
 
 
 def load_circuit(path, n: int) -> Circuit:

@@ -175,7 +175,7 @@ def code_parameters(dec: SymplecticDecomposition) -> tuple[int, int, int, int]:
 
 def check_rows(n: int, l: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis-row indices of a code's checks, in syndrome order, and of its data quadratures."""
-    return np.r_[: c + l, n : n + c], np.r_[c + l : n, n + c + l : 2 * n]
+    return np.concatenate((np.arange(c + l), np.arange(n, n + c))), np.concatenate((np.arange(c + l, n), np.arange(n + c + l, 2 * n)))
 
 
 def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:

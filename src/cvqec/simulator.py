@@ -120,7 +120,7 @@ def apply_circuit(state: GaussianState, circuit: Circuit) -> GaussianState:
     if circuit.n != state.n:
         raise DimensionMismatchError(f"circuit is on {circuit.n} modes, state has {state.n}")
     work = np.column_stack((state.mean, state.factor))
-    apply_gates(work, circuit.gates)
+    apply_gates(work, circuit.records)
     return GaussianState(n=state.n, mean=work[:, 0].copy(), factor=work[:, 1:])
 
 
@@ -219,7 +219,7 @@ def phase_gate_protocol(
     anc = n + 1
     st = apply_circuit(
         st,
-        Circuit(n=anc, gates=(qnd_x(mode, anc, g1), fourier(anc), qnd_p(anc, mode, g2))),
+        Circuit(n=anc, records=(qnd_x(mode, anc, g1), fourier(anc), qnd_p(anc, mode, g2))),
     )
     rec = homodyne(st, anc, "x", rng)
     st = rec.posterior
@@ -238,7 +238,7 @@ def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:
     """
     t = math.tan(math.pi / 8.0)
     s = math.sin(math.pi / 4.0)
-    return Circuit(n=n, gates=(qnd_p(m1, m2, t), qnd_x(m1, m2, s), qnd_p(m1, m2, t)))
+    return Circuit(n=n, records=(qnd_p(m1, m2, t), qnd_x(m1, m2, s), qnd_p(m1, m2, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def random_gates(n, count, rng):
             lambda: swap(m1, m2),
         ]
         gates.append(builders[kind]())
-    return Circuit(n=n, gates=tuple(gates))
+    return Circuit(n=n, records=tuple(gates))
 
 
 def random_symplectic_from_gates(n, rng, count=50):

@@ -309,6 +309,8 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
         ({"gate": "SWAP", "modes": [True, 2]}, 2),
         ({"gate": "PHASE_X", "modes": [1], "param": "0.75"}, 2),
         ({"gate": "PHASE_X", "modes": [1], "param": True}, 2),
+        ({"gate": "PHASE_X", "modes": [1], "param": 10**400}, 2),
+        ({"gate": "SWAP", "modes": [1, 10**400]}, 3),
     ],
     ids=[
         "unknown-kind",
@@ -322,12 +324,23 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
         "mode-bool",
         "param-string",
         "param-bool",
+        "param-beyond-doubles",
+        "mode-beyond-doubles",
     ],
 )
 def test_verify_rejects_malformed_circuit_files(tmp_path, code_file, gate, exit_code):
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps([{"gate": "FOURIER", "modes": [1]}, gate]))
     assert main(["verify", str(path), code_file]) == exit_code
+
+
+@pytest.mark.parametrize("payload", [5, None, "FOURIER", {"gate": "FOURIER", "modes": [1]}, [{"gate": "FOURIER", "modes": [1]}, [1, 2]]])
+def test_verify_rejects_a_circuit_file_that_is_no_array_of_objects(tmp_path, code_file, capsys, payload):
+    # A number or null crashed with a TypeError traceback; each exits 2 now.
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path), code_file]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def chain_outputs(tmp_path, code_path, tag):
@@ -389,6 +402,34 @@ def test_tolerance_is_an_option_only_where_it_is_read(code_file):
     for argv in (["syndrome", code_file], ["decode", code_file], ["verify", "c.json", code_file], ["simulate", "cfg.json"], ["selftest"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--tolerance", "1e-8"])
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["decode", "CODE", "--syndrome", "[0, 1, 1, 0]", "--tolerance-decode", "nan"], "--tolerance-decode"),
+        (["decode", "CODE", "--syndrome", "[0, 1, 1, 0]", "--tolerance-decode", "inf"], "--tolerance-decode"),
+        (["decode", "CODE", "--syndrome", "[0, 1, 1, 0]", "--tolerance-decode", "-0.5"], "--tolerance-decode"),
+        (["decompose", "MATRIX", "--tolerance", "nan"], "--tolerance"),
+        (["build", "MATRIX", "--tolerance", "inf"], "--tolerance"),
+        (["compile", "CODE", "--tolerance", "-1"], "--tolerance"),
+        (["compile", "CODE", "--tolerance", "nan"], "--tolerance"),
+        (["compile", "CODE", "--tolerance", "1e400"], "--tolerance"),
+    ],
+    ids=["decode-nan", "decode-inf", "decode-negative", "decompose-nan", "build-inf", "compile-negative", "compile-nan", "compile-overflow"],
+)
+def test_a_tolerance_must_be_a_finite_number_at_least_zero(reference_matrix, code_file, capsys, argv, option):
+    # Each of these ran at the parent: exit 0 with a wrong result, or 3, 5 or 6.
+    with pytest.raises(SystemExit) as exc:
+        main([{"CODE": code_file, "MATRIX": reference_matrix}.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cvqec") and f"argument {option}: must be a finite number >= 0" in err
+
+
+def test_a_zero_tolerance_is_allowed(reference_matrix, code_file):
+    assert main(["decompose", reference_matrix, "--tolerance", "0"]) == 0
+    assert main(["decode", code_file, "--syndrome", "[0, 0, 0, 0]", "--tolerance-decode", "0"]) == 0
 
 
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference-code-v1.json")

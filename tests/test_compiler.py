@@ -1,10 +1,15 @@
+import json
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
-from cvqec.codes import build_code, canonical_parity_check
+from cvqec.codes import build_code, canonical_parity_check, json_int
 from cvqec.compiler import (
     FOURIER,
     FOURIER_INV,
@@ -18,6 +23,7 @@ from cvqec.compiler import (
     Circuit,
     Gate,
     apply_gate,
+    apply_gates,
     circuit_action,
     circuit_from_dicts,
     circuit_to_dicts,
@@ -82,7 +88,7 @@ def test_gate_validation():
 
 def test_circuit_action_empty_and_fourier_period():
     assert np.array_equal(circuit_action(Circuit(n=3)), np.eye(6))
-    c = Circuit(n=1, gates=(fourier(1),) * 4)
+    c = Circuit(n=1, records=(fourier(1),) * 4)
     assert np.allclose(circuit_action(c), np.eye(2), atol=1e-15)
 
 
@@ -90,18 +96,18 @@ def test_invert_circuit_involution_and_action(rng):
     c = random_gates(3, 20, rng)
     back = invert_circuit(invert_circuit(c))
     # structurally identical; squeeze factors only up to double rounding of 1/(1/a)
-    assert [(g.kind, g.modes) for g in back.gates] == [(g.kind, g.modes) for g in c.gates]
-    for got, want in zip(back.gates, c.gates):
+    assert [(kind, modes) for kind, modes, _ in back.records] == [(g.kind, g.modes) for g in c.records]
+    for (_, _, got), want in zip(back.records, c.records):
         if want.param is not None:
-            assert got.param == pytest.approx(want.param, rel=1e-15)
+            assert got == pytest.approx(want.param, rel=1e-15)
     prod = circuit_action(invert_circuit(c)) @ circuit_action(c)
     assert np.max(np.abs(prod - np.eye(6))) <= 1e-10 * (1 + np.max(np.abs(circuit_action(c))))
 
 
 def test_invert_circuit_gate_by_gate():
-    c = Circuit(n=1, gates=(squeeze(1, 2.0), fourier(1)))
+    c = Circuit(n=1, records=(squeeze(1, 2.0), fourier(1)))
     inv = invert_circuit(c)
-    assert inv.gates == (fourier_inv(1), squeeze(1, 0.5))
+    assert inv.records == (fourier_inv(1), squeeze(1, 0.5))
 
 
 def test_decompose_identity_is_empty():
@@ -131,7 +137,7 @@ def test_decompose_random_gate_products(rng):
         bound = 1e-8 * (1.0 + np.max(np.abs(a)))
         assert np.max(np.abs(circuit_action(circuit) - a)) <= bound
         assert sum(report.gate_counts.values()) <= 8 * n * n + 8 * n
-        assert all(g.kind in GATE_KINDS for g in circuit.gates)
+        assert all(g["gate"] in GATE_KINDS for g in circuit_to_dicts(circuit))
 
 
 def test_decompose_hamiltonian_exponentials(rng):
@@ -147,7 +153,7 @@ def test_decompose_needs_fourier_fallback():
     a = gate_action(fourier(1), 1)
     circuit, _ = decompose(a)
     assert np.max(np.abs(circuit_action(circuit) - a)) <= 1e-12
-    a2 = circuit_action(Circuit(n=2, gates=(fourier(1), fourier(2), qnd_x(1, 2, 1.3))))
+    a2 = circuit_action(Circuit(n=2, records=(fourier(1), fourier(2), qnd_x(1, 2, 1.3))))
     circuit2, _ = decompose(a2)
     assert np.max(np.abs(circuit_action(circuit2) - a2)) <= 1e-10
 
@@ -178,7 +184,7 @@ def test_circuit_json_roundtrip(rng):
     for entry in payload:
         assert set(entry) <= {"gate", "modes", "param"}
     clone = circuit_from_dicts(payload, 3)
-    assert clone == c
+    assert circuit_to_dicts(clone) == payload
 
 
 def dense_from_table(gate, n):
@@ -255,7 +261,7 @@ def test_verify_circuit_returns_deviation_and_raises():
     target = encoder_quad_action(code)
     circuit, _ = decompose(target)
     assert 0.0 <= verify_circuit(circuit, code) <= 1e-8 * (1.0 + np.max(np.abs(target)))
-    broken = Circuit(code.n, circuit.gates[:-1])
+    broken = Circuit(code.n, circuit.records[:-1])
     with pytest.raises(CircuitVerificationError):
         verify_circuit(broken, code)
 
@@ -271,11 +277,10 @@ def test_decompose_emits_gates_that_revalidate(n, seed, from_gates):
     else:
         a = random_symplectic_from_hamiltonian(n, rng)
     circuit, _ = decompose(a)
-    for g in circuit.gates:
-        assert type(g) is Gate
-        assert Gate(g.kind, g.modes, g.param) == g
-        assert max(g.modes) <= n
-        assert g.param is None or type(g.param) is float
+    for g in circuit_to_dicts(circuit):
+        assert Gate(g["gate"], tuple(g["modes"]), g.get("param"))
+        assert all(type(m) is int for m in g["modes"]) and max(g["modes"]) <= n
+        assert type(g.get("param", 0.0)) is float
 
 
 @st.composite
@@ -349,7 +354,7 @@ def circuits_with_qnd_runs(draw):
 def test_run_grouped_composition_matches_gate_by_gate_fold(circuit):
     want = np.eye(2 * circuit.n)
     scale = 1.0
-    for g in circuit.gates:
+    for g in circuit.records:
         apply_gate(want, g)
         scale = max(scale, float(np.max(np.abs(want))))
     got = circuit_action(circuit)
@@ -401,6 +406,134 @@ REFERENCE_ENCODER_GATES = [
 
 def test_reference_encoder_compiles_to_the_pinned_gates():
     circuit, _ = decompose(encoder_quad_action(build_code(reference.raw_parity_rows())))
-    assert [(g.kind, g.modes) for g in circuit.gates] == [(kind, modes) for kind, modes, _ in REFERENCE_ENCODER_GATES]
-    for g, (_, _, param) in zip(circuit.gates, REFERENCE_ENCODER_GATES):
-        assert g.param == (None if param is None else pytest.approx(param, rel=1e-12))
+    gates = circuit_to_dicts(circuit)
+    assert [(g["gate"], tuple(g["modes"])) for g in gates] == [(kind, modes) for kind, modes, _ in REFERENCE_ENCODER_GATES]
+    for g, (_, _, param) in zip(gates, REFERENCE_ENCODER_GATES):
+        assert g.get("param") == (None if param is None else pytest.approx(param, rel=1e-12))
+
+
+def gates_from_dicts_one_by_one(payload, n):
+    """Reference loader: one validated `Gate` per record, as circuits were read before runs."""
+    gates = []
+    for entry in payload:
+        try:
+            modes = tuple(map(json_int, entry["modes"]))
+            param = entry.get("param")
+            if param is not None and type(param) not in (int, float):
+                raise TypeError(f"param must be a JSON number, got {param!r}")
+            gates.append(Gate(entry["gate"], modes, None if param is None else float(param)))
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed gate record {entry!r}: {exc}") from exc
+    for g in gates:
+        if max(g.modes) > n:
+            raise DimensionMismatchError(f"gate {g} exceeds mode count {n}")
+    return gates
+
+
+# Ways to spoil one valid record, each to be refused as the `Gate` constructor refuses it.
+SPOILERS = {
+    "unknown-kind": lambda r, n, draw: {**r, "gate": draw(st.sampled_from(["BEAMSPLITTER", "qnd_x", 3, None, ["QND_X"]]))},
+    "arity": lambda r, n, draw: {**r, "modes": r["modes"] + [n] if len(r["modes"]) == 1 else r["modes"][:1]},
+    "mode-zero": lambda r, n, draw: {**r, "modes": [0] + r["modes"][1:]},
+    "mode-above-n": lambda r, n, draw: {**r, "modes": r["modes"][:-1] + [n + draw(st.integers(1, 3))]},
+    "repeated-mode": lambda r, n, draw: {**r, "modes": [r["modes"][0]] * 2},
+    "mode-bool": lambda r, n, draw: {**r, "modes": [True] + r["modes"][1:]},
+    "mode-float": lambda r, n, draw: {**r, "modes": [r["modes"][0] + 0.5] + r["modes"][1:]},
+    "mode-integral-float": lambda r, n, draw: {**r, "modes": [float(r["modes"][0])] + r["modes"][1:]},
+    "mode-string": lambda r, n, draw: {**r, "modes": [str(r["modes"][0])] + r["modes"][1:]},
+    "modes-not-an-array": lambda r, n, draw: {**r, "modes": r["modes"][0]},
+    "param-missing": lambda r, n, draw: {k: v for k, v in r.items() if k != "param"},
+    "param-on-paramless": lambda r, n, draw: {**r, "param": 0.5},
+    "param-bool": lambda r, n, draw: {**r, "param": True},
+    "param-string": lambda r, n, draw: {**r, "param": "0.75"},
+    "param-nan": lambda r, n, draw: {**r, "param": math.nan},
+    "param-inf": lambda r, n, draw: {**r, "param": draw(st.sampled_from([math.inf, -math.inf]))},
+    "param-int": lambda r, n, draw: {**r, "param": 2},
+    "squeeze-zero": lambda r, n, draw: {"gate": SQUEEZE, "modes": r["modes"][:1], "param": 0.0},
+}
+
+
+@st.composite
+def gate_record_lists(draw):
+    """A circuit file's gate list on n modes: QND runs with repeated targets, single gates, and some spoiled records.
+
+    Controls and targets come from few modes, so consecutive QND gates often share
+    their kind and control and runs form; the list goes through JSON text as a file does.
+    """
+    n = draw(st.integers(2, 6))
+    control = draw(st.integers(1, n))
+    param = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    records = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(GATE_KINDS + (QND_X, QND_P) * 3))
+        if kind in (QND_X, QND_P, SWAP):
+            if kind != SWAP and draw(st.integers(0, 3)):
+                first = control
+            else:
+                first = control = draw(st.integers(1, n))
+            modes = [first, draw(st.integers(1, n).filter(lambda t: t != first))]
+        else:
+            modes = [draw(st.integers(1, n))]
+        record = {"gate": kind, "modes": modes}
+        if kind not in (FOURIER, FOURIER_INV, SWAP):
+            record["param"] = draw(param)
+        if draw(st.integers(0, 9)) == 0:
+            record = SPOILERS[draw(st.sampled_from(sorted(SPOILERS)))](record, n, draw)
+        records.append(record)
+    return json.loads(json.dumps(records)), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(gate_record_lists())
+@example(([{"gate": "QND_X", "modes": [1, 2], "param": 0.5}, {"gate": "QND_X", "modes": [1, 5], "param": 0.5}, {"gate": "FOURIER", "modes": [1], "param": 1.0}], 4))
+@example(([{"gate": "SWAP", "modes": [1, 5]}, {"gate": "QND_X", "modes": [2, 2], "param": 0.5}], 4))
+@example(([{"gate": "FOURIER", "modes": [1], "param": math.nan}, {"gate": "SWAP", "modes": [1, 2]}], 2))
+def test_column_wise_loader_accepts_exactly_what_gates_accept(case):
+    payload, n = case
+    try:
+        gates = gates_from_dicts_one_by_one(payload, n)
+    except (ValueError, DimensionMismatchError) as exc:
+        with pytest.raises(type(exc)):
+            circuit_from_dicts(payload, n)
+        return
+    circuit = circuit_from_dicts(payload, n)
+    want = np.eye(2 * n)
+    apply_gates(want, gates)
+    assert np.array_equal(circuit_action(circuit), want)
+    assert len(circuit) == len(gates)
+    assert circuit_to_dicts(circuit) == [{"gate": g.kind, "modes": list(g.modes), **({} if g.param is None else {"param": g.param})} for g in gates]
+
+
+def test_a_file_circuit_composes_to_the_gate_by_gate_action_bit_for_bit(rng):
+    # The runs formed at load are the runs `apply_gates` forms over the single
+    # gates, so the composed action, and `verify`'s deviation, are unchanged.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+    from workloads import random_code_rows
+
+    circuits = [decompose(encoder_quad_action(build_code(random_code_rows(n, 1, n // 4))))[0] for n in (16, 32)]
+    circuits += [random_gates(4, 60, rng) for _ in range(20)]
+    circuits.append(Circuit(5, tuple(qnd_x(1, t, 0.1 * t) for t in (2, 3, 2, 4, 5, 3, 5, 4)) + (swap(1, 2),) + tuple(qnd_p(2, t, -0.2) for t in (5, 4, 3, 1))))
+    for circuit in circuits:
+        payload = circuit_to_dicts(circuit)
+        want = np.eye(2 * circuit.n)
+        apply_gates(want, [Gate(g["gate"], tuple(g["modes"]), g.get("param")) for g in payload])
+        assert np.array_equal(circuit_action(circuit_from_dicts(payload, circuit.n)), want)
+        assert np.array_equal(circuit_action(circuit), want)
+
+
+def test_compiling_and_loading_build_no_gate_per_gate(monkeypatch):
+    code = build_code(np.random.default_rng(3).normal(size=(5, 16)))
+    built = []
+    new = Gate.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__new__", counting_new)
+    circuit, report = decompose(encoder_quad_action(code))
+    loaded = circuit_from_dicts(json.loads(json.dumps(circuit_to_dicts(circuit))), code.n)
+    assert built == []
+    for c in (circuit, loaded):
+        assert not any(isinstance(record, Gate) for record in c.records)
+        assert len(c) == sum(report.gate_counts.values()) > 2 * len(c.records)

@@ -371,7 +371,7 @@ def test_resource_reads_out_as_independent_squeezed_quadratures():
         code = build_code(canonical_parity_check(*params))
         n, _, l, c = code.params
         total = n + c
-        gates = sum((balanced_beamsplitter(j + 1, n + j + 1, total).gates for j in range(c)), ())
+        gates = sum((balanced_beamsplitter(j + 1, n + j + 1, total).records for j in range(c)), ())
         cov = apply_circuit(_resource_state(code, r), Circuit(total, gates)).cov
         off_diagonal = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off_diagonal)) <= 1e-12 * np.max(np.abs(cov)), params

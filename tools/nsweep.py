@@ -12,7 +12,9 @@ sweep that prints has checked every circuit it timed.
 `cvqec.cli.main` runs build, compile, verify and simulate (same error,
 squeezing and trial count) on files in a temporary directory. Its excess
 over the layer times is the fixed cost of each command: parsing its
-arguments and reading and writing its files.
+arguments and reading and writing its files. `load_circuit_s` is the
+largest part of that cost in `verify`: `load_circuit` reading the circuit
+file the chain's compile step wrote, JSON decoding and validation.
 
 Run from the repository root, single-threaded BLAS for stable figures:
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from cvqec import __version__, cli
 from cvqec.codes import build_code, save_parity_check
-from cvqec.compiler import circuit_action, decompose, encoder_quad_action, verify_circuit
+from cvqec.compiler import circuit_action, decompose, encoder_quad_action, load_circuit, verify_circuit
 from cvqec.decoder import single_mode_error
 from cvqec.simulator import run_ec_experiment
 
@@ -89,6 +91,7 @@ def sweep_point(n: int) -> dict:
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
             timed("cli_chain", cli_chain, work)
+            timed("load_circuit", load_circuit, work / "circuit.json", n)
     point = {"n": n, "l": 1, "c": n // 4}
     point.update({key: statistics.median(values) for key, values in times.items()})
     point.update(gates=len(circuit), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
