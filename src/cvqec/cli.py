@@ -3,17 +3,21 @@
 Exit codes are fixed for scripting: 0 success, 2 parse error, 3
 dimension error, 4 build verification failure, 5 decode failure, 6
 circuit verification failure.  JSON output is compact, one line, with
-every float rounded to 12 significant digits; re-parsing an emitted
-decimal recovers a double within one ulp of it.
+every float rounded to 12 significant digits, formatted once and written
+as JSON writes the rounded value; re-parsing it recovers that value.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,72 +40,84 @@ EXIT_DECODE = 5
 EXIT_CIRCUIT = 6
 
 
-def _round_floats(values) -> list:
-    """Floats rounded to 12 significant digits, in one ``map``."""
-    return list(map(float, map("%.12g".__mod__, values)))
+def _floats_text(values) -> str:
+    """JSON text of floats, ``", "``-separated, rounded to 12 significant digits: the CLI's one float rule.
 
-
-def _round12(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits.
-
-    A list of floats only (a row from ``tolist()``) is rounded by
-    `_round_floats`, once per list object: a code file's basis rows, which its
-    ``pairs`` and ``isotropic`` hold again, are rounded once and shared.
-    Other containers recurse.
+    Each value is formatted once, ``%.12g``, all in one call, and the text
+    is byte for byte ``json.dumps(float("%.12g" % v))``: an integral value
+    gets ``.0``, NaN and the infinities take JSON's names, and ``repr`` of
+    the rounded value is written from 1e12 up to 1e16, where ``%g`` and
+    ``repr`` choose different notations, and for a subnormal, which
+    ``repr`` writes in fewer digits.
     """
-    rows: dict[int, list] = {}  # id of a row list seen -> its rounded copy
-
-    def walk(obj):
-        if isinstance(obj, float):
-            return float(f"{obj:.12g}")
-        if isinstance(obj, dict):
-            return {k: walk(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            if obj and set(map(type, obj)) == {float}:
-                if id(obj) not in rows:
-                    rows[id(obj)] = _round_floats(obj)
-                return rows[id(obj)]
-            return [walk(v) for v in obj]
-        return obj
-
-    return walk(obj)
+    text = ("%.12g, " * len(values))[:-2] % tuple(values)
+    if text.count(".") == len(values) and "e+1" not in text and "e-3" not in text:
+        return text  # every field has a point, so none is integral, and no exponent needs a look
+    return ", ".join([field if "." in field and "e" not in field else _fix_float(field) for field in text.split(", ")])
 
 
-def _write(payload, output: str | None) -> None:
-    """Write JSON to a file or stdout, through the C encoder (no indent).
+def _fix_float(text: str) -> str:
+    """One ``%.12g`` field of `_floats_text` as JSON writes its value."""
+    if "." in text or "e" in text:
+        return repr(float(text)) if "e+1" in text or "e-3" in text else text
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text) or text + ".0"
 
-    Every payload is a tree the CLI builds, so the encoder skips its
-    check for circular references.
+
+def _json_text(obj, rows: dict) -> str:
+    """JSON text of a payload, compact as ``json.dumps`` writes it, every float through `_floats_text`.
+
+    A list of floats only (a row from ``tolist()``) is formatted once per list object, ``rows`` mapping
+    its id to its text: a code file's ``pairs`` and ``isotropic`` hold its basis rows again.
     """
-    text = json.dumps(payload, check_circular=False)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if isinstance(obj, float):
+        return _floats_text((obj,))
+    if isinstance(obj, dict):
+        return "{" + ", ".join([encode_basestring_ascii(key) + ": " + _json_text(value, rows) for key, value in obj.items()]) + "}"
+    if not isinstance(obj, (list, tuple)):  # an int, a string, a bool or null
+        return repr(obj) if type(obj) is int else {True: "true", False: "false", None: "null"}.get(obj) or encode_basestring_ascii(obj)
+    if obj and set(map(type, obj)) == {float}:
+        return rows.get(id(obj)) or rows.setdefault(id(obj), "[" + _floats_text(obj) + "]")
+    return "[" + ", ".join([_json_text(value, rows) for value in obj]) + "]"
+
+
+def _circuit_text(circuit: compiler.Circuit) -> str:
+    """A circuit file's text, ``json.dumps`` of the rounded `circuit_to_dicts`, written from the records.
+
+    A run is one template, its gate's text once per gate, filled in one
+    call from its targets and its formatted parameters.
+    """
+    parts = []
+    for kind, modes, param in circuit.records:
+        if isinstance(param, np.ndarray):
+            control, targets = modes
+            gate = '{"gate": "%s", "modes": [%d, %%d], "param": %%s}' % (kind, control)
+            values = zip(targets if isinstance(targets, range) else targets.tolist(), _floats_text(param.tolist()).split(", "))
+            parts.append(", ".join([gate] * len(param)) % tuple(chain.from_iterable(values)))
+        else:
+            tail = "" if param is None else ', "param": ' + _floats_text((param,))
+            parts.append('{"gate": "%s", "modes": [%s]%s}' % (kind, ", ".join(map(str, modes)), tail))
+    return "[" + ", ".join(parts) + "]"
+
+
+def _write(text: str, output: str | None) -> None:
+    """Write one line of JSON text to a file or stdout."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text + "\n")
 
 
 def _emit(payload, output: str | None) -> None:
-    _write(_round12(payload), output)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    _write(_json_text(payload, {}), output)
 
 
 def cmd_decompose(args) -> int:
     rows = codes.load_parity_check(args.matrix_file)
     dec = symplectic_gram_schmidt(rows, tol=args.tolerance)
-    n, k, l, c = code_parameters(dec)
-    payload = {
-        "n": n,
-        "k": k,
-        "l": l,
-        "c": c,
-        "pairs": [[u.tolist(), v.tolist()] for u, v in dec.pairs],
-        "isotropic": [w.tolist() for w in dec.isotropic],
-        "dropped_rows": list(dec.dropped_rows),
-    }
+    payload = dict(
+        zip("nklc", code_parameters(dec)),
+        pairs=[[u.tolist(), v.tolist()] for u, v in dec.pairs],
+        isotropic=[w.tolist() for w in dec.isotropic],
+        dropped_rows=list(dec.dropped_rows),
+    )
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -158,36 +174,19 @@ def cmd_decode(args) -> int:
         "residual": corr.residual,
     }
     if corr.mode_hypothesis is not None:
-        n = code.n
         payload["p"] = float(corr.u_prime[corr.mode_hypothesis - 1])
-        payload["x"] = float(corr.u_prime[n + corr.mode_hypothesis - 1])
+        payload["x"] = float(corr.u_prime[code.n + corr.mode_hypothesis - 1])
     _emit(payload, args.output)
     return EXIT_OK
-
-
-def _rounded_param(param):
-    """A circuit record's parameter rounded as every float the CLI writes; a run's array entry by entry."""
-    if isinstance(param, np.ndarray):
-        return np.array(_round_floats(param.tolist()))
-    return None if param is None else float(f"{param:.12g}")
 
 
 def cmd_compile(args) -> int:
     code = codes.load_code(args.code_file)
     circuit, report = compiler.decompose(compiler.encoder_quad_action(code), tol=args.tolerance)
-    rounded = compiler.Circuit(circuit.n, tuple((kind, modes, _rounded_param(param)) for kind, modes, param in circuit.records))
     # the circuit file is a bare gate array; the report goes to stdout
-    _write(compiler.circuit_to_dicts(rounded), args.output)
+    _write(_circuit_text(circuit), args.output)
     if args.output:
-        _emit(
-            {
-                "gate_counts": report.gate_counts,
-                "squeezer_count": report.squeezer_count,
-                "max_abs_param": report.max_abs_param,
-                "rounds": report.rounds,
-            },
-            None,
-        )
+        _emit(dataclasses.asdict(report), None)
     return EXIT_OK
 
 
@@ -229,7 +228,7 @@ def cmd_selftest(args) -> int:
 
     code = reference.build_example_code()
     defect = float(np.max(np.abs(code.h @ code.upsilon.T - code.f)))
-    record("encoding-map", defect <= 1e-8, f"max |H Y^T - F| = {_fmt(defect)}")
+    record("encoding-map", defect <= 1e-8, f"max |H Y^T - F| = {_floats_text((defect,))}")
 
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -239,12 +238,12 @@ def cmd_selftest(args) -> int:
             got = decoder.syndrome(code, decoder.single_mode_error(4, mode, p, x))
             want = reference.syndrome_closed_form(mode, p, x)
             worst = max(worst, float(np.max(np.abs(got - want))))
-    record("syndrome-table", worst <= 1e-9, f"max deviation = {_fmt(worst)}")
+    record("syndrome-table", worst <= 1e-9, f"max deviation = {_floats_text((worst,))}")
 
     circuit, _ = compiler.decompose(compiler.encoder_quad_action(code))
     try:
         dev = compiler.verify_circuit(circuit, code)
-        record("compiler-round-trip", True, f"max deviation = {_fmt(dev)}")
+        record("compiler-round-trip", True, f"max deviation = {_floats_text((dev,))}")
     except CircuitVerificationError as exc:
         record("compiler-round-trip", False, str(exc))
 

@@ -140,6 +140,13 @@ class Circuit:
             if max(modes[0], last) > self.n:
                 raise DimensionMismatchError(f"gate record {record} exceeds mode count {self.n}")
 
+    @classmethod
+    def _of(cls, n: int, records: tuple) -> Circuit:
+        """A circuit without the mode check, for `decompose` and the loader, whose records are known to be on modes 1..n."""
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(n=n, records=records)
+        return circuit
+
     def __len__(self) -> int:
         return sum(len(param) if isinstance(param, np.ndarray) else 1 for _, _, param in self.records)
 
@@ -445,7 +452,7 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     # `invert_circuit` forms them.  Every record has in-range modes, and
     # its parameter is finite and nonzero while the work matrix stays
     # finite, which the residual check confirms.
-    circuit = Circuit(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
+    circuit = Circuit._of(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
     counts: dict[str, int] = {}
     max_abs_param = 0.0
     for kind, _, param in circuit.records:
@@ -456,13 +463,7 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
             counts[kind] = counts.get(kind, 0) + 1
             if param is not None:
                 max_abs_param = max(max_abs_param, abs(param))
-    report = CompilerReport(
-        gate_counts=counts,
-        squeezer_count=counts.get(SQUEEZE, 0),
-        max_abs_param=max_abs_param,
-        rounds=n,
-    )
-    return circuit, report
+    return circuit, CompilerReport(gate_counts=counts, squeezer_count=counts.get(SQUEEZE, 0), max_abs_param=max_abs_param, rounds=n)
 
 
 def encoder_quad_action(code: CodeSpec) -> np.ndarray:
@@ -638,7 +639,7 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
         else:
             gate_modes = (control_l[s], target_l[s]) if two_mode[s] else (control_l[s],)
             records.append((name, gate_modes, param_l[s] if has_param_l[s] else None))
-    return Circuit(n, tuple(records))
+    return Circuit._of(n, tuple(records))
 
 
 def _split_at_repeats(targets: list, s: int, e: int) -> list[tuple[int, int]]:

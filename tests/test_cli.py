@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +295,71 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
             "rounds": want_report.rounds,
         },
     )
+
+
+def rounding_then_encoding(value) -> str:
+    """A float's JSON text as the CLI wrote it before writing in one pass: rounded, parsed back, encoded."""
+    return json.dumps(float("%.12g" % value))
+
+
+FLOATS = st.one_of(
+    st.floats(),  # arbitrary doubles, NaN and the infinities among them
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e16, 1e12, 1e-4]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),  # subnormals
+    st.integers(-(2**64), 2**64).map(float),  # integral values
+    st.builds(  # near the 1e-4, 1e12 and 1e16 notation boundaries, on both sides after rounding
+        lambda boundary, offset: boundary * (1.0 + offset),
+        st.sampled_from([1e-4, -1e-4, 1e12, -1e12, 1e16, -1e16]),
+        st.floats(-1e-11, 1e-11),
+    ),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(FLOATS, max_size=6))
+def test_floats_are_written_as_rounding_then_encoding_wrote_them(values):
+    assert cli._floats_text(values) == ", ".join(map(rounding_then_encoding, values))
+    for value in values:
+        assert cli._floats_text((value,)) == rounding_then_encoding(value)
+    payload = {"row": values, "pair": [values, values], "value": values[0] if values else None}
+    assert cli._json_text(payload, {}) == json.dumps(json.loads(json.dumps(payload), parse_float=lambda text: float("%.12g" % float(text))))
+
+
+def rounded_circuit(circuit: compiler.Circuit) -> compiler.Circuit:
+    """The circuit with every parameter rounded to 12 significant digits, a run's entry by entry."""
+    def rounded(param):
+        if isinstance(param, np.ndarray):
+            return np.array([float("%.12g" % g) for g in param.tolist()])
+        return None if param is None else float("%.12g" % param)
+
+    return compiler.Circuit(circuit.n, tuple((kind, modes, rounded(param)) for kind, modes, param in circuit.records))
+
+
+def test_circuit_text_is_the_rounded_circuits_gate_list(rng):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+    from workloads import random_code_rows
+
+    compiled, _ = compiler.decompose(compiler.encoder_quad_action(codes.build_code(random_code_rows(16, 3, 3))))
+    circuits = [compiled]
+
+    def params(size):
+        # parameters of all sizes, integral ones and ones in the band where %g and repr disagree among them
+        return rng.choice([1.0, -3.0, 1.0 / 3.0, 2e12 / 3.0, 7e13, 1e-5 / 7.0], size) * rng.choice([1.0, 10.0 ** rng.integers(-8, 8)])
+
+    for _ in range(10):
+        circuits.append(compiler.Circuit(8, (
+            compiler.fourier(2),
+            ("QND_X", (1, range(2, 6)), params(4)),
+            compiler.squeeze(3, float(params(1)[0])),
+            ("QND_P", (7, np.array([4, 2, 8])), params(3)),
+            ("QND_X", (5, range(8, 1, -3)), params(3)),
+            compiler.qnd_p(3, 6, float(params(1)[0])),
+            compiler.swap(1, 8),
+        )))
+    for circuit in circuits:
+        text = cli._circuit_text(circuit)
+        assert json.loads(text) == compiler.circuit_to_dicts(rounded_circuit(circuit))
+        assert text == json.dumps(compiler.circuit_to_dicts(rounded_circuit(circuit)))
 
 
 @pytest.mark.parametrize(

@@ -537,3 +537,27 @@ def test_compiling_and_loading_build_no_gate_per_gate(monkeypatch):
     for c in (circuit, loaded):
         assert not any(isinstance(record, Gate) for record in c.records)
         assert len(c) == sum(report.gate_counts.values()) > 2 * len(c.records)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [qnd_x(1, 4, 0.5), (QND_X, (1, range(2, 5)), np.ones(3)), (QND_P, (2, np.array([1, 4, 3])), np.ones(3)), (QND_X, (4, range(3, 0, -1)), np.ones(3))],
+    ids=["gate", "range-run", "array-run", "control"],
+)
+def test_a_hand_built_record_above_n_is_refused(record):
+    with pytest.raises(DimensionMismatchError):
+        Circuit(3, (fourier(1), record))
+    assert len(Circuit(4, (fourier(1), record))) == (len(record[2]) + 1 if isinstance(record[2], np.ndarray) else 2)
+
+
+def test_compiling_and_loading_check_no_modes_again(monkeypatch):
+    # Their records are in range by construction or validated column by column.
+    code = build_code(np.random.default_rng(3).normal(size=(5, 16)))
+    checked = []
+    monkeypatch.setattr(Circuit, "__post_init__", lambda circuit: checked.append(circuit))
+    Circuit(2, (fourier(1),))
+    assert len(checked) == 1
+    circuit, _ = decompose(encoder_quad_action(code))
+    loaded = circuit_from_dicts(circuit_to_dicts(circuit), code.n)
+    assert len(checked) == 1
+    assert (circuit.n, loaded.n) == (code.n, code.n) and len(loaded) == len(circuit)

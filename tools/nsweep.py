@@ -12,9 +12,12 @@ sweep that prints has checked every circuit it timed.
 `cvqec.cli.main` runs build, compile, verify and simulate (same error,
 squeezing and trial count) on files in a temporary directory. Its excess
 over the layer times is the fixed cost of each command: parsing its
-arguments and reading and writing its files. `load_circuit_s` is the
-largest part of that cost in `verify`: `load_circuit` reading the circuit
-file the chain's compile step wrote, JSON decoding and validation.
+arguments and reading and writing its files. `cli_build_s` and
+`cli_compile_s` are the chain's build and compile commands on their own:
+`build_code` or `decompose` plus writing the code or circuit file, and
+for compile reading the code file. `load_circuit_s` is the largest part
+of that cost in `verify`: `load_circuit` reading the circuit file the
+chain's compile step wrote, JSON decoding and validation.
 
 Run from the repository root, single-threaded BLAS for stable figures:
 
@@ -58,14 +61,18 @@ CLI_CHAIN = (
 )
 
 
-def cli_chain(work: Path) -> None:
-    """Run the CLI chain in process on the files in ``work``; raise if a step fails."""
+def cli_chain(work: Path) -> dict[str, float]:
+    """Run the CLI chain in process on the files in ``work``; return each command's seconds, raise if a step fails."""
+    seconds = {}
     for step in CLI_CHAIN:
         argv = [str(work / arg) if arg.endswith(".json") else arg for arg in step]
+        t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli.main(argv)
+        seconds[step[0]] = time.perf_counter() - t0
         if status != 0:
             raise RuntimeError(f"cvqec {' '.join(step)} exited with {status}")
+    return seconds
 
 
 def sweep_point(n: int) -> dict:
@@ -90,7 +97,9 @@ def sweep_point(n: int) -> dict:
             timed("circuit_action", circuit_action, circuit)
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
-            timed("cli_chain", cli_chain, work)
+            steps = timed("cli_chain", cli_chain, work)
+            for command in ("build", "compile"):
+                times.setdefault(f"cli_{command}_s", []).append(steps[command])
             timed("load_circuit", load_circuit, work / "circuit.json", n)
     point = {"n": n, "l": 1, "c": n // 4}
     point.update({key: statistics.median(values) for key, values in times.items()})
