@@ -81,7 +81,7 @@ def _json_text(obj, rows: dict) -> str:
 
 
 def _circuit_text(circuit: compiler.Circuit) -> str:
-    """A circuit file's text, ``json.dumps`` of the rounded `circuit_to_dicts`, written from the records.
+    """A circuit file's text, ``json.dumps`` of the rounded gate list (one dict per gate), written from the records.
 
     A run is one template, its gate's text once per gate, filled in one
     call from its targets and its formatted parameters.
@@ -164,6 +164,8 @@ def cmd_decode(args) -> int:
         with open(args.syndrome_file) as fh:
             payload = json.load(fh)
         s = _float_array(payload["syndrome"] if isinstance(payload, dict) else payload, "--syndrome-file")
+    if not np.isfinite(s).all():
+        raise DimensionMismatchError("syndrome entries must be finite")
     if args.min_norm:
         corr = decoder.min_norm_correction(code, s)
     else:

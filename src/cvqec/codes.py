@@ -10,11 +10,11 @@ Canonical mode layout (fixed package-wide): modes ``1..c`` hold the
 sender's halves of the entangled pairs, modes ``c+1..c+l`` hold
 position-squeezed ancillas, and modes ``c+l+1..n`` carry data.  The
 receiver's halves of the entangled pairs are appended as modes
-``n+1..n+c`` wherever the augmented checks are concerned.
+``n+1..n+c``.
 
 A code stores its parameters, symplectic basis, dropped-row indices
 and input rows; its checks are the basis rows `check_rows` names, and
-the check, canonical, augmented and encoding matrices are derived.
+the check, canonical, syndrome and encoding matrices are derived.
 """
 
 from __future__ import annotations
@@ -102,25 +102,6 @@ class CodeSpec:
         y = -j @ self.basis @ j
         y.setflags(write=False)
         return y
-
-    @cached_property
-    def h_aug(self) -> np.ndarray:
-        """Check rows extended over the receiver's c modes, shape (m, 2(n + c)) (read-only).
-
-        Columns are laid out (p-half | p-aug | x-half | x-aug): the u-row of
-        pair i gains -1 in receiver momentum column i and its v-row +1 in
-        receiver position column i, so all rows commute.
-        """
-        n, _, _, c = self.params
-        m = self.m
-        rows = np.zeros((m, 2 * (n + c)))
-        rows[:, :n] = self.h[:, :n]
-        rows[:, n + c : 2 * n + c] = self.h[:, n:]
-        for i in range(c):
-            rows[i, n + i] = -1.0
-            rows[m - c + i, 2 * n + c + i] = 1.0
-        rows.setflags(write=False)
-        return rows
 
     @cached_property
     def syndrome_matrix(self) -> np.ndarray:

@@ -123,7 +123,7 @@ class Circuit:
     commute, so it is applied as one step.  `decompose` and
     `circuit_from_dicts` build runs and never a `Gate` per gate;
     hand-built circuits hold `Gate`s.  ``len`` counts gates.  Circuits
-    compare by identity: read gates through `circuit_to_dicts`.
+    compare by identity.
     """
 
     n: int
@@ -304,11 +304,6 @@ def _inverse_record(kind: str, modes: tuple, param) -> tuple:
     return kind, modes, -param
 
 
-def invert_circuit(circuit: Circuit) -> Circuit:
-    """Record-wise inverses in reverse order; composes to the inverse action."""
-    return Circuit(circuit.n, tuple(_inverse_record(*record) for record in reversed(circuit.records)))
-
-
 @dataclass(frozen=True)
 class CompilerReport:
     """Bookkeeping emitted alongside a decomposition."""
@@ -405,11 +400,12 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     emitted only around a nonempty sweep, so the circuit holds no
     adjacent inverse pair to cancel afterwards.
 
-    The circuit is `invert_circuit` of the elimination's records: each
-    sweep stays one run record, its targets reversed, and no `Gate` is
-    built per gate.  No two runs of one kind and control are adjacent,
-    so these are the runs `circuit_from_dicts` forms when it reads the
-    circuit's file form back, and both give the same composed action.
+    The circuit is the elimination's records inverted one by one
+    (`_inverse_record`) in reverse order: each sweep stays one run
+    record, its targets reversed, and no `Gate` is built per gate.  No
+    two runs of one kind and control are adjacent, so these are the runs
+    `circuit_from_dicts` forms when it reads the circuit's file form
+    back, and both give the same composed action.
     The report counts gates by kind in order of first appearance, and
     the largest |param|, record by record.
 
@@ -448,10 +444,9 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(a)))):  # NaN fails too
         raise CircuitVerificationError(f"elimination failed to reach the identity (residual {residual:.3e})")
 
-    # The circuit is the records' inverses in reverse order, as
-    # `invert_circuit` forms them.  Every record has in-range modes, and
-    # its parameter is finite and nonzero while the work matrix stays
-    # finite, which the residual check confirms.
+    # The circuit is the records' inverses in reverse order.  Every
+    # record has in-range modes, and its parameter is finite and nonzero
+    # while the work matrix stays finite, which the residual check confirms.
     circuit = Circuit._of(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
     counts: dict[str, int] = {}
     max_abs_param = 0.0
@@ -496,21 +491,6 @@ def verify_circuit(circuit: Circuit, code: CodeSpec) -> float:
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
-
-
-def circuit_to_dicts(circuit: Circuit) -> list[dict]:
-    """File form of a circuit: one ``{"gate", "modes"[, "param"]}`` dict per gate, a run expanded in its gates' order."""
-    out = []
-    for kind, modes, param in circuit.records:
-        if isinstance(param, np.ndarray):
-            control, targets = modes
-            targets = list(targets) if isinstance(targets, range) else targets.tolist()
-            out += [{"gate": kind, "modes": [control, t], "param": g} for t, g in zip(targets, param.tolist())]
-        elif param is None:
-            out.append({"gate": kind, "modes": list(modes)})
-        else:
-            out.append({"gate": kind, "modes": list(modes), "param": param})
-    return out
 
 
 _KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}

@@ -179,25 +179,3 @@ def min_norm_correction(code: CodeSpec, s) -> Correction:
     u_prime = np.linalg.pinv(smat) @ s
     residual = float(np.linalg.norm(smat @ u_prime - s))
     return Correction(u_prime=u_prime, mode_hypothesis=None, residual=residual)
-
-
-def is_correctable_pair(code: CodeSpec, u, u2, tol: float = 1e-9) -> bool:
-    """Whether two errors are distinguishable or act identically on the codespace.
-
-    True when the syndromes differ (the difference leaves the codespace
-    detectably) or when the difference lies in the span of the code's
-    isotropic check rows (a degenerate pair: same action on every encoded
-    state).
-    """
-    u = as_phase_vector(u, code.n)
-    u2 = as_phase_vector(u2, code.n)
-    diff = u - u2
-    scale = 1.0 + float(np.linalg.norm(diff))
-    if float(np.max(np.abs(syndrome(code, diff)), initial=0.0)) > tol * scale:
-        return True
-    _, _, l, c = code.params
-    if not l:
-        return float(np.linalg.norm(diff)) <= tol * scale
-    basis = code.basis[c : c + l].T
-    coeff, *_ = np.linalg.lstsq(basis, diff, rcond=None)
-    return float(np.linalg.norm(basis @ coeff - diff)) <= tol * scale

@@ -1,15 +1,21 @@
-"""Gaussian-state simulation of encoding, homodyne readout, and correction.
+"""Error-correction experiments, and the Gaussian-state primitives the benchmark tracer wraps.
 
+`run_ec_experiment` is what ``cvqec simulate`` runs.  The decoder undoes
+the encoder exactly, so it runs in closed form: each readout is its
+check value plus independent finite-squeezing noise, and no state,
+covariance or circuit is formed.
+
+The rest of the module is a remnant of the state-level simulator that
+tests use as an oracle (its other functions live in ``tests/oracle.py``).
 States live in quadrature ordering (x_1..x_n, p_1..p_n) with hbar = 1
-and vacuum variance 1/2 per quadrature.  The covariance matrix is kept
-in factored form, cov = S S^T: symplectic evolution multiplies the
-factor, and homodyne conditioning is a rank-one projection of it.  The
-factorization is what keeps strongly squeezed combinations (variance
-e^{-2r} sitting next to e^{+2r} partners) meaningful in double
-precision; the dense covariance is always available as a property.
-
-Displacement errors labelled by phase vectors (p | x) shift position
-means by the x-components and momentum means by the p-components.
+and vacuum variance 1/2 per quadrature, and keep the covariance in
+factored form, cov = S S^T: `apply_symplectic` multiplies the factor,
+and `homodyne` conditions by a rank-one projection of it, which keeps
+strongly squeezed combinations meaningful in double precision.
+`GaussianState`, `HomodyneRecord`, `homodyne` and `apply_symplectic`
+stay here because ``chainbench/tracer.py`` looks up `homodyne` and
+`apply_symplectic` by name when a traced benchmark run starts; no
+command calls them.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .compiler import Circuit, apply_gates, fourier, qnd_p, qnd_x
 from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from .decomposition import check_rows
 from .errors import DimensionMismatchError, InvalidStateError
-from .symplectic import swap_halves, symplectic_form
+from .symplectic import swap_halves
 
 
 @dataclass(frozen=True)
@@ -57,84 +62,12 @@ class GaussianState:
         return float(row @ row)
 
 
-def vacuum(n: int) -> GaussianState:
-    """n-mode vacuum: zero means, variance 1/2 per quadrature."""
-    return GaussianState(n=n, mean=np.zeros(2 * n), factor=np.eye(2 * n) / math.sqrt(2.0))
-
-
-def position_squeezed(r: float) -> GaussianState:
-    """Single mode with var(x) = e^{-2r}/2 and var(p) = e^{2r}/2."""
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    f = np.diag([math.exp(-r), math.exp(r)]) / math.sqrt(2.0)
-    return GaussianState(n=1, mean=np.zeros(2), factor=f)
-
-
-def epr_pair(r: float) -> GaussianState:
-    """Two-mode squeezed vacuum approximating the ideal entangled resource.
-
-    Built as one p-squeezed and one x-squeezed mode on a balanced
-    beamsplitter, which gives the standard covariance (x-block
-    cosh(2r)/2 with +sinh(2r)/2 off-diagonal, p-block with the opposite
-    sign) while keeping var(x_A - x_B) = var(p_A + p_B) = e^{-2r} exact
-    in the factor.
-    """
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    s = 1.0 / math.sqrt(2.0)
-    rot = np.array(
-        [
-            [s, -s, 0.0, 0.0],
-            [s, s, 0.0, 0.0],
-            [0.0, 0.0, s, -s],
-            [0.0, 0.0, s, s],
-        ]
-    )
-    half = np.diag([math.exp(r), math.exp(-r), math.exp(-r), math.exp(r)]) / math.sqrt(2.0)
-    return GaussianState(n=2, mean=np.zeros(4), factor=rot @ half)
-
-
-def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two registers, second appended after the first."""
-    n = a.n + b.n
-    mean = np.concatenate([a.mean[: a.n], b.mean[: b.n], a.mean[a.n :], b.mean[b.n :]])
-    ka, kb = a.factor.shape[1], b.factor.shape[1]
-    factor = np.zeros((2 * n, ka + kb))
-    factor[: a.n, :ka] = a.factor[: a.n]
-    factor[a.n : n, ka:] = b.factor[: b.n]
-    factor[n : n + a.n, :ka] = a.factor[a.n :]
-    factor[n + a.n :, ka:] = b.factor[b.n :]
-    return GaussianState(n=n, mean=mean, factor=factor)
-
-
 def apply_symplectic(state: GaussianState, a: np.ndarray) -> GaussianState:
     """Evolve by a quadrature action: mean -> A mean, cov -> A cov A^T."""
     a = np.asarray(a, dtype=float)
     if a.shape != (2 * state.n, 2 * state.n):
         raise DimensionMismatchError(f"action shape {a.shape} does not fit {state.n} modes")
     return GaussianState(n=state.n, mean=a @ state.mean, factor=a @ state.factor)
-
-
-def apply_circuit(state: GaussianState, circuit: Circuit) -> GaussianState:
-    """Apply a gate sequence (first gate first) to mean and factor, run by run through `apply_gates`."""
-    if circuit.n != state.n:
-        raise DimensionMismatchError(f"circuit is on {circuit.n} modes, state has {state.n}")
-    work = np.column_stack((state.mean, state.factor))
-    apply_gates(work, circuit.records)
-    return GaussianState(n=state.n, mean=work[:, 0].copy(), factor=work[:, 1:])
-
-
-def displace(state: GaussianState, d) -> GaussianState:
-    """Shift the means by d (quadrature ordering); covariance is untouched."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (2 * state.n,):
-        raise DimensionMismatchError(f"displacement shape {d.shape} does not fit {state.n} modes")
-    return GaussianState(n=state.n, mean=state.mean + d, factor=state.factor)
-
-
-def displace_error(state: GaussianState, u) -> GaussianState:
-    """Apply a displacement labelled by a phase vector (p | x)."""
-    return displace(state, swap_halves(u))
 
 
 @dataclass(frozen=True)
@@ -185,62 +118,6 @@ def homodyne(state: GaussianState, mode: int, quadrature: str, rng: np.random.Ge
     return HomodyneRecord(mode=mode, quadrature=quadrature, outcome=outcome, posterior=posterior)
 
 
-def uncertainty_defect(state: GaussianState) -> float:
-    """Most negative eigenvalue of cov + i J / 2 (0 for physical states)."""
-    eigs = np.linalg.eigvalsh(state.cov + 0.5j * symplectic_form(state.n))
-    return float(min(np.min(eigs), 0.0))
-
-
-def phase_gate_protocol(
-    state: GaussianState,
-    mode: int,
-    g1: float,
-    g2: float,
-    r: float,
-    rng: np.random.Generator,
-) -> GaussianState:
-    """Measurement-based position phase gate of strength 2 g1 g2 on one mode.
-
-    An ancilla squeezed in position by r is coupled to the target with a
-    position QND gate of strength g1, Fourier-rotated, coupled back with
-    a momentum QND gate of strength g2, and read out in position; the
-    outcome feeds forward as a momentum displacement of -g1 times the
-    result on the target.  In the infinite-squeezing limit the target is
-    left with x -> x, p -> p + 2 g1 g2 x; at finite r the momentum picks
-    up additive noise of variance g2^2 e^{-2r} / 2 from the leftover
-    ancilla quadrature.
-    """
-    if not 1 <= mode <= state.n:
-        raise DimensionMismatchError(f"mode {mode} out of range 1..{state.n}")
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    n = state.n
-    st = tensor(state, position_squeezed(r))
-    anc = n + 1
-    st = apply_circuit(
-        st,
-        Circuit(n=anc, records=(qnd_x(mode, anc, g1), fourier(anc), qnd_p(anc, mode, g2))),
-    )
-    rec = homodyne(st, anc, "x", rng)
-    st = rec.posterior
-    d = np.zeros(2 * n)
-    d[n + mode - 1] = -g1 * rec.outcome
-    return displace(st, d)
-
-
-def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:
-    """Exact 50:50 beamsplitter between two modes, built from three QND gates.
-
-    Its action rotates both quadrature planes by 45 degrees:
-    x_1 -> (x_1 - x_2)/sqrt(2), x_2 -> (x_1 + x_2)/sqrt(2), same for p.
-    Used to turn the relative-position / total-momentum observables of an
-    entangled pair into single-mode homodyne targets.
-    """
-    t = math.tan(math.pi / 8.0)
-    s = math.sin(math.pi / 4.0)
-    return Circuit(n=n, records=(qnd_p(m1, m2, t), qnd_x(m1, m2, s), qnd_p(m1, m2, t)))
-
-
 # ---------------------------------------------------------------------------
 # End-to-end error-correction experiments
 # ---------------------------------------------------------------------------
@@ -279,7 +156,7 @@ class ExperimentStats:
         }
 
 
-# Standard deviation of a vacuum quadrature, as `vacuum` stores it.
+# Standard deviation of a vacuum quadrature (variance 1/2).
 _VACUUM_SD = 1.0 / math.sqrt(2.0)
 
 # Residual tolerance handed to the decoder: absolute, and generous because

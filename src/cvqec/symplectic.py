@@ -1,4 +1,4 @@
-"""Phase-space vectors, the symplectic product, and symplectic matrices.
+"""Phase-space vectors, the symplectic form, and symplectic matrices.
 
 Two index conventions coexist and are pinned here once and for all:
 
@@ -53,14 +53,6 @@ def as_phase_vector(v, n: int | None = None) -> np.ndarray:
     if n is not None and m != n:
         raise DimensionMismatchError(f"expected {n} modes, got {m}")
     return u
-
-
-def symplectic_product(u, v) -> float:
-    """Antisymmetric product ``p . x' - x . p'`` of two phase vectors."""
-    u = as_phase_vector(u)
-    v = as_phase_vector(v, mode_count(u))
-    n = u.shape[0] // 2
-    return float(u[:n] @ v[n:] - u[n:] @ v[:n])
 
 
 def scaled_defect(rows: np.ndarray, target: np.ndarray, gram: bool = True) -> float:

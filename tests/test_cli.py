@@ -14,6 +14,8 @@ from cvqec import cli, codes, compiler, reference, simulator
 from cvqec.cli import build_parser, main
 from cvqec.codes import canonical_parity_check, save_parity_check
 
+from oracle import circuit_to_dicts
+
 
 @pytest.fixture
 def reference_matrix(tmp_path):
@@ -103,6 +105,22 @@ def test_decode_round_trip(code_file, capsys):
 
 def test_decode_uncorrectable_exit_code(code_file, capsys):
     assert main(["decode", code_file, "--syndrome", "[5.0, -3.0, 2.0, 9.0]"]) == 5
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("min_norm", [False, True], ids=["single-mode", "min-norm"])
+@pytest.mark.parametrize("option", ["--syndrome", "--syndrome-file"])
+def test_a_non_finite_syndrome_is_a_dimension_error(tmp_path, capsys, option, min_norm, entry):
+    code_file = str(tmp_path / "code.json")
+    assert main(["build", SCALED_ROWS, "--output", code_file]) == 0
+    syndrome = f"[{entry}, 0.0, 0.0]"
+    if option == "--syndrome-file":
+        path = tmp_path / "syndrome.json"
+        path.write_text(json.dumps({"syndrome": json.loads(syndrome)}))
+        syndrome = str(path)
+    assert main(["decode", code_file, option, syndrome] + ["--min-norm"] * min_norm) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "syndrome" in captured.err
 
 
 def test_compile_and_verify(tmp_path, code_file, capsys):
@@ -284,7 +302,7 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
     circuit, want_report = compiler.decompose(compiler.encoder_quad_action(codes.load_code(code_path)), tol=1e-9)
     gates = read(circuit_path)
     assert gates and all(set(g) in ({"gate", "modes"}, {"gate", "modes", "param"}) for g in gates)
-    assert_rounded(gates, compiler.circuit_to_dicts(circuit))
+    assert_rounded(gates, circuit_to_dicts(circuit))
     assert set(report) == REPORT_KEYS
     assert_rounded(
         report,
@@ -358,8 +376,8 @@ def test_circuit_text_is_the_rounded_circuits_gate_list(rng):
         )))
     for circuit in circuits:
         text = cli._circuit_text(circuit)
-        assert json.loads(text) == compiler.circuit_to_dicts(rounded_circuit(circuit))
-        assert text == json.dumps(compiler.circuit_to_dicts(rounded_circuit(circuit)))
+        assert json.loads(text) == circuit_to_dicts(rounded_circuit(circuit))
+        assert text == json.dumps(circuit_to_dicts(rounded_circuit(circuit)))
 
 
 @pytest.mark.parametrize(

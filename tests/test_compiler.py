@@ -26,13 +26,11 @@ from cvqec.compiler import (
     apply_gates,
     circuit_action,
     circuit_from_dicts,
-    circuit_to_dicts,
     decompose,
     encoder_quad_action,
     fourier,
     fourier_inv,
     gate_action,
-    invert_circuit,
     phase_p,
     phase_x,
     qnd_p,
@@ -45,6 +43,7 @@ from cvqec.errors import CircuitVerificationError, DimensionMismatchError, NotSy
 from cvqec.symplectic import is_symplectic
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
+from oracle import circuit_to_dicts, invert_circuit
 
 
 def test_fourier_action_single_mode():

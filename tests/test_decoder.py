@@ -13,12 +13,13 @@ from cvqec.decoder import (
     UNCORRECTABLE,
     decode_batch,
     decode_single_mode,
-    is_correctable_pair,
     min_norm_correction,
     single_mode_error,
     syndrome,
 )
 from cvqec.errors import AmbiguousSyndromeError, DimensionMismatchError, UncorrectableSyndromeError
+
+from oracle import is_correctable_pair
 
 
 @pytest.fixture(scope="module")

