@@ -10,11 +10,12 @@ as JSON writes the rounded value; re-parsing it recovers that value.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -100,9 +101,23 @@ def _circuit_text(circuit: compiler.Circuit) -> str:
 
 
 def _write(text: str, output: str | None) -> None:
-    """Write one line of JSON text to a file or stdout."""
-    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(text + "\n")
+    """Write one line of JSON text to a file or stdout.
+
+    A file is overwritten in place: opened without truncation (created
+    with mode 0o666 less the umask, as ``open(output, "w")`` creates it),
+    written, then cut to the written length.  On ext4, truncating a file
+    that holds data to zero before the write cost several times the
+    write itself; cutting it after the write does not.  Only a regular
+    file is cut: a pipe, a tty or /dev/null takes no truncation and needs
+    none.  There is no atomic rename and no fsync.
+    """
+    if not output:
+        sys.stdout.write(text + "\n")
+        return
+    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write((text + "\n").encode())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _emit(payload, output: str | None) -> None:
@@ -130,10 +145,10 @@ def cmd_build(args) -> int:
 
 
 def _float_array(value, option: str) -> np.ndarray:
-    """An option's JSON value as a float array; a wrong JSON type raises ValueError naming the option."""
+    """An option's JSON value as a float array; a wrong JSON type or an integer beyond the doubles' range raises ValueError naming the option."""
     try:
         return np.asarray(value, dtype=float)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"cannot read {option}: {exc}") from exc
 
 
@@ -204,13 +219,13 @@ def cmd_simulate(args) -> int:
     with open(args.config_file) as fh:
         cfg = json.load(fh)
     code = codes.load_code(codes.read_key(cfg, "code_file", str))
-    mode, p, x = codes.read_key(cfg, "error", lambda err: (codes.json_int(err["mode"]), float(err["p"]), float(err["x"])))
+    mode, p, x = codes.read_key(cfg, "error", lambda err: (codes.json_int(err["mode"]), codes.json_number(err["p"]), codes.json_number(err["x"])))
     u = decoder.single_mode_error(code.n, mode, p, x)
     seed = codes.read_key(cfg, "seed", codes.json_int) if args.seed is None else args.seed
     stats = simulator.run_ec_experiment(
         code,
         u,
-        r=codes.read_key(cfg, "squeezing_r", float),
+        r=codes.read_key(cfg, "squeezing_r", codes.json_number),
         trials=codes.read_key(cfg, "trials", codes.json_int),
         seed=seed,
     )

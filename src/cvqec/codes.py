@@ -215,10 +215,10 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
 
 
 def read_key(payload, key: str, parse):
-    """``parse(payload[key])`` for input JSON; a non-object payload or a wrong JSON type raises ValueError naming the key."""
+    """``parse(payload[key])`` for input JSON; a non-object payload, a wrong JSON type or a number beyond the doubles' range raises ValueError naming the key."""
     try:
         return parse(payload[key])
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"cannot read {key!r}: {exc}") from exc
 
 
@@ -229,6 +229,15 @@ def json_int(value) -> int:
     if type(value) is float and value.is_integer():
         return int(value)
     raise TypeError(f"expected an integer, got {value!r}")
+
+
+def json_number(value) -> float:
+    """A number read from JSON as a float: an int or a float; a bool, a string or anything else raises TypeError."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
 
 
 def load_parity_check(path) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The state-level Gaussian simulator lives here: states, squeezed and
 entangled resources, circuits applied to states, displacements, the
-uncertainty check, the measurement-based phase-gate protocol and the
-exact beamsplitter.  It builds on `cvqec.simulator.GaussianState`,
-`homodyne` and `apply_symplectic`, which stay in the package because the
-benchmark tracer wraps them by name.  ``cvqec simulate`` runs the
-experiment in closed form; tests run it through these states as well.
+uncertainty check, the measurement-based phase-gate protocol (one trial,
+or many along a trial axis) and the exact beamsplitter.  It builds on
+`cvqec.simulator.GaussianState`, `homodyne` and `apply_symplectic`, which
+stay in the package because the benchmark tracer wraps them by name.
+``cvqec simulate`` runs the experiment in closed form; tests run it
+through these states as well.
 
 Beside it: the symplectic product of two phase vectors, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
@@ -203,22 +204,58 @@ def phase_gate_protocol(
     up additive noise of variance g2^2 e^{-2r} / 2 from the leftover
     ancilla quadrature.
     """
+    n = state.n
+    rec = homodyne(_phase_gate_coupled(state, mode, g1, g2, r), n + 1, "x", rng)
+    d = np.zeros(2 * n)
+    d[n + mode - 1] = -g1 * rec.outcome
+    return displace(rec.posterior, d)
+
+
+def phase_gate_trials(
+    state: GaussianState,
+    mode: int,
+    g1: float,
+    g2: float,
+    r: float,
+    rng: np.random.Generator,
+    trials: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`phase_gate_protocol` run ``trials`` times at once, along a leading trial axis.
+
+    Returns the output means, shape (trials, 2n), one row per trial, and
+    the output covariance factor, which every trial shares: conditioning
+    on a homodyne outcome moves the means by a fixed gain times the
+    outcome and leaves the covariance as it is.  The outcomes are drawn
+    in one call, which takes from ``rng`` the values that ``trials``
+    calls of `phase_gate_protocol` take in turn, so a seed gives the same
+    trials either way.
+    """
+    n = state.n
+    st = _phase_gate_coupled(state, mode, g1, g2, r)
+    q = n  # the ancilla's position row
+    v = st.factor[q]
+    var = float(v @ v)
+    outcomes = rng.normal(st.mean[q], math.sqrt(var), size=trials)
+    gain = st.factor @ v / var
+    vhat = v / math.sqrt(var)
+    factor = st.factor - np.outer(st.factor @ vhat, vhat)
+    keep = [i for i in range(2 * (n + 1)) if i not in (q, 2 * n + 1)]  # drop the ancilla
+    means = st.mean[keep] + np.outer(outcomes - st.mean[q], gain[keep])
+    means[:, n + mode - 1] -= g1 * outcomes
+    return means, factor[keep]
+
+
+def _phase_gate_coupled(state: GaussianState, mode: int, g1: float, g2: float, r: float) -> GaussianState:
+    """The target with its squeezed ancilla appended, after the protocol's three gates and before the readout."""
     if not 1 <= mode <= state.n:
         raise DimensionMismatchError(f"mode {mode} out of range 1..{state.n}")
     if r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    n = state.n
-    st = tensor(state, position_squeezed(r))
-    anc = n + 1
-    st = apply_circuit(
-        st,
+    anc = state.n + 1
+    return apply_circuit(
+        tensor(state, position_squeezed(r)),
         Circuit(n=anc, records=(qnd_x(mode, anc, g1), fourier(anc), qnd_p(anc, mode, g2))),
     )
-    rec = homodyne(st, anc, "x", rng)
-    st = rec.posterior
-    d = np.zeros(2 * n)
-    d[n + mode - 1] = -g1 * rec.outcome
-    return displace(st, d)
 
 
 def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:

@@ -20,7 +20,7 @@ from cvqec.compiler import Circuit, phase_x
 from cvqec.symplectic import is_symplectic, symplectic_form
 
 from conftest import random_symplectic_from_gates, random_symplectic_from_hamiltonian
-from oracle import apply_circuit, displace, h_aug, phase_gate_protocol, vacuum
+from oracle import apply_circuit, displace, h_aug, phase_gate_protocol, phase_gate_trials, vacuum
 
 
 def announce(num, label, passed, detail):
@@ -141,13 +141,8 @@ def test_criterion_6_phase_gate_protocol():
     inp = displace(vacuum(1), [0.7, -0.3])
     ideal = apply_circuit(inp, Circuit(1, (phase_x(1, 2.0),)))
     trials = 100_000
-    means = np.zeros((trials, 2))
-    post_var_p = None
-    for t in range(trials):
-        out = phase_gate_protocol(inp, 1, 1.0, 1.0, 5.0, rng)
-        means[t] = out.mean
-        if post_var_p is None:
-            post_var_p = out.variance(1)
+    means, factor = phase_gate_trials(inp, 1, 1.0, 1.0, 5.0, rng, trials)
+    post_var_p = float(factor[1] @ factor[1])
     se = means.std(axis=0, ddof=1) / math.sqrt(trials)
     mean_ok = bool(np.all(np.abs(means.mean(axis=0) - ideal.mean) <= 4.0 * se + 1e-12))
     excess = means[:, 1].var(ddof=1) + post_var_p - ideal.variance(1)

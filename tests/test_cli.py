@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -800,6 +802,62 @@ def test_wrong_json_types_in_options_exit_as_parse_errors(tmp_path, code_file, c
     assert err.startswith("error:") and option in err
 
 
+HUGE = 10**400  # a JSON integer beyond the doubles' range; json.dump writes it digit by digit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, argv, name",
+    [
+        ("matrix", _set(["rows", 0, 0], HUGE), ["decompose", "INPUT"], "'rows'"),
+        ("matrix", _set(["rows", 0, 0], -HUGE), ["build", "INPUT"], "'rows'"),
+        ("code", _set(["basis", 0, 0], HUGE), ["syndrome", "INPUT", "--mode", "1", "--p", "1"], "'basis'"),
+        ("code", _set(["input_rows", 0, 0], HUGE), ["compile", "INPUT"], "'input_rows'"),
+        ("code", _set(["basis", 1, 2], -HUGE), ["verify", "CIRCUIT", "INPUT"], "'basis'"),
+        ("syndrome", _set(["syndrome", 0], HUGE), ["decode", "CODE", "--syndrome-file", "INPUT"], "--syndrome-file"),
+        ("config", _set(["error", "p"], HUGE), ["simulate", "INPUT"], "'error'"),
+        ("config", _set(["squeezing_r"], HUGE), ["simulate", "INPUT"], "'squeezing_r'"),
+        (None, None, ["syndrome", "CODE", "--error", json.dumps([HUGE] + [0] * 7)], "--error"),
+        (None, None, ["decode", "CODE", "--syndrome", json.dumps([0, -HUGE, 0, 0])], "--syndrome"),
+    ],
+    ids=["decompose", "build", "syndrome", "compile", "verify", "decode-file", "simulate-p", "simulate-r", "syndrome-error", "decode-syndrome"],
+)
+def test_an_integer_beyond_the_double_range_is_a_parse_error(tmp_path, reference_matrix, code_file, capsys, kind, edit, argv, name):
+    # Converting it to a float raised OverflowError: a traceback and exit 1.
+    circuit = str(tmp_path / "circuit.json")
+    assert main(["compile", code_file, "--output", circuit]) == 0
+    path = str(tmp_path / "input.json")
+    if kind is not None:
+        source = {
+            "matrix": read(reference_matrix),
+            "code": read(code_file),
+            "syndrome": {"syndrome": [0.0] * 4},
+            "config": {"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1},
+        }[kind]
+        with open(path, "w") as fh:
+            json.dump(edit(source), fh)
+    capsys.readouterr()
+    assert main([{"INPUT": path, "CODE": code_file, "CIRCUIT": circuit}.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize(
+    "key, value, exit_code",
+    [("p", "0.5", 2), ("p", True, 2), ("x", False, 2), ("squeezing_r", "5", 2), ("squeezing_r", "inf", 2), ("squeezing_r", True, 2), ("squeezing_r", math.inf, 0), ("p", 1, 0)],
+    ids=["p-string", "p-bool", "x-bool", "r-string", "r-inf-string", "r-bool", "r-Infinity", "p-int"],
+)
+def test_simulate_reads_p_x_and_r_as_json_numbers(tmp_path, code_file, capsys, key, value, exit_code):
+    # float() read a numeric string or a bool, so every exit-2 case here ran.
+    cfg = {"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1}
+    (cfg if key == "squeezing_r" else cfg["error"])[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", str(path)]) == exit_code
+    if exit_code:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr("error" if key in "px" else key) in err
+
+
 def test_repeated_main_calls_build_the_parser_once(monkeypatch, code_file):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -845,3 +903,58 @@ def test_help_and_usage_errors_repeat_exactly(capsys, argv, exit_code):
     assert results[0] == results[1]
     code, output = results[0]
     assert code == exit_code and (output.out if exit_code == 0 else output.err).startswith("usage: cvqec")
+
+
+# ---------------------------------------------------------------------------
+# The output writer
+# ---------------------------------------------------------------------------
+
+
+def test_an_existing_output_is_cut_to_the_new_text(tmp_path, reference_matrix):
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_bytes(b"x" * 100_000)
+    for path in (fresh, reused):
+        assert main(["build", reference_matrix, "--output", str(path)]) == 0
+    assert len(fresh.read_bytes()) < 100_000
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_a_new_output_is_created_with_the_umask_applied(tmp_path, reference_matrix):
+    out = tmp_path / "code.json"
+    old = os.umask(0o002)
+    try:
+        assert main(["build", reference_matrix, "--output", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o002
+
+
+def test_a_symlinked_output_is_written_through_to_its_target(tmp_path, reference_matrix):
+    fresh, target, link = tmp_path / "fresh.json", tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    for path in (fresh, link):
+        assert main(["build", reference_matrix, "--output", str(path)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["build", "compile"])
+def test_dev_null_takes_an_output(reference_matrix, code_file, command):
+    # /dev/null cannot be cut to length, and needs no cutting.
+    assert main([command, {"build": reference_matrix, "compile": code_file}[command], "--output", os.devnull]) == 0
+
+
+def test_a_pipe_takes_an_output_and_gets_the_file_bytes(tmp_path, reference_matrix):
+    out = tmp_path / "code.json"
+    assert main(["build", reference_matrix, "--output", str(out)]) == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "cvqec.cli", "build", reference_matrix, "--output", "/dev/stdout"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+
+
+def test_a_directory_as_the_output_is_a_parse_error(tmp_path, reference_matrix, capsys):
+    assert main(["build", reference_matrix, "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

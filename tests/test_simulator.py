@@ -29,6 +29,7 @@ from oracle import (
     epr_pair,
     invert_circuit,
     phase_gate_protocol,
+    phase_gate_trials,
     position_squeezed,
     tensor,
     uncertainty_defect,
@@ -228,6 +229,19 @@ def test_phase_gate_statistics_short(rng):
     assert np.all(np.abs(means.mean(axis=0) - ideal.mean) <= 4.0 * se + 1e-12)
     excess = means[:, 1].var(ddof=1) + post_var - ideal.variance(1)
     assert excess == pytest.approx(math.exp(-10.0) / 2, rel=0.5)
+
+
+@pytest.mark.parametrize("state, mode", [(displace(vacuum(1), [0.7, -0.3]), 1), (displace(epr_pair(0.5), [0.1, 0.2, 0.3, 0.4]), 2)])
+def test_phase_gate_trials_are_the_one_trial_protocol_in_turn(state, mode):
+    # One seed gives the same trials bit for bit: the batched call draws the
+    # outcomes that the one-trial calls draw in turn, and leaves the
+    # generator where they leave it.
+    one, many = np.random.default_rng(5), np.random.default_rng(5)
+    outs = [phase_gate_protocol(state, mode, 0.8, -1.2, 3.0, one) for _ in range(50)]
+    means, factor = phase_gate_trials(state, mode, 0.8, -1.2, 3.0, many, 50)
+    assert np.array_equal(means, [out.mean for out in outs])
+    assert all(np.array_equal(out.factor, factor) for out in outs)
+    assert one.random() == many.random()
 
 
 def test_stabilizer_observables_quiet_on_encoded_state():
