@@ -109,15 +109,19 @@ def _write(text: str, output: str | None) -> None:
     that holds data to zero before the write cost several times the
     write itself; cutting it after the write does not.  Only a regular
     file is cut: a pipe, a tty or /dev/null takes no truncation and needs
-    none.  There is no atomic rename and no fsync.
+    none.  There is no atomic rename and no fsync.  An output that cannot
+    be opened or written raises ValueError naming it, a parse error.
     """
     if not output:
         sys.stdout.write(text + "\n")
         return
-    with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write((text + "\n").encode())
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
+    try:
+        with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write((text + "\n").encode())
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ValueError(f"cannot write output {output}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload, output: str | None) -> None:

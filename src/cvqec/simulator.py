@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec
-from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
+from .decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, BatchDecode, decode_batch
 from .decomposition import check_rows
 from .errors import DimensionMismatchError, InvalidStateError
 from .symplectic import swap_halves
@@ -207,6 +207,16 @@ def run_ec_experiment(
     is ``mu + e^{-r}/sqrt(2) z[t, i]``.  A fixed seed gives bit-identical
     results.
 
+    No per-trial data quadratures are formed.  A trial's correction is one
+    of n + 1 affine maps of its decoded (p, x) fit, one per corrected mode
+    and one for none, so `_residual_moments` forms ``mean_residual`` and
+    ``residual_variance`` from each group's count, fit sums and centred
+    2 x 2 scatter: the count-weighted mean and the pooled within-plus-
+    between variance, in O(trials) for the sums and O(n k) after them.
+    ``syndrome_noise_variance`` is the variance of the measured syndromes
+    themselves, as the ideal syndrome is the same in every trial; they are
+    shifted by the first trial's, so a readout without noise reads 0.
+
     Args:
         code: a built code.
         error: phase vector supported on at most one mode.
@@ -243,26 +253,75 @@ def run_ec_experiment(
     s_meas += value
     s_meas[:, pairs] *= math.sqrt(2.0)
 
-    # A decoded shift (p, x) on mode j displaces the canonical frame by
-    # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
-    residuals = np.tile(shift[data], (trials, 1))
     decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
-    shift = decoded.shift * (decoded.status == DECODED)[:, None]
-    j = np.maximum(decoded.mode_hypothesis - 1, 0)
-    data_basis = code.basis[data].T
-    for column, size in ((n + j, shift[:, :1]), (j, shift[:, 1:])):  # in place: one temporary
-        step = data_basis[column]
-        step *= size
-        residuals -= step
-    residual_variance = residuals.var(axis=0)
-    matched = np.isin(decoded.status, (NO_ERROR, DECODED)) & (decoded.mode_hypothesis == error_mode)
+    mean_residual, residual_variance = _residual_moments(code, data, shift[data], decoded)
+    matched = ((decoded.status == NO_ERROR) | (decoded.status == DECODED)) & (decoded.mode_hypothesis == error_mode)
     return ExperimentStats(
         trials=trials,
-        mean_residual=residuals.mean(axis=0),
+        mean_residual=mean_residual,
         residual_variance=residual_variance,
         excess_variance=residual_variance,
-        syndrome_noise_variance=(s_meas - syndrome(code, error)).var(axis=0),
+        syndrome_noise_variance=(s_meas - s_meas[0]).var(axis=0),
         mode_match_rate=int(np.count_nonzero(matched)) / trials,
         ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,
         uncorrectable_rate=int(np.count_nonzero(decoded.status == UNCORRECTABLE)) / trials,
     )
+
+
+def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: BatchDecode) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance over the trials of the corrected data quadratures, from per-mode sums.
+
+    Trial t leaves the data quadratures at ``d - a_t (p_t b_{n+j} + x_t b_j)``:
+    ``b_j`` is column j of the basis's ``data`` rows, (p_t, x_t) the fit of
+    the decoded mode j = j_t, and a_t = 1 on DECODED trials and 0 on the
+    others.  Grouped by the mode they correct, with n for none, the trials
+    of a group share one affine map of their fit, so its count, mean fit and
+    centred 2 x 2 scatter give the group's mean and within-group variance in
+    every data quadrature.  The mean is the count-weighted mean of the group
+    means, and the variance pools the within-group and between-group parts
+    (Chan, Golub and LeVeque, The American Statistician 37, 242 (1983)).
+
+    Each part is a sum of non-negative terms, never E[y^2] - E[y]^2, and
+    each mode's fits are taken on the principal axes of its decoder solve.
+    A mode whose syndrome plane has rank 1 fits along one axis only, so a
+    data quadrature that a correction along it cannot move, and that no
+    noise reaches, reads 0 to rounding of its own size, not of the fits'.
+    The cost is O(trials) for the sums and O(g k) after them, for the g
+    groups that hold trials.
+    """
+    n = code.n
+    group = np.where(decoded.status == DECODED, decoded.mode_hypothesis - 1, n)
+    modes = np.flatnonzero(np.bincount(group, minlength=n + 1))  # the groups that hold trials; n comes last
+    label = np.zeros(n + 1, dtype=np.intp)
+    label[modes] = np.arange(len(modes))
+    group = label[group]
+    counts = np.bincount(group)
+    # The no-correction group's fits are zeroed, so any mode's axes and columns serve it.
+    modes = np.minimum(modes, n - 1)
+
+    # Each trial's fit on the principal axes of its mode's decoder solve.
+    solves = code.mode_systems[0][modes]
+    axes = np.linalg.eigh(np.swapaxes(solves, 1, 2) @ solves)[1]
+    p, x = (decoded.shift * (decoded.status == DECODED)[:, None]).T
+    trial_axes = axes[group]
+    u = p * trial_axes[:, 0, 0] + x * trial_axes[:, 1, 0]
+    v = p * trial_axes[:, 0, 1] + x * trial_axes[:, 1, 1]
+    centre = np.stack([np.bincount(group, u), np.bincount(group, v)]) / counts
+    du, dv = np.stack([u, v]) - centre[:, group]
+    s_uu, s_uv, s_vv = (np.bincount(group, weights) for weights in (du * du, du * dv, dv * dv))
+
+    # A fit (p, x) on mode j moves the data quadratures by p * b_{n+j} + x * b_j, and (u, v) = (p, x) @ axes[j].
+    basis = code.basis[data]
+    b_p, b_x = basis[:, n + modes], basis[:, modes]
+    b_u = b_p * axes[:, 0, 0] + b_x * axes[:, 1, 0]
+    b_v = b_p * axes[:, 0, 1] + b_x * axes[:, 1, 1]
+    group_mean = d[:, None] - b_u * centre[0] - b_v * centre[1]
+    trials = len(group)
+    mean = group_mean @ counts / trials
+    # b S b^T for each group's scatter S, in its LDL^T form: s_uu (b_u + ratio b_v)^2 + schur b_v^2.
+    # No spread on the first axis means s_uv = 0 exactly; a negative Schur complement is rounding.
+    ratio = s_uv / np.where(s_uu > 0, s_uu, 1.0)
+    schur = np.maximum(s_vv - ratio * s_uv, 0.0)
+    within = s_uu * np.square(b_u + ratio * b_v) + schur * np.square(b_v)
+    between = np.square(group_mean - mean[:, None]) @ counts
+    return mean, (within.sum(axis=1) + between) / trials

@@ -11,8 +11,9 @@ through these states as well.
 
 Beside it: the symplectic product of two phase vectors, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
-test, the inverse of a circuit, and a circuit's gate list as one dict
-per gate.
+test, the inverse of a circuit, a circuit's gate list as one dict per
+gate, and the error-correction experiment with its statistics taken over
+an array of per-trial data quadratures.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import numpy as np
 
 from cvqec.codes import CodeSpec
 from cvqec.compiler import Circuit, _inverse_record, apply_gates, fourier, qnd_p, qnd_x
-from cvqec.decoder import syndrome
+from cvqec.decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
+from cvqec.decomposition import check_rows
 from cvqec.errors import DimensionMismatchError
-from cvqec.simulator import GaussianState, homodyne
+from cvqec.simulator import _DECODE_TOL, _VACUUM_SD, ExperimentStats, GaussianState, homodyne
 from cvqec.symplectic import as_phase_vector, mode_count, swap_halves, symplectic_form
 
 
@@ -269,3 +271,48 @@ def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:
     t = math.tan(math.pi / 8.0)
     s = math.sin(math.pi / 4.0)
     return Circuit(n=n, records=(qnd_p(m1, m2, t), qnd_x(m1, m2, s), qnd_p(m1, m2, t)))
+
+
+def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int) -> ExperimentStats:
+    """`cvqec.simulator.run_ec_experiment` with its statistics taken over per-trial data quadratures.
+
+    The same draw, readout and `decode_batch` call, so the rates and the
+    syndromes are the package's own; then each trial's corrected data
+    quadratures are formed as one row of a (trials, 2k) array, and the
+    mean and variance are numpy's over its rows.  Inputs are not checked.
+    """
+    n, _, l, c = code.params
+    m = code.m
+    error = np.asarray(error, dtype=float)
+    support = {i % n for i in np.nonzero(error)[0]}
+    error_mode = (support.pop() + 1) if support else 0
+    checks, data = check_rows(n, l, c)
+    shift = code.basis @ swap_halves(error)
+    pairs = np.r_[:c, c + l : m]
+    value = shift[checks]
+    value[pairs] *= math.sqrt(0.5)
+    s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]
+    s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
+    s_meas += value
+    s_meas[:, pairs] *= math.sqrt(2.0)
+
+    # A decoded shift (p, x) on mode j displaces the canonical frame by
+    # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
+    residuals = np.tile(shift[data], (trials, 1))
+    decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
+    shift = decoded.shift * (decoded.status == DECODED)[:, None]
+    j = np.maximum(decoded.mode_hypothesis - 1, 0)
+    data_basis = code.basis[data].T
+    for column, size in ((n + j, shift[:, :1]), (j, shift[:, 1:])):
+        residuals -= data_basis[column] * size
+    matched = np.isin(decoded.status, (NO_ERROR, DECODED)) & (decoded.mode_hypothesis == error_mode)
+    return ExperimentStats(
+        trials=trials,
+        mean_residual=residuals.mean(axis=0),
+        residual_variance=residuals.var(axis=0),
+        excess_variance=residuals.var(axis=0),
+        syndrome_noise_variance=(s_meas - syndrome(code, error)).var(axis=0),
+        mode_match_rate=int(np.count_nonzero(matched)) / trials,
+        ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,
+        uncorrectable_rate=int(np.count_nonzero(decoded.status == UNCORRECTABLE)) / trials,
+    )

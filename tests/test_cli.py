@@ -958,3 +958,17 @@ def test_a_pipe_takes_an_output_and_gets_the_file_bytes(tmp_path, reference_matr
 def test_a_directory_as_the_output_is_a_parse_error(tmp_path, reference_matrix, capsys):
     assert main(["build", reference_matrix, "--output", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["build", "compile", "simulate"])
+def test_an_output_that_cannot_be_written_is_named_as_the_output(tmp_path, reference_matrix, code_file, capsys, command, where):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1}))
+    output = str(tmp_path / "missing" / "out.json") if where == "missing-directory" else str(tmp_path)
+    source = {"build": reference_matrix, "compile": code_file, "simulate": str(config)}[command]
+    capsys.readouterr()
+    assert main([command, source, "--output", output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output {output}: ")
+    assert "cannot read input" not in err

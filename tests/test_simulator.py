@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cvqec import reference
@@ -28,6 +30,7 @@ from oracle import (
     displace_error,
     epr_pair,
     invert_circuit,
+    per_trial_experiment,
     phase_gate_protocol,
     phase_gate_trials,
     position_squeezed,
@@ -200,7 +203,7 @@ def test_phase_gate_noop_when_uncoupled(rng):
     # g1 = 0: momentum only gains the readout noise term; on average the
     # mean map is the identity (per-trial means jitter with the outcome)
     trials = 4000
-    means = np.array([phase_gate_protocol(st, 1, 0.0, 1.3, 2.0, rng).mean for _ in range(trials)])
+    means, _ = phase_gate_trials(st, 1, 0.0, 1.3, 2.0, rng, trials)
     se = means.std(axis=0, ddof=1) / math.sqrt(trials)
     assert np.all(np.abs(means.mean(axis=0) - st.mean) <= 4 * se + 1e-12)
 
@@ -218,13 +221,8 @@ def test_phase_gate_statistics_short(rng):
     st = displace(vacuum(1), [0.7, -0.3])
     ideal = apply_circuit(st, Circuit(1, (phase_x(1, 2.0),)))
     trials = 20_000
-    means = np.zeros((trials, 2))
-    post_var = None
-    for t in range(trials):
-        out = phase_gate_protocol(st, 1, 1.0, 1.0, 5.0, rng)
-        means[t] = out.mean
-        if post_var is None:
-            post_var = out.variance(1)
+    means, factor = phase_gate_trials(st, 1, 1.0, 1.0, 5.0, rng, trials)
+    post_var = float(factor[1] @ factor[1])
     se = means.std(axis=0, ddof=1) / math.sqrt(trials)
     assert np.all(np.abs(means.mean(axis=0) - ideal.mean) <= 4.0 * se + 1e-12)
     excess = means[:, 1].var(ddof=1) + post_var - ideal.variance(1)
@@ -591,3 +589,54 @@ def test_experiment_matches_compiled_encoder(make_code, error, r):
     for name in ("mean_residual", "residual_variance", "excess_variance", "syndrome_noise_variance"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + 1e-12), name
+
+
+@st.composite
+def _experiment_case(draw):
+    """A code (canonical checks, or mixed by seeded random gates), a single-mode error and a run."""
+    n = draw(st.integers(2, 6))
+    c = draw(st.integers(0, n))
+    l = draw(st.integers(0 if c else 2, n - c))  # at least two check rows
+    mixing = draw(st.none() | st.integers(0, 2**16))  # None: the canonical code, whose ancilla planes have rank 1
+    mode = draw(st.integers(1, n))
+    p, x = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    return (n, n - c - l, l, c), mixing, (mode, p, x), draw(st.floats(0.5, 10.0)), draw(st.integers(1, 3000)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_experiment_case())
+# a logical error on the data mode: no syndrome, no correction, a data shift that no noise reaches
+@example(((3, 1, 1, 1), None, (3, 0.1, -0.7), 10.0, 3000, 1))
+# a dense code at the top of the squeezing range: a noise variance far below the squared means
+@example(((5, 2, 2, 1), 51, (5, 0.5, -0.5), 10.0, 2000, 31))
+# a mode plane of rank 1 in a mixed code: its fits lie on one axis, which moves one data quadrature not at all
+@example(((4, 2, 2, 0), 39757, (1, 0.0, 0.25), 0.5, 3, 17673826))
+def test_experiment_statistics_match_per_trial_oracle(case):
+    # The per-mode sums give the statistics of the per-trial residual array:
+    # on batches that mix DECODED, AMBIGUOUS and UNCORRECTABLE trials, with
+    # no data modes, no pairs, or rank-1 ancilla planes.  The floors are
+    # those of the looped-oracle test, taken relative to the size of each
+    # quadrature's mean where it exceeds 1: a mixed code's data means reach
+    # ~60, and the oracle's own variance of a constant column is then the
+    # rounding of its mean, ~6e-26.
+    params, mixing, (mode, p, x), r, trials, seed = case
+    code = build_code(canonical_parity_check(*params)) if mixing is None else _mixed_code(*params, seed=mixing)
+    error = single_mode_error(params[0], mode, p, x)
+    got = run_ec_experiment(code, error, r=r, trials=trials, seed=seed)
+    want = per_trial_experiment(code, error, r=r, trials=trials, seed=seed)
+    _assert_rates_equal(got, want)
+    data_rounding = ROUNDING * np.maximum(1.0, np.abs(want.mean_residual))
+    assert np.all(np.abs(got.mean_residual - want.mean_residual) <= 1e-9 * np.abs(want.mean_residual) + data_rounding)
+    for name, rounding in (("residual_variance", data_rounding), ("excess_variance", data_rounding), ("syndrome_noise_variance", ROUNDING)):
+        a, b = getattr(got, name), getattr(want, name)
+        floor = 2.0 * np.sqrt(np.abs(b)) * rounding + rounding**2
+        assert np.all(np.abs(a - b) <= 1e-9 * np.abs(b) + floor), name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the absolute decode tolerance 0.1 calls this error 'none' in every trial")
+def test_known_failing_chain_meets_the_decoder_gate():
+    # The reference code as the benchmark builds it, from its raw rows; a
+    # correct decoder can reach about 0.966 here, and item 1's gate is 0.85.
+    code = build_code(reference.raw_parity_rows())
+    stats = run_ec_experiment(code, single_mode_error(4, 1, 0.05, 0.05), r=5.0, trials=2000, seed=7)
+    assert stats.mode_match_rate >= 0.85
