@@ -14,7 +14,9 @@ receiver's halves of the entangled pairs are appended as modes
 
 A code stores its parameters, symplectic basis, dropped-row indices
 and input rows; its checks are the basis rows `check_rows` names, and
-the check, canonical, syndrome and encoding matrices are derived.
+the check, canonical, syndrome and encoding matrices are derived, as
+are each mode's syndrome plane and least-squares solve, which the
+decoder reads.
 """
 
 from __future__ import annotations
@@ -116,26 +118,36 @@ class CodeSpec:
         return smat
 
     @cached_property
-    def mode_systems(self) -> tuple[np.ndarray, np.ndarray]:
-        """Single-mode decoding systems, derived once per code (read-only).
+    def mode_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each mode's syndrome plane and least-squares solve, from one batched SVD (read-only).
 
         For mode j + 1, let ``A`` be the (m, 2) matrix whose columns are the
         syndromes of a unit momentum and a unit position shift on that
-        mode, and ``P`` its least-squares inverse (the pseudoinverse with
-        `numpy.linalg.lstsq`'s default cutoff).  ``solves[j]`` is ``P^T``,
-        so ``s @ solves[j]`` is the best (p, x) fit of syndrome s on the
-        mode, and ``misfits[j]`` is ``(A P - I)^T``, so ``s @ misfits[j]``
-        is that fit's syndrome minus s.
+        mode, ``A = U diag(sigma) V^T`` its thin SVD, and ``P`` its
+        least-squares inverse: the pseudoinverse at `numpy.linalg.lstsq`'s
+        default cutoff, which keeps the singular values above
+        ``eps * max(m, 2)`` times the largest.
+
+        ``planes`` has shape (n, 2, m).  ``planes[j]`` is ``Q_j^T``: its rows
+        are the kept columns of ``U``, zero for a dropped one, so ``Q_j`` is
+        an orthonormal basis of the plane, line or point that the mode's
+        syndromes span, and ``A P = Q_j Q_j^T``.  One product with
+        ``planes.reshape(2 n, m)`` thus fits a syndrome on every mode at
+        once.  ``solves[j]`` is ``P^T``, shape (m, 2), so ``s @ solves[j]``
+        is the best (p, x) fit of syndrome s on the mode; it is formed as
+        `numpy.linalg.pinv` forms ``P``, to the bit.
         """
         n, m = self.n, self.m
         smat = self.syndrome_matrix
         columns = np.stack([smat[:, :n].T, smat[:, n:].T], axis=2)  # (n, m, 2)
-        inverses = np.linalg.pinv(columns, rcond=np.finfo(float).eps * max(m, 2))
-        solves = inverses.transpose(0, 2, 1).copy()
-        misfits = (columns @ inverses - np.eye(m)).transpose(0, 2, 1).copy()
+        u, sigma, vt = np.linalg.svd(columns, full_matrices=False)
+        large = sigma > np.finfo(float).eps * max(m, 2) * sigma.max(axis=1, keepdims=True)
+        inverse = np.divide(1.0, sigma, where=large, out=np.zeros_like(sigma))
+        planes = np.swapaxes(u * large[:, None, :], 1, 2).copy()
+        solves = np.swapaxes(np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)), 1, 2).copy()
+        planes.setflags(write=False)
         solves.setflags(write=False)
-        misfits.setflags(write=False)
-        return solves, misfits
+        return planes, solves
 
 
 def verify_code(code: CodeSpec) -> None:

@@ -300,7 +300,7 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: 
     modes = np.minimum(modes, n - 1)
 
     # Each trial's fit on the principal axes of its mode's decoder solve.
-    solves = code.mode_systems[0][modes]
+    solves = code.mode_planes[1][modes]
     axes = np.linalg.eigh(np.swapaxes(solves, 1, 2) @ solves)[1]
     p, x = (decoded.shift * (decoded.status == DECODED)[:, None]).T
     trial_axes = axes[group]

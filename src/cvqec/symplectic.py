@@ -41,7 +41,7 @@ def mode_count(v: np.ndarray) -> int:
     v = np.asarray(v)
     if v.ndim != 1 or v.shape[0] % 2 != 0 or v.shape[0] < 2:
         raise DimensionMismatchError(f"expected a vector of even length >= 2, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DimensionMismatchError("phase vector entries must be finite")
     return v.shape[0] // 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cvqec.codes import build_code, canonical_parity_check
 from cvqec.compiler import (
     Circuit,
     circuit_action,
@@ -44,6 +45,12 @@ def random_gates(n, count, rng):
         ]
         gates.append(builders[kind]())
     return Circuit(n=n, records=tuple(gates))
+
+
+def mixed_code(n, k, l, c, seed):
+    """The canonical (n,k,l,c) checks carried through a seeded random symplectic map."""
+    mixing = random_gates(n, 20, np.random.default_rng(seed))
+    return build_code(canonical_parity_check(n, k, l, c) @ circuit_action(mixing).T)
 
 
 def random_symplectic_from_gates(n, rng, count=50):

@@ -11,9 +11,10 @@ through these states as well.
 
 Beside it: the symplectic product of two phase vectors, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
-test, the inverse of a circuit, a circuit's gate list as one dict per
-gate, and the error-correction experiment with its statistics taken over
-an array of per-trial data quadratures.
+test, single-mode decoding by one least-squares solve per row and mode,
+the inverse of a circuit, a circuit's gate list as one dict per gate,
+and the error-correction experiment with its statistics taken over an
+array of per-trial data quadratures.
 """
 
 from __future__ import annotations
@@ -82,6 +83,62 @@ def is_correctable_pair(code: CodeSpec, u, u2, tol: float = 1e-9) -> bool:
     basis = code.basis[c : c + l].T
     coeff, *_ = np.linalg.lstsq(basis, diff, rcond=None)
     return float(np.linalg.norm(basis @ coeff - diff)) <= tol * scale
+
+
+def decode_by_lstsq(code: CodeSpec, s, tol: float) -> tuple[np.ndarray, ...]:
+    """`cvqec.decoder.decode_batch`'s outcome rules, one row and one mode at a time, by `numpy.linalg.lstsq`.
+
+    For each syndrome row and each mode, the (m, 2) system of the mode's
+    unit momentum and position syndromes is solved by least squares at
+    lstsq's default cutoff, and its residual is the norm of the fitted
+    syndrome minus the row.  The smallest residual wins (the first mode
+    on a tie).  Per row, in order: ``|s| <= tol`` is NO_ERROR, a best
+    residual above ``tol * (1 + |s|)`` is UNCORRECTABLE, a runner-up
+    within ``tol * (1 + best)`` of the best is AMBIGUOUS, and the rest is
+    DECODED.
+
+    Returns (status, mode, shift, residual, runner-up residual, margin,
+    gap) per row, as `decode_batch` reports the first five (mode 0 and
+    residual ``|s|`` on NO_ERROR rows, an infinite runner-up residual for
+    a one-mode code).  ``margin`` is the row's smallest distance to a
+    threshold of the status, over ``max(1, |s|)``: ``|s|`` to ``tol``, the
+    best residual to ``tol * (1 + |s|)`` and the runner-up's excess over
+    it to ``tol * (1 + best)``.  ``gap`` is that excess alone, over the
+    same scale: where it is 0, rounding picks the mode (and its shift).
+    """
+    s = np.atleast_2d(np.asarray(s, dtype=float))
+    n, smat = code.n, code.syndrome_matrix
+    status = np.empty(len(s), dtype=int)
+    mode = np.empty(len(s), dtype=int)
+    shift = np.empty((len(s), 2))
+    residual = np.empty(len(s))
+    runner_up = np.empty(len(s))
+    margin = np.empty(len(s))
+    gap = np.empty(len(s))
+    for i, row in enumerate(s):
+        norm = float(np.linalg.norm(row))
+        fits = []
+        for j in range(n):
+            system = np.column_stack([smat[:, j], smat[:, n + j]])
+            theta = np.linalg.lstsq(system, row, rcond=None)[0]
+            fits.append((float(np.linalg.norm(system @ theta - row)), j, theta))
+        best, j, theta = min(fits, key=lambda fit: (fit[0], fit[1]))
+        second = min((fit[0] for fit in fits if fit[1] != j), default=math.inf)
+        scale = max(1.0, norm)
+        margin[i] = min(abs(norm - tol), abs(best - tol * (1.0 + norm)), abs(second - best - tol * (1.0 + best))) / scale
+        gap[i] = (second - best) / scale
+        if norm <= tol:
+            status[i], mode[i], residual[i] = NO_ERROR, 0, norm
+        else:
+            if best > tol * (1.0 + norm):
+                status[i] = UNCORRECTABLE
+            elif second - best < tol * (1.0 + best):
+                status[i] = AMBIGUOUS
+            else:
+                status[i] = DECODED
+            mode[i], residual[i] = j + 1, best
+        shift[i], runner_up[i] = theta, second
+    return status, mode, shift, residual, runner_up, margin, gap
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:

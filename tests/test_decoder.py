@@ -1,6 +1,11 @@
+import functools
+import json
+import os
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
@@ -19,7 +24,11 @@ from cvqec.decoder import (
 )
 from cvqec.errors import AmbiguousSyndromeError, DimensionMismatchError, UncorrectableSyndromeError
 
-from oracle import is_correctable_pair
+from conftest import mixed_code
+from oracle import decode_by_lstsq, is_correctable_pair
+
+# Modes 2 and 3 of this code span one syndrome plane through different columns.
+COINCIDENT_ROWS = os.path.join(os.path.dirname(__file__), "data", "coincident-planes-rows.json")
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +217,103 @@ def test_batch_decoder_matches_scalar_row_by_row(rows):
         assert batch.mode_hypothesis[i] == corr.mode_hypothesis
         u_batch = single_mode_error(4, int(batch.mode_hypothesis[i]), *batch.shift[i])
         assert np.max(np.abs(u_batch - corr.u_prime)) <= 1e-12 * np.max(np.abs(corr.u_prime))
+
+
+@functools.cache
+def _decode_code(key):
+    kind, *args = key
+    if kind == "canonical":
+        return build_code(canonical_parity_check(*args))
+    if kind == "mixed":
+        return mixed_code(*args)
+    if kind == "coincident":
+        with open(COINCIDENT_ROWS) as fh:
+            return build_code(json.load(fh)["rows"])
+    # Two modes with the very same syndrome columns.
+    return build_code([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+
+
+@st.composite
+def _params(draw):
+    # (n, k, l, c) with n <= 6 and at least two check rows, k = 0 included.
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(1 if n < 2 else 0, n))
+    l = draw(st.integers(max(0, 2 - 2 * c), n - c))
+    return n, n - l - c, l, c
+
+
+_codes = st.one_of(
+    _params().map(lambda p: ("canonical", *p)),
+    st.tuples(_params(), st.integers(0, 2**16)).map(lambda a: ("mixed", *a[0], a[1])),
+    st.sampled_from([("coincident",), ("equal-columns",), ("canonical", 1, 0, 0, 1)]),
+)
+_magnitudes = st.floats(-10.0, 3.0).map(lambda e: 10.0**e) | st.just(0.0)
+_signed = st.tuples(_magnitudes, st.sampled_from([-1.0, 1.0])).map(lambda a: a[0] * a[1])
+
+
+@st.composite
+def _decode_cases(draw):
+    """A code's key, a tolerance and up to 8 syndrome rows: exact, noisy, tiny, zero or arbitrary."""
+    key = draw(_codes)
+    code = _decode_code(key)
+    n, m = code.n, code.m
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["exact", "noisy", "tiny", "zero", "any"]), max_size=8)):
+        if kind in ("exact", "noisy"):
+            row = syndrome(code, single_mode_error(n, draw(st.integers(1, n)), draw(_signed), draw(_signed)))
+            if kind == "noisy":
+                row = row + draw(_magnitudes) * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        elif kind == "tiny":
+            row = 1e-7 * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        elif kind == "zero":
+            row = np.zeros(m)
+        else:
+            row = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m)))
+        rows.append(row)
+    return key, draw(st.sampled_from([0.0, DEFAULT_DECODE_TOL, 0.1])), np.array(rows).reshape(len(rows), m)
+
+
+def _coincident_case(scale):
+    code = _decode_code(("coincident",))
+    return ("coincident",), DEFAULT_DECODE_TOL, scale * syndrome(code, single_mode_error(3, 2, 0.7, -0.4))[None, :]
+
+
+@settings(deadline=None, max_examples=200)
+@example(case=(("mixed", 4, 2, 1, 1, 7), 0.1, np.zeros((0, 3))))
+@example(case=_coincident_case(1e3))
+@example(case=(("canonical", 1, 0, 0, 1), DEFAULT_DECODE_TOL, np.array([[0.5, -2.0], [0.0, 0.0], [1e-7, 0.0]])))
+@given(case=_decode_cases())
+def test_batch_decoder_matches_lstsq_oracle(case):
+    # Rows within 1e-8 (relative) of a threshold of the oracle's status, where
+    # rounding on either side may decide, are counted and not compared; nor
+    # are the mode and shift where the two best residuals lie that close.
+    key, tol, s = case
+    code = _decode_code(key)
+    got = decode_batch(code, s, tol)
+    status, mode, shift, residual, runner_up, margin, gap = decode_by_lstsq(code, s, tol)
+    scale = 1e-9 * np.maximum(1.0, np.linalg.norm(s, axis=1))
+    clear = margin > 1e-8
+    unique = clear & (gap > 1e-8)
+    if not clear.all():
+        event(f"{np.count_nonzero(~clear)} of {len(s)} rows within 1e-8 of a threshold")
+    assert np.array_equal(got.status[clear], status[clear])
+    assert np.all(np.abs(got.residual - residual)[clear] <= scale[clear])
+    if code.n > 1:
+        assert np.all(np.abs(got.runner_up_residual - runner_up)[clear] <= scale[clear])
+    else:
+        assert np.all(got.runner_up == 0) and np.all(got.runner_up_residual == np.inf)
+    named = unique | (clear & (status == NO_ERROR))
+    assert np.array_equal(got.mode_hypothesis[named], mode[named])
+    assert np.all(np.abs(got.shift - shift).max(axis=1, initial=0.0)[unique] <= scale[unique])
+
+
+@pytest.mark.parametrize("p, x", [(0.7, -0.4), (-0.3, 0.65), (0.77, 0.12), (0.05, 1.0)])
+def test_coincident_planes_are_ambiguous_at_large_syndromes(p, x):
+    # Modes 2 and 3 fit the syndrome exactly, so both residuals are rounding,
+    # about 1e-13 here. Read from |s|^2 - |s Q_j|^2 instead, the runner-up's
+    # would be about sqrt(eps) |s| ~ 1e-5, far beyond the tolerance.
+    code = _decode_code(("coincident",))
+    s = 1e3 * syndrome(code, single_mode_error(3, 2, p, x))
+    with pytest.raises(AmbiguousSyndromeError, match="equally well") as info:
+        decode_single_mode(code, s)
+    assert sorted(map(int, re.search(r"modes (\d+) and (\d+)", str(info.value)).groups())) == [2, 3]

@@ -22,7 +22,7 @@ from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchE
 from cvqec.simulator import ExperimentStats, GaussianState, apply_symplectic, homodyne, run_ec_experiment
 from cvqec.symplectic import swap_halves, symplectic_form
 
-from conftest import random_gates
+from conftest import mixed_code, random_gates
 from oracle import (
     apply_circuit,
     balanced_beamsplitter,
@@ -526,14 +526,8 @@ def _looped_experiment(code, error, trials, seed, enc, dec, factor, decode_tol=0
 ROUNDING = 1e-13
 
 
-def _mixed_code(n, k, l, c, seed):
-    """The canonical (n,k,l,c) checks carried through a seeded random symplectic map."""
-    mixing = random_gates(n, 20, np.random.default_rng(seed))
-    return build_code(canonical_parity_check(n, k, l, c) @ circuit_action(mixing).T)
-
-
 def _dense_code():
-    return _mixed_code(5, 2, 2, 1, seed=51)
+    return mixed_code(5, 2, 2, 1, seed=51)
 
 
 EXPERIMENT_CODES = pytest.mark.parametrize(
@@ -544,9 +538,9 @@ EXPERIMENT_CODES = pytest.mark.parametrize(
         (lambda: build_code(canonical_parity_check(5, 2, 2, 1)), single_mode_error(5, 2, 0.5, 0.5)),
         (_dense_code, single_mode_error(5, 5, 0.5, -0.5)),
         # no entangled pairs
-        (lambda: _mixed_code(3, 1, 2, 0, seed=55), single_mode_error(3, 1, 0.5, 0.5)),
+        (lambda: mixed_code(3, 1, 2, 0, seed=55), single_mode_error(3, 1, 0.5, 0.5)),
         # no data modes
-        (lambda: _mixed_code(4, 0, 2, 2, seed=53), single_mode_error(4, 3, -0.5, 0.5)),
+        (lambda: mixed_code(4, 0, 2, 2, seed=53), single_mode_error(4, 3, -0.5, 0.5)),
     ],
     ids=["reference", "canonical-5-2-2-1", "dense-5-2-2-1", "dense-3-1-2-0", "dense-4-0-2-2"],
 )
@@ -620,7 +614,7 @@ def test_experiment_statistics_match_per_trial_oracle(case):
     # ~60, and the oracle's own variance of a constant column is then the
     # rounding of its mean, ~6e-26.
     params, mixing, (mode, p, x), r, trials, seed = case
-    code = build_code(canonical_parity_check(*params)) if mixing is None else _mixed_code(*params, seed=mixing)
+    code = build_code(canonical_parity_check(*params)) if mixing is None else mixed_code(*params, seed=mixing)
     error = single_mode_error(params[0], mode, p, x)
     got = run_ec_experiment(code, error, r=r, trials=trials, seed=seed)
     want = per_trial_experiment(code, error, r=r, trials=trials, seed=seed)
