@@ -61,8 +61,9 @@ def single_mode_error(n: int, mode: int, p: float, x: float) -> np.ndarray:
 # Outcome classes of `decode_batch`, one per syndrome row.
 NO_ERROR, DECODED, AMBIGUOUS, UNCORRECTABLE = 0, 1, 2, 3
 
-# Below this fraction of |s|^2 left by its fit, the runner-up's residual is
-# computed in rank-2 form; see `decode_batch`.
+# Below this fraction of |s|^2 left by its fit, a mode's residual is computed
+# in rank-2 form on the rows where it could rank first or second; see
+# `decode_batch`.
 _EXACT_BELOW = 1e-4
 
 
@@ -112,7 +113,7 @@ def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray,
         fit[a:b] = block @ solves[j]
         block -= (block @ planes[j].T) @ planes[j]
     back = order.argsort(kind="stable")  # the inverse permutation: gathers cost less than a scatter of pairs
-    return np.sqrt(np.vecdot(part, part)).take(back), fit.take(back, axis=0)
+    return np.sqrt(np.einsum("ij,ij->i", part, part)).take(back), fit.take(back, axis=0)
 
 
 def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDecode:
@@ -132,14 +133,18 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     the best mode and the runner-up.  The best mode's residual and shift
     are then computed over the rows grouped by that mode, the residual in
     rank-2 form: never as ``|s|^2 - |s Q_j|^2``, which loses digits to
-    cancellation.  So is the runner-up's residual wherever its fit leaves
-    less than ``delta = 1e-4`` of ``|s|^2``, and where the two come out in
-    the other order, they swap.  Elsewhere the runner-up's residual is
-    ``sqrt(|s|^2 - |s Q_j|^2)``.  Each of those sums of squares is off by
-    at most about ``m eps |s|^2``, so that residual is off by at most
-    about ``m eps / delta = 2.2e-12 m`` of itself: under 1e-9 of it for m
-    up to 450.  The cost is O(rows n m) for the product, O(rows n) for
-    the selection and O(rows m) for the rest, in the product's memory.
+    cancellation.  Each of those differences is off by at most about
+    ``m eps |s|^2``.  Where the runner-up's leaves at least
+    ``delta = 1e-4`` of ``|s|^2``, so does every mode's but the best's, and
+    its square root is off by at most about ``m eps / delta = 2.2e-12 m`` of
+    itself (under 1e-9 of it for m up to 450): the runner-up's residual is
+    taken from it there.  On the other rows, several modes may fit to
+    within rounding, and the difference cannot rank them.  There every
+    mode whose fit leaves less than ``delta`` of ``|s|^2`` gets its
+    residual in rank-2 form, and the best two of those, the first mode on
+    a tie, are the best mode and the runner-up.  The cost is O(rows n m)
+    for the product, O(rows n) for the selection and O(rows m) for the
+    rest, in the product's memory, plus O(m) per mode re-ranked.
 
     Args:
         code: a built code with at least two check rows.
@@ -153,7 +158,7 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     if m < 2:
         raise DimensionMismatchError("single-mode decoding needs at least two check rows")
     planes, _ = code.mode_planes
-    squared = np.vecdot(s, s)
+    squared = np.einsum("ij,ij->i", s, s)
     snorm = np.sqrt(squared)
     # (2n, rows): rows 2j and 2j + 1 hold the fit on mode j, summed in place into the even ones.
     fitted = np.dot(planes.reshape(2 * n, m), s.T)
@@ -165,18 +170,29 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     second = fitted.argmax(axis=0)
     second_sq = squared - fitted[second, columns]  # infinite for a one-mode code
     redo = (second_sq < _EXACT_BELOW * squared).nonzero()[0]
+    if len(redo):
+        # (mode, row) pairs to re-rank besides the best: every mode that leaves less than delta |s|^2
+        # (the runner-up always does; the best's fit now reads -inf).
+        cols = np.arange(len(redo))
+        near = squared[redo] - fitted[:, redo] < _EXACT_BELOW * squared[redo]
+        near_mode, near_row = near.nonzero()
     second_res = np.sqrt(np.maximum(second_sq, 0.0))
     del fitted  # the largest array here: free it before the grouped fits allocate theirs
 
     best_res, shift = _fits(code, s, best)
     if len(redo):
-        redo_res, redo_shift = _fits(code, s[redo], second[redo])
-        second_res[redo] = redo_res
-        flip = redo_res < best_res[redo]
-        swap = redo[flip]
-        best[swap], second[swap] = second[swap], best[swap]
-        best_res[swap], second_res[swap] = second_res[swap], best_res[swap]
-        shift[swap] = redo_shift[flip]
+        near_res, near_shift = _fits(code, s.take(redo[near_row], axis=0), near_mode)
+        ranked = np.full(near.shape, np.inf)  # (n, redo rows)
+        ranked[near_mode, near_row] = near_res
+        ranked[best[redo], cols] = best_res[redo]
+        top = ranked.argmin(axis=0)  # the first mode on a tie
+        hit = near_mode == top[near_row]  # rows whose best mode changed
+        shift[redo[near_row[hit]]] = near_shift[hit]
+        best_res[redo] = ranked[top, cols]
+        ranked[top, cols] = np.inf
+        runner = ranked.argmin(axis=0)  # finite: each row holds the best and the runner-up
+        second_res[redo] = ranked[runner, cols]
+        best[redo], second[redo] = top, runner
 
     # Later assignments take precedence: no error, then uncorrectable, then ambiguous.
     status = (second_res - best_res < tol * (1.0 + best_res)) + DECODED  # AMBIGUOUS = DECODED + 1

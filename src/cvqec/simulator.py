@@ -231,7 +231,6 @@ def run_ec_experiment(
     if not r >= 0:  # written so that NaN fails too
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     n, _, l, c = code.params
-    m = code.m
     error = np.asarray(error, dtype=float)
     if error.shape != (2 * n,):
         raise DimensionMismatchError(f"error must have length {2 * n}")
@@ -240,19 +239,9 @@ def run_ec_experiment(
         raise ValueError("the experiment injects single-mode errors only")
     error_mode = (support.pop() + 1) if support else 0
 
-    # Check values in syndrome order (sender positions of the pairs,
-    # ancilla positions, pair momenta), each pair's scaled as it leaves the
-    # readout beamsplitter.
     checks, data = check_rows(n, l, c)
     shift = code.basis @ swap_halves(error)
-    pairs = np.r_[:c, c + l : m]
-    value = shift[checks]
-    value[pairs] *= math.sqrt(0.5)
-    s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]  # readout i -> entry m - 1 - i
-    s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
-    s_meas += value
-    s_meas[:, pairs] *= math.sqrt(2.0)
-
+    s_meas = readout_syndromes(code, shift[checks], r, trials, seed)
     decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
     mean_residual, residual_variance = _residual_moments(code, data, shift[data], decoded)
     matched = ((decoded.status == NO_ERROR) | (decoded.status == DECODED)) & (decoded.mode_hypothesis == error_mode)
@@ -266,6 +255,27 @@ def run_ec_experiment(
         ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,
         uncorrectable_rate=int(np.count_nonzero(decoded.status == UNCORRECTABLE)) / trials,
     )
+
+
+def readout_syndromes(code: CodeSpec, values: np.ndarray, r: float, trials: int, seed: int) -> np.ndarray:
+    """The (trials, m) syndromes `run_ec_experiment` reads at squeezing r when the check values are ``values``.
+
+    ``values`` are the check values in syndrome order (sender positions
+    of the pairs, ancilla positions, pair momenta): the error's ideal
+    syndrome.  The draw, its readout order and its noise scale are those
+    `run_ec_experiment` states; each pair's value is scaled by sqrt(1/2)
+    as it leaves the readout beamsplitter.  ``values`` is not changed.
+    """
+    _, _, l, c = code.params
+    m = code.m
+    pairs = np.r_[:c, c + l : m]
+    value = values.copy()
+    value[pairs] *= math.sqrt(0.5)
+    s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]  # readout i -> entry m - 1 - i
+    s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
+    s_meas += value
+    s_meas[:, pairs] *= math.sqrt(2.0)
+    return s_meas
 
 
 def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: BatchDecode) -> tuple[np.ndarray, np.ndarray]:

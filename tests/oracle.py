@@ -101,10 +101,15 @@ def decode_by_lstsq(code: CodeSpec, s, tol: float) -> tuple[np.ndarray, ...]:
     gap) per row, as `decode_batch` reports the first five (mode 0 and
     residual ``|s|`` on NO_ERROR rows, an infinite runner-up residual for
     a one-mode code).  ``margin`` is the row's smallest distance to a
-    threshold of the status, over ``max(1, |s|)``: ``|s|`` to ``tol``, the
-    best residual to ``tol * (1 + |s|)`` and the runner-up's excess over
-    it to ``tol * (1 + best)``.  ``gap`` is that excess alone, over the
-    same scale: where it is 0, rounding picks the mode (and its shift).
+    threshold of the status, each over its own scale: ``|s|`` to ``tol``
+    and the best residual to ``tol * (1 + |s|)`` over ``max(1, |s|)``,
+    and the runner-up's excess over the best to ``tol * (1 + best)`` over
+    that threshold plus ``1e-4 max(1, |s|)``.  That threshold does not
+    grow with ``|s|``, while the two residuals' rounding, about
+    ``eps |s|``, does: so a margin of 1e-8 there keeps the excess
+    ``1e-12 max(1, |s|)`` away from it, not ``1e-8 |s|``.  ``gap`` is that
+    excess alone, over ``max(1, |s|)``: where it is 0, rounding picks the
+    mode (and its shift).
     """
     s = np.atleast_2d(np.asarray(s, dtype=float))
     n, smat = code.n, code.syndrome_matrix
@@ -125,7 +130,12 @@ def decode_by_lstsq(code: CodeSpec, s, tol: float) -> tuple[np.ndarray, ...]:
         best, j, theta = min(fits, key=lambda fit: (fit[0], fit[1]))
         second = min((fit[0] for fit in fits if fit[1] != j), default=math.inf)
         scale = max(1.0, norm)
-        margin[i] = min(abs(norm - tol), abs(best - tol * (1.0 + norm)), abs(second - best - tol * (1.0 + best))) / scale
+        ambiguous_at = tol * (1.0 + best)
+        margin[i] = min(
+            abs(norm - tol) / scale,
+            abs(best - tol * (1.0 + norm)) / scale,
+            abs(second - best - ambiguous_at) / (ambiguous_at + 1e-4 * scale),
+        )
         gap[i] = (second - best) / scale
         if norm <= tol:
             status[i], mode[i], residual[i] = NO_ERROR, 0, norm

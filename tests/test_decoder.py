@@ -281,12 +281,14 @@ def _coincident_case(scale):
 @settings(deadline=None, max_examples=200)
 @example(case=(("mixed", 4, 2, 1, 1, 7), 0.1, np.zeros((0, 3))))
 @example(case=_coincident_case(1e3))
+@example(case=(("coincident",), DEFAULT_DECODE_TOL, np.array([[1e3, 1e-5, -1e-5], [1e3, 3e-6, -3e-6]])))
 @example(case=(("canonical", 1, 0, 0, 1), DEFAULT_DECODE_TOL, np.array([[0.5, -2.0], [0.0, 0.0], [1e-7, 0.0]])))
 @given(case=_decode_cases())
 def test_batch_decoder_matches_lstsq_oracle(case):
-    # Rows within 1e-8 (relative) of a threshold of the oracle's status, where
-    # rounding on either side may decide, are counted and not compared; nor
-    # are the mode and shift where the two best residuals lie that close.
+    # Rows within 1e-8 (relative, see `decode_by_lstsq`) of a threshold of the
+    # oracle's status, where rounding on either side may decide, are counted
+    # and not compared; nor are the mode and shift where the two best
+    # residuals lie within 1e-8 |s| of each other.
     key, tol, s = case
     code = _decode_code(key)
     got = decode_batch(code, s, tol)
@@ -307,13 +309,20 @@ def test_batch_decoder_matches_lstsq_oracle(case):
     assert np.all(np.abs(got.shift - shift).max(axis=1, initial=0.0)[unique] <= scale[unique])
 
 
-@pytest.mark.parametrize("p, x", [(0.7, -0.4), (-0.3, 0.65), (0.77, 0.12), (0.05, 1.0)])
+@pytest.mark.parametrize(
+    "p, x", [(0.7, -0.4), (-0.3, 0.65), (0.77, 0.12), (0.05, 1.0), (1.0, -1e-9), (1.0, -3e-9), (1.0, -1e-8), (1.0, -3e-8)]
+)
 def test_coincident_planes_are_ambiguous_at_large_syndromes(p, x):
     # Modes 2 and 3 fit the syndrome exactly, so both residuals are rounding,
     # about 1e-13 here. Read from |s|^2 - |s Q_j|^2 instead, the runner-up's
-    # would be about sqrt(eps) |s| ~ 1e-5, far beyond the tolerance.
+    # would be about sqrt(eps) |s| ~ 1e-5, far beyond the tolerance. With
+    # p = 1 the syndrome lies 1e3 |x| off mode 1's plane, which meets theirs
+    # in the line of a unit momentum on mode 2: mode 1 leaves one to thirty
+    # times the tolerance, yet all three fits lie within rounding of |s|^2,
+    # so the two best must be ranked by their residuals in rank-2 form.
     code = _decode_code(("coincident",))
     s = 1e3 * syndrome(code, single_mode_error(3, 2, p, x))
     with pytest.raises(AmbiguousSyndromeError, match="equally well") as info:
         decode_single_mode(code, s)
     assert sorted(map(int, re.search(r"modes (\d+) and (\d+)", str(info.value)).groups())) == [2, 3]
+

@@ -4,9 +4,8 @@ For each mode count n, the check rows come from `random_code_rows(n, 1, n // 4)`
 in `chainbench/workloads.py` (l = 1, c = n/4), which this script imports and
 does not change. It times `build_code`, `decompose` of the encoder,
 `circuit_action` and `verify_circuit` of the compiled circuit, one
-`run_ec_experiment`, and `decode_batch` on that experiment's number of
-noisy syndromes of its error (the error's syndrome plus readout noise of
-the simulator's scale at the same squeezing, one fixed draw), and prints
+`run_ec_experiment`, and `decode_batch` on the syndromes that experiment
+decodes (`readout_syndromes` of its error, drawn once), and prints
 one JSON object with the median of the repeats per layer, in wall
 seconds, and beside it, under the layer's key with ``_range`` appended,
 the fastest and slowest repeat. A difference between two sweeps that
@@ -49,7 +48,7 @@ from cvqec import __version__, cli
 from cvqec.codes import build_code, save_parity_check
 from cvqec.compiler import circuit_action, decompose, encoder_quad_action, load_circuit, verify_circuit
 from cvqec.decoder import decode_batch, single_mode_error, syndrome
-from cvqec.simulator import _DECODE_TOL, _VACUUM_SD, run_ec_experiment
+from cvqec.simulator import _DECODE_TOL, readout_syndromes, run_ec_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
 from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
@@ -83,12 +82,8 @@ def cli_chain(work: Path) -> dict[str, float]:
 
 def sweep_point(n: int) -> dict:
     l, c = 1, n // 4
-    m = l + 2 * c
     rows = random_code_rows(n, l, c)
     error = single_mode_error(n, 1, 2.0, 2.0)
-    # Readout noise as the simulator draws it: e^{-r}/sqrt(2) per readout, pair rows read back x sqrt(2).
-    noise = np.random.default_rng(1).standard_normal((TRIALS, m)) * (np.exp(-RANDOM_CODE_R) * _VACUUM_SD)
-    noise[:, np.r_[:c, c + l : m]] *= np.sqrt(2.0)
     times: dict[str, list[float]] = {}
 
     def timed(name, fn, *args):
@@ -108,7 +103,8 @@ def sweep_point(n: int) -> dict:
             timed("circuit_action", circuit_action, circuit)
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
-            timed("decode_batch", decode_batch, code, syndrome(code, error) + noise, _DECODE_TOL)
+            s_meas = readout_syndromes(code, syndrome(code, error), RANDOM_CODE_R, TRIALS, 1)
+            timed("decode_batch", decode_batch, code, s_meas, _DECODE_TOL)
             steps = timed("cli_chain", cli_chain, work)
             for command in ("build", "compile"):
                 times.setdefault(f"cli_{command}_s", []).append(steps[command])
