@@ -101,7 +101,7 @@ def _circuit_text(circuit: compiler.Circuit) -> str:
 
 
 def _write(text: str, output: str | None) -> None:
-    """Write one line of JSON text to a file or stdout.
+    """Write text, one line of JSON or selftest's report, and a newline to a file or stdout.
 
     A file is overwritten in place: opened without truncation (created
     with mode 0o666 less the umask, as ``open(output, "w")`` creates it),
@@ -272,12 +272,14 @@ def cmd_selftest(args) -> int:
     if args.json:
         _emit({"passed": all_pass, "checks": results}, args.output)
     else:
+        lines = []
         for r in results:
             line = f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}"
             if r["detail"]:
                 line += f"  ({r['detail']})"
-            print(line)
-        print("self-test:", "pass" if all_pass else "FAIL")
+            lines.append(line)
+        lines.append("self-test: " + ("pass" if all_pass else "FAIL"))
+        _write("\n".join(lines), args.output)
     return EXIT_OK if all_pass else EXIT_BUILD
 
 

@@ -1,13 +1,15 @@
 """Linear-optics gate set and compilation of symplectic quadrature actions.
 
-Gates are (kind, modes, param) records; each kind has an exact
-quadrature action in (x | p) ordering.  A circuit holds such records,
-where one record may also be a run of commuting QND gates from one
-control (see `Circuit`).  `decompose` reduces an arbitrary symplectic
-quadrature action to the identity by a pivoted elimination that clears
-one position column and one momentum column per round using only gates
-from the set; the emitted circuit is the inverse sequence in reverse
-order, so its composed action reproduces the input.
+Gates are bare (kind, modes, param) records; each kind has an exact
+quadrature action in (x | p) ordering, which `apply_gate` alone holds.
+A circuit holds such records, where one record may also be a run of
+commuting QND gates from one control (see `Circuit`).  Two functions
+make circuits: `decompose` reduces an arbitrary symplectic quadrature
+action to the identity by a pivoted elimination that clears one
+position column and one momentum column per round using only gates
+from the set, and emits the inverse sequence in reverse order, so its
+composed action reproduces the input; `circuit_from_dicts` reads a
+circuit file's gate list, validating it and forming its runs once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,121 +44,35 @@ _TWO_MODE = (QND_X, QND_P, SWAP)
 GATE_EPS = 1e-12
 
 
-class _GateRecord(NamedTuple):
-    kind: str
-    modes: tuple[int, ...]
-    param: float | None = None
-
-
-class Gate(_GateRecord):
-    """One gate instance; modes are 1-based.
-
-    A gate is a (kind, modes, param) record whose constructor validates
-    it, so `apply_gate` takes a `Gate` and a bare record alike.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, modes: tuple[int, ...], param: float | None = None):
-        if kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        want = 2 if kind in _TWO_MODE else 1
-        if len(modes) != want:
-            raise ValueError(f"{kind} takes {want} mode(s), got {modes}")
-        if min(modes) < 1:
-            raise ValueError(f"modes are 1-based, got {modes}")
-        if want == 2 and modes[0] == modes[1]:
-            raise ValueError(f"{kind} needs two distinct modes")
-        if kind in _PARAMLESS:
-            if param is not None:
-                raise ValueError(f"{kind} takes no parameter")
-        else:
-            if param is None or not math.isfinite(param):
-                raise ValueError(f"{kind} needs a finite parameter")
-            if kind == SQUEEZE and param == 0.0:
-                raise ValueError("squeeze factor must be nonzero")
-        return super().__new__(cls, kind, modes, param)
-
-
-def squeeze(mode: int, a: float) -> Gate:
-    return Gate(SQUEEZE, (mode,), float(a))
-
-
-def fourier(mode: int) -> Gate:
-    return Gate(FOURIER, (mode,))
-
-
-def fourier_inv(mode: int) -> Gate:
-    return Gate(FOURIER_INV, (mode,))
-
-
-def qnd_x(m1: int, m2: int, g: float) -> Gate:
-    return Gate(QND_X, (m1, m2), float(g))
-
-
-def qnd_p(m1: int, m2: int, g: float) -> Gate:
-    return Gate(QND_P, (m1, m2), float(g))
-
-
-def phase_x(mode: int, g: float) -> Gate:
-    return Gate(PHASE_X, (mode,), float(g))
-
-
-def phase_p(mode: int, g: float) -> Gate:
-    return Gate(PHASE_P, (mode,), float(g))
-
-
-def swap(m1: int, m2: int) -> Gate:
-    return Gate(SWAP, (m1, m2))
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """Gate sequence on n modes, as records that `apply_gate` takes, first applied first.
 
-    A record is one gate, a (kind, modes, param) tuple such as a `Gate`,
-    or one run of QND gates of one kind from one control,
+    A record is one gate, a bare (kind, modes, param) tuple, or one run
+    of QND gates of one kind from one control,
     ``(kind, (control, targets), params)``: the targets are distinct modes,
     a ``range`` where evenly spaced and an integer array otherwise, and
     ``params`` is a float array, both in the gates' order.  A run's gates
-    commute, so it is applied as one step.  `decompose` and
-    `circuit_from_dicts` build runs and never a `Gate` per gate;
-    hand-built circuits hold `Gate`s.  ``len`` counts gates.  Circuits
-    compare by identity.
+    commute, so it is applied as one step.  A circuit checks nothing:
+    `decompose` and `circuit_from_dicts`, which make circuits, emit only
+    valid records on modes 1..n.  ``len`` counts gates.  Circuits compare
+    by identity.
     """
 
     n: int
     records: tuple = ()
 
-    def __post_init__(self):
-        for record in self.records:
-            modes = record[1]
-            last = modes[-1]
-            if isinstance(last, np.ndarray):
-                last = last.max()
-            elif isinstance(last, range):
-                last = max(last[0], last[-1])
-            if max(modes[0], last) > self.n:
-                raise DimensionMismatchError(f"gate record {record} exceeds mode count {self.n}")
-
-    @classmethod
-    def _of(cls, n: int, records: tuple) -> Circuit:
-        """A circuit without the mode check, for `decompose` and the loader, whose records are known to be on modes 1..n."""
-        circuit = object.__new__(cls)
-        circuit.__dict__.update(n=n, records=records)
-        return circuit
-
     def __len__(self) -> int:
         return sum(len(param) if isinstance(param, np.ndarray) else 1 for _, _, param in self.records)
 
 
-def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
+def apply_gate(rows: np.ndarray, gate: tuple) -> None:
     """Left-multiply a (2n, K) array by a gate's quadrature action, in place.
 
     Follows the substitution table of `gate_action` row by row: a gate
     rewrites at most four rows (x_i, p_i, x_j, p_j) and leaves the rest
     untouched, so applying it costs O(K) for a (2n, K) array instead of a
-    dense O(n^2 K) product.  ``gate`` may be a bare (kind, modes, param)
+    dense O(n^2 K) product.  ``gate`` is a bare (kind, modes, param)
     record, which is not validated.  A QND record may also carry a
     ``range`` or an integer array of distinct target modes, none of them
     the control, with an array of parameters: that is the run of those
@@ -167,8 +82,8 @@ def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
     an array is gathered and scattered, and numpy's fancy indexing would
     silently lose a repeated target, so it must not hold one.  A gate on
     a mode beyond the n modes of ``rows`` raises IndexError, possibly
-    after rewriting one row; `gate_action` and `Circuit` check the modes
-    up front.
+    after rewriting one row; `gate_action` and `circuit_from_dicts`
+    check the modes up front.
     """
     kind, modes, param = gate
     n = rows.shape[0] // 2
@@ -209,38 +124,6 @@ def apply_gate(rows: np.ndarray, gate: Gate | tuple) -> None:
             rows[[xi, xj, pi, pj]] = rows[[xj, xi, pj, pi]]
 
 
-def apply_gates(rows: np.ndarray, records) -> None:
-    """Left-multiply a (2n, K) array by a circuit's records (first record first), in place.
-
-    A run record goes to `apply_gate` as it is.  Consecutive single QND
-    gates of one kind and one control commute, so each such run goes to
-    `apply_gate` as one record too, formed as `circuit_from_dicts` forms
-    runs at load (see `_run`).  A run closes at its first repeated
-    target, which fancy indexing would drop.
-    """
-    run_kind = control = None
-    run: dict = {}  # the open run's targets and parameters, in order
-    for record in records:
-        kind, modes, param = record
-        if (kind == QND_X or kind == QND_P) and not isinstance(param, np.ndarray):
-            if kind != run_kind or modes[0] != control or modes[1] in run:
-                _apply_run(rows, run_kind, control, run)
-                run_kind, control, run = kind, modes[0], {}
-            run[modes[1]] = param
-        else:
-            if run:
-                _apply_run(rows, run_kind, control, run)
-                run_kind, run = None, {}
-            apply_gate(rows, record)
-    _apply_run(rows, run_kind, control, run)
-
-
-def _apply_run(rows: np.ndarray, kind: str | None, control: int | None, run: dict) -> None:
-    """Apply an open run of `apply_gates` as one record."""
-    if run:
-        apply_gate(rows, _run(kind, control, list(run), list(run.values())))
-
-
 def _run(kind: str, control: int, targets: list | range, params) -> tuple:
     """The record of a run of QND gates from ``control``, in the one form every caller builds.
 
@@ -259,7 +142,7 @@ def _run(kind: str, control: int, targets: list | range, params) -> tuple:
     return kind, (control, targets), np.array(params, dtype=float)
 
 
-def gate_action(gate: Gate, n: int) -> np.ndarray:
+def gate_action(gate: tuple, n: int) -> np.ndarray:
     """Exact quadrature action of a gate on n modes, (x | p) ordering.
 
     Substitution rules, with i (and j for two-mode gates) the gate modes:
@@ -273,9 +156,10 @@ def gate_action(gate: Gate, n: int) -> np.ndarray:
     * PHASE_P(g):   x_i -> x_i + g p_i
     * SWAP:         exchanges modes i and j
 
-    The matrix is `apply_gate` applied to the identity.
+    ``gate`` is one gate's bare (kind, modes, param) record, and the
+    matrix is `apply_gate` applied to the identity.
     """
-    if max(gate.modes) > n:
+    if max(gate[1]) > n:
         raise DimensionMismatchError(f"gate {gate} exceeds mode count {n}")
     a = np.eye(2 * n)
     apply_gate(a, gate)
@@ -285,7 +169,8 @@ def gate_action(gate: Gate, n: int) -> np.ndarray:
 def circuit_action(circuit: Circuit) -> np.ndarray:
     """Composed quadrature action, first gate innermost, applied record by record."""
     a = np.eye(2 * circuit.n)
-    apply_gates(a, circuit.records)
+    for record in circuit.records:
+        apply_gate(a, record)
     return a
 
 
@@ -402,7 +287,7 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
 
     The circuit is the elimination's records inverted one by one
     (`_inverse_record`) in reverse order: each sweep stays one run
-    record, its targets reversed, and no `Gate` is built per gate.  No
+    record, its targets reversed, and no record is built per gate.  No
     two runs of one kind and control are adjacent, so these are the runs
     `circuit_from_dicts` forms when it reads the circuit's file form
     back, and both give the same composed action.
@@ -417,6 +302,8 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
 
     Returns:
         (circuit, report): the circuit's composed action reproduces ``a``.
+        Its records are on modes 1..n, a two-mode gate's modes differ,
+        and every parameter is finite and nonzero.
 
     Raises:
         NotSymplecticError: if ``a`` is not symplectic on that scale.
@@ -447,7 +334,7 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     # The circuit is the records' inverses in reverse order.  Every
     # record has in-range modes, and its parameter is finite and nonzero
     # while the work matrix stays finite, which the residual check confirms.
-    circuit = Circuit._of(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
+    circuit = Circuit(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
     counts: dict[str, int] = {}
     max_abs_param = 0.0
     for kind, _, param in circuit.records:
@@ -533,13 +420,15 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     of integral value (`json_int`'s rule).  ``"param"`` is absent or null
     on FOURIER, FOURIER_INV and SWAP, and on the rest a finite JSON
     number (an int or a float, not a bool or a string), nonzero for
-    SQUEEZE.  These are the checks of the `Gate` constructor, made on
-    whole columns; no `Gate` is built.  An error names the first
-    offending record.
+    SQUEEZE.  Every mode is at most n; no other code checks a circuit's
+    modes.  The checks are made on whole columns, and no object is built
+    per gate.  An error names the first offending record.
 
     Consecutive QND gates of one kind and control then become one run
-    record (see `Circuit`), closed at the first repeated target, with
-    the targets and parameters `apply_gates` would give the same gates.
+    record (see `Circuit`), closed at the first repeated target, in the
+    form `_run` gives every run, so a circuit that `decompose` made
+    composes to the same action, bit for bit, after a round trip
+    through its file form.
 
     Raises:
         ValueError: for a malformed or invalid gate record.
@@ -619,7 +508,7 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
         else:
             gate_modes = (control_l[s], target_l[s]) if two_mode[s] else (control_l[s],)
             records.append((name, gate_modes, param_l[s] if has_param_l[s] else None))
-    return Circuit._of(n, tuple(records))
+    return Circuit(n, tuple(records))
 
 
 def _split_at_repeats(targets: list, s: int, e: int) -> list[tuple[int, int]]:

@@ -5,23 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from cvqec.codes import build_code, canonical_parity_check
-from cvqec.compiler import (
-    Circuit,
-    circuit_action,
-    fourier,
-    fourier_inv,
-    phase_p,
-    phase_x,
-    qnd_p,
-    qnd_x,
-    squeeze,
-    swap,
-)
+from cvqec.compiler import circuit_action
 from cvqec.symplectic import symplectic_form
+
+from oracle import circuit_of, fourier, fourier_inv, phase_p, phase_x, qnd_p, qnd_x, squeeze, swap
 
 
 def random_gates(n, count, rng):
-    """A random circuit with bounded parameters; never a no-op squeeze."""
+    """A random circuit with bounded parameters, built through `circuit_of`; never a no-op squeeze."""
     gates = []
     for _ in range(count):
         kind = int(rng.integers(0, 8))
@@ -44,7 +35,7 @@ def random_gates(n, count, rng):
             lambda: swap(m1, m2),
         ]
         gates.append(builders[kind]())
-    return Circuit(n=n, records=tuple(gates))
+    return circuit_of(n, gates)
 
 
 def mixed_code(n, k, l, c, seed):

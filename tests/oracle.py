@@ -15,21 +15,131 @@ test, single-mode decoding by one least-squares solve per row and mode,
 the inverse of a circuit, a circuit's gate list as one dict per gate,
 and the error-correction experiment with its statistics taken over an
 array of per-trial data quadratures.
+
+Hand-built circuits start here too.  `Gate` is one gate validated by
+its constructor, the per-gate reference that the column-wise circuit
+loader is checked against, and `squeeze`, `fourier`, `fourier_inv`,
+`qnd_x`, `qnd_p`, `phase_x`, `phase_p` and `swap` build one each.
+`circuit_of` turns a list of records into a circuit through
+`cvqec.compiler.circuit_from_dicts`, so a hand-built circuit's runs are
+formed as a circuit file's are.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from cvqec.codes import CodeSpec
-from cvqec.compiler import Circuit, _inverse_record, apply_gates, fourier, qnd_p, qnd_x
+from cvqec.compiler import (
+    FOURIER,
+    FOURIER_INV,
+    GATE_KINDS,
+    PHASE_P,
+    PHASE_X,
+    QND_P,
+    QND_X,
+    SQUEEZE,
+    SWAP,
+    Circuit,
+    _inverse_record,
+    apply_gate,
+    circuit_from_dicts,
+)
 from cvqec.decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from cvqec.decomposition import check_rows
 from cvqec.errors import DimensionMismatchError
 from cvqec.simulator import _DECODE_TOL, _VACUUM_SD, ExperimentStats, GaussianState, homodyne
 from cvqec.symplectic import as_phase_vector, mode_count, swap_halves, symplectic_form
+
+
+# ---------------------------------------------------------------------------
+# Gates and hand-built circuits
+# ---------------------------------------------------------------------------
+
+
+class _GateRecord(NamedTuple):
+    kind: str
+    modes: tuple[int, ...]
+    param: float | None = None
+
+
+class Gate(_GateRecord):
+    """One gate instance; modes are 1-based.
+
+    A gate is a (kind, modes, param) record whose constructor validates
+    it: a kind of `GATE_KINDS`, two distinct modes for QND_X, QND_P and
+    SWAP and one for the rest, all from 1, no parameter on FOURIER,
+    FOURIER_INV and SWAP, and a finite one on the rest, nonzero for
+    SQUEEZE.  It is a tuple, so `apply_gate` takes it as a bare record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, modes: tuple[int, ...], param: float | None = None):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        want = 2 if kind in (QND_X, QND_P, SWAP) else 1
+        if len(modes) != want:
+            raise ValueError(f"{kind} takes {want} mode(s), got {modes}")
+        if min(modes) < 1:
+            raise ValueError(f"modes are 1-based, got {modes}")
+        if want == 2 and modes[0] == modes[1]:
+            raise ValueError(f"{kind} needs two distinct modes")
+        if kind in (FOURIER, FOURIER_INV, SWAP):
+            if param is not None:
+                raise ValueError(f"{kind} takes no parameter")
+        else:
+            if param is None or not math.isfinite(param):
+                raise ValueError(f"{kind} needs a finite parameter")
+            if kind == SQUEEZE and param == 0.0:
+                raise ValueError("squeeze factor must be nonzero")
+        return super().__new__(cls, kind, modes, param)
+
+
+def squeeze(mode: int, a: float) -> Gate:
+    return Gate(SQUEEZE, (mode,), float(a))
+
+
+def fourier(mode: int) -> Gate:
+    return Gate(FOURIER, (mode,))
+
+
+def fourier_inv(mode: int) -> Gate:
+    return Gate(FOURIER_INV, (mode,))
+
+
+def qnd_x(m1: int, m2: int, g: float) -> Gate:
+    return Gate(QND_X, (m1, m2), float(g))
+
+
+def qnd_p(m1: int, m2: int, g: float) -> Gate:
+    return Gate(QND_P, (m1, m2), float(g))
+
+
+def phase_x(mode: int, g: float) -> Gate:
+    return Gate(PHASE_X, (mode,), float(g))
+
+
+def phase_p(mode: int, g: float) -> Gate:
+    return Gate(PHASE_P, (mode,), float(g))
+
+
+def swap(m1: int, m2: int) -> Gate:
+    return Gate(SWAP, (m1, m2))
+
+
+def circuit_of(n: int, records) -> Circuit:
+    """A circuit on n modes from (kind, modes, param) records, read as a circuit file is read.
+
+    The records, single gates or runs, are written out one dict per gate
+    (`circuit_to_dicts`) and loaded by `circuit_from_dicts`, which checks
+    them and forms their runs.  Modes are ints and parameters Python
+    floats, as the loader reads them from JSON.
+    """
+    return circuit_from_dicts(circuit_to_dicts(Circuit(n, tuple(records))), n)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +337,12 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 
 
 def apply_circuit(state: GaussianState, circuit: Circuit) -> GaussianState:
-    """Apply a gate sequence (first gate first) to mean and factor, run by run through `apply_gates`."""
+    """Apply a circuit (first record first) to mean and factor, record by record through `apply_gate`."""
     if circuit.n != state.n:
         raise DimensionMismatchError(f"circuit is on {circuit.n} modes, state has {state.n}")
     work = np.column_stack((state.mean, state.factor))
-    apply_gates(work, circuit.records)
+    for record in circuit.records:
+        apply_gate(work, record)
     return GaussianState(n=state.n, mean=work[:, 0].copy(), factor=work[:, 1:])
 
 
@@ -323,7 +434,7 @@ def _phase_gate_coupled(state: GaussianState, mode: int, g1: float, g2: float, r
     anc = state.n + 1
     return apply_circuit(
         tensor(state, position_squeezed(r)),
-        Circuit(n=anc, records=(qnd_x(mode, anc, g1), fourier(anc), qnd_p(anc, mode, g2))),
+        circuit_of(anc, (qnd_x(mode, anc, g1), fourier(anc), qnd_p(anc, mode, g2))),
     )
 
 
@@ -337,7 +448,7 @@ def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:
     """
     t = math.tan(math.pi / 8.0)
     s = math.sin(math.pi / 4.0)
-    return Circuit(n=n, records=(qnd_p(m1, m2, t), qnd_x(m1, m2, s), qnd_p(m1, m2, t)))
+    return circuit_of(n, (qnd_p(m1, m2, t), qnd_x(m1, m2, s), qnd_p(m1, m2, t)))
 
 
 def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int) -> ExperimentStats:

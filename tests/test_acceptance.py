@@ -16,11 +16,10 @@ from cvqec.compiler import circuit_action, decompose
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.decomposition import code_parameters, symplectic_gram_schmidt
 from cvqec.simulator import run_ec_experiment
-from cvqec.compiler import Circuit, phase_x
 from cvqec.symplectic import is_symplectic, symplectic_form
 
 from conftest import random_symplectic_from_gates, random_symplectic_from_hamiltonian
-from oracle import apply_circuit, displace, h_aug, phase_gate_protocol, phase_gate_trials, vacuum
+from oracle import apply_circuit, circuit_of, displace, h_aug, phase_gate_protocol, phase_gate_trials, phase_x, vacuum
 
 
 def announce(num, label, passed, detail):
@@ -139,7 +138,7 @@ def test_criterion_6_phase_gate_protocol():
     t0 = time.perf_counter()
     rng = np.random.default_rng(6)
     inp = displace(vacuum(1), [0.7, -0.3])
-    ideal = apply_circuit(inp, Circuit(1, (phase_x(1, 2.0),)))
+    ideal = apply_circuit(inp, circuit_of(1, [phase_x(1, 2.0)]))
     trials = 100_000
     means, factor = phase_gate_trials(inp, 1, 1.0, 1.0, 5.0, rng, trials)
     post_var_p = float(factor[1] @ factor[1])

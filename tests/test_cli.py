@@ -197,6 +197,17 @@ def test_selftest(capsys):
     assert all(check["passed"] for check in payload["checks"])
 
 
+def test_selftest_writes_its_text_report_to_the_output(tmp_path, capsys):
+    assert main(["selftest"]) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "selftest.txt"
+    out.write_text("x" * 4096)  # overwritten in place and cut to length
+    assert main(["selftest", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == report
+    assert report.endswith("self-test: pass\n")
+
+
 def test_tampered_code_file_fails_verification(tmp_path, code_file):
     payload = read(code_file)
     payload["basis"][0][0] += 0.25
@@ -368,13 +379,13 @@ def test_circuit_text_is_the_rounded_circuits_gate_list(rng):
 
     for _ in range(10):
         circuits.append(compiler.Circuit(8, (
-            compiler.fourier(2),
+            ("FOURIER", (2,), None),
             ("QND_X", (1, range(2, 6)), params(4)),
-            compiler.squeeze(3, float(params(1)[0])),
+            ("SQUEEZE", (3,), float(params(1)[0])),
             ("QND_P", (7, np.array([4, 2, 8])), params(3)),
             ("QND_X", (5, range(8, 1, -3)), params(3)),
-            compiler.qnd_p(3, 6, float(params(1)[0])),
-            compiler.swap(1, 8),
+            ("QND_P", (3, 6), float(params(1)[0])),
+            ("SWAP", (1, 8), None),
         )))
     for circuit in circuits:
         text = cli._circuit_text(circuit)

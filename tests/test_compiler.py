@@ -20,30 +20,32 @@ from cvqec.compiler import (
     QND_X,
     SQUEEZE,
     SWAP,
-    Circuit,
-    Gate,
     apply_gate,
-    apply_gates,
     circuit_action,
     circuit_from_dicts,
     decompose,
     encoder_quad_action,
-    fourier,
-    fourier_inv,
     gate_action,
-    phase_p,
-    phase_x,
-    qnd_p,
-    qnd_x,
-    squeeze,
-    swap,
     verify_circuit,
 )
 from cvqec.errors import CircuitVerificationError, DimensionMismatchError, NotSymplecticError
 from cvqec.symplectic import is_symplectic
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
-from oracle import circuit_to_dicts, invert_circuit
+from oracle import (
+    Gate,
+    circuit_of,
+    circuit_to_dicts,
+    fourier,
+    fourier_inv,
+    invert_circuit,
+    phase_p,
+    phase_x,
+    qnd_p,
+    qnd_x,
+    squeeze,
+    swap,
+)
 
 
 def test_fourier_action_single_mode():
@@ -86,25 +88,57 @@ def test_gate_validation():
 
 
 def test_circuit_action_empty_and_fourier_period():
-    assert np.array_equal(circuit_action(Circuit(n=3)), np.eye(6))
-    c = Circuit(n=1, records=(fourier(1),) * 4)
+    assert np.array_equal(circuit_action(circuit_of(3, [])), np.eye(6))
+    c = circuit_of(1, [fourier(1)] * 4)
     assert np.allclose(circuit_action(c), np.eye(2), atol=1e-15)
 
 
-def test_invert_circuit_involution_and_action(rng):
-    c = random_gates(3, 20, rng)
+@st.composite
+def circuits_with_target_runs(draw):
+    """Loaded circuits whose QND runs have range targets of either step direction or array targets, between single gates."""
+    n = draw(st.integers(2, 7))
+    param = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
+    gates = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(GATE_KINDS + (QND_X, QND_P) * 2))
+        if kind in (QND_X, QND_P):
+            if draw(st.booleans()):  # evenly spaced: a range, run up or down
+                step = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+                first = draw(st.integers(1, n))
+                count = draw(st.integers(1, min(n - 1, len(range(first, 0 if step < 0 else n + 1, step)))))
+                targets = list(range(first, first + step * count, step))
+            else:
+                targets = draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))
+            control = draw(st.sampled_from([m for m in range(1, n + 1) if m not in targets]))
+            gates += [(kind, (control, t), draw(param)) for t in targets]
+        else:
+            modes = tuple(draw(st.lists(st.integers(1, n), min_size=2 if kind == SWAP else 1, max_size=2 if kind == SWAP else 1, unique=True)))
+            gates.append((kind, modes, None if kind in (FOURIER, FOURIER_INV, SWAP) else draw(param)))
+    return circuit_of(n, gates)
+
+
+def _kind_and_modes(record):
+    kind, modes, _ = record
+    return kind, [modes[0]] + [list(m) if isinstance(m, (range, np.ndarray)) else m for m in modes[1:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits_with_target_runs())
+@example(circuit_of(7, [(QND_X, (4, t), 0.5 * t) for t in (7, 5, 3, 1)] + [(QND_P, (1, t), 0.3) for t in (2, 6, 3)] + [squeeze(2, -1.3)]))
+def test_invert_circuit_involution_and_action(c):
     back = invert_circuit(invert_circuit(c))
-    # structurally identical; squeeze factors only up to double rounding of 1/(1/a)
-    assert [(kind, modes) for kind, modes, _ in back.records] == [(g.kind, g.modes) for g in c.records]
-    for (_, _, got), want in zip(back.records, c.records):
-        if want.param is not None:
-            assert got == pytest.approx(want.param, rel=1e-15)
+    # the same records; squeeze factors only up to double rounding of 1/(1/a)
+    assert list(map(_kind_and_modes, back.records)) == list(map(_kind_and_modes, c.records))
+    for (_, _, got), (_, _, want) in zip(back.records, c.records):
+        if want is not None:
+            assert type(got) is type(want)
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.abs(want))
     prod = circuit_action(invert_circuit(c)) @ circuit_action(c)
-    assert np.max(np.abs(prod - np.eye(6))) <= 1e-10 * (1 + np.max(np.abs(circuit_action(c))))
+    assert np.max(np.abs(prod - np.eye(2 * c.n))) <= 1e-10 * (1 + np.max(np.abs(circuit_action(c))))
 
 
 def test_invert_circuit_gate_by_gate():
-    c = Circuit(n=1, records=(squeeze(1, 2.0), fourier(1)))
+    c = circuit_of(1, [squeeze(1, 2.0), fourier(1)])
     inv = invert_circuit(c)
     assert inv.records == (fourier_inv(1), squeeze(1, 0.5))
 
@@ -152,7 +186,7 @@ def test_decompose_needs_fourier_fallback():
     a = gate_action(fourier(1), 1)
     circuit, _ = decompose(a)
     assert np.max(np.abs(circuit_action(circuit) - a)) <= 1e-12
-    a2 = circuit_action(Circuit(n=2, records=(fourier(1), fourier(2), qnd_x(1, 2, 1.3))))
+    a2 = circuit_action(circuit_of(2, [fourier(1), fourier(2), qnd_x(1, 2, 1.3)]))
     circuit2, _ = decompose(a2)
     assert np.max(np.abs(circuit_action(circuit2) - a2)) <= 1e-10
 
@@ -260,7 +294,7 @@ def test_verify_circuit_returns_deviation_and_raises():
     target = encoder_quad_action(code)
     circuit, _ = decompose(target)
     assert 0.0 <= verify_circuit(circuit, code) <= 1e-8 * (1.0 + np.max(np.abs(target)))
-    broken = Circuit(code.n, circuit.records[:-1])
+    broken = circuit_of(code.n, circuit.records[:-1])
     with pytest.raises(CircuitVerificationError):
         verify_circuit(broken, code)
 
@@ -318,7 +352,7 @@ def test_apply_gate_array_targets_match_dense_table(case):
 
 @st.composite
 def circuits_with_qnd_runs(draw):
-    """Random circuits made of QND runs (targets may repeat) and single gates."""
+    """Random gate lists made of QND runs (targets may repeat) and single gates, with their mode count."""
     n = draw(st.integers(2, 6))
     param = st.floats(0.1, 2.0).map(float) | st.floats(-2.0, -0.1).map(float)
     gates = []
@@ -332,7 +366,7 @@ def circuits_with_qnd_runs(draw):
             kind = draw(st.sampled_from([SQUEEZE, FOURIER, FOURIER_INV, PHASE_X, PHASE_P, SWAP]))
             modes = tuple(draw(st.lists(st.integers(1, n), min_size=2 if kind == SWAP else 1, max_size=2 if kind == SWAP else 1, unique=True)))
             gates.append(Gate(kind, modes, None if kind in (FOURIER, FOURIER_INV, SWAP) else draw(param)))
-    return Circuit(n, tuple(gates))
+    return n, gates
 
 
 @settings(max_examples=300, deadline=None)
@@ -340,24 +374,33 @@ def circuits_with_qnd_runs(draw):
 @example(
     # A run that repeats a target, a run of QND_P after one of QND_X from the
     # same control, a run's control as a later target, and single-gate runs.
-    Circuit(4, (
+    (4, [
         qnd_x(1, 2, 0.7), qnd_x(1, 3, -1.1), qnd_x(1, 2, 0.4), qnd_x(1, 4, 1.9),
         qnd_p(1, 3, 0.6), qnd_p(1, 4, -0.3),
         qnd_x(2, 1, 1.3), squeeze(2, 1.5), qnd_p(3, 1, -0.8), phase_x(1, 0.5), qnd_x(4, 3, 0.9),
-    ))
+    ])
 )
 @example(
     # Targets whose ends are evenly spaced but whose middle is not.
-    Circuit(6, tuple(qnd_p(1, t, 0.3 * t) for t in (2, 3, 5, 4, 6)))
+    (6, [qnd_p(1, t, 0.3 * t) for t in (2, 3, 5, 4, 6)])
 )
-def test_run_grouped_composition_matches_gate_by_gate_fold(circuit):
-    want = np.eye(2 * circuit.n)
+def test_run_grouped_composition_matches_gate_by_gate_fold(case):
+    # The loader forms the runs; the reference applies the drawn gates one by one.
+    n, gates = case
+    want, scale = _gate_by_gate(n, gates)
+    circuit = circuit_of(n, gates)
+    assert len(circuit) == len(gates)
+    assert np.max(np.abs(circuit_action(circuit) - want)) <= 1e-13 * scale
+
+
+def _gate_by_gate(n, gates):
+    """The action of single gates folded one `apply_gate` call each, and the largest entry along the way (at least 1)."""
+    want = np.eye(2 * n)
     scale = 1.0
-    for g in circuit.records:
+    for g in gates:
         apply_gate(want, g)
         scale = max(scale, float(np.max(np.abs(want))))
-    got = circuit_action(circuit)
-    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    return want, scale
 
 
 # The reference code's encoder, compiled gate by gate before sweeps became
@@ -496,45 +539,35 @@ def test_column_wise_loader_accepts_exactly_what_gates_accept(case):
             circuit_from_dicts(payload, n)
         return
     circuit = circuit_from_dicts(payload, n)
-    want = np.eye(2 * n)
-    apply_gates(want, gates)
-    assert np.array_equal(circuit_action(circuit), want)
+    want, scale = _gate_by_gate(n, gates)
+    assert np.max(np.abs(circuit_action(circuit) - want)) <= 1e-13 * scale
     assert len(circuit) == len(gates)
     assert circuit_to_dicts(circuit) == [{"gate": g.kind, "modes": list(g.modes), **({} if g.param is None else {"param": g.param})} for g in gates]
 
 
-def test_a_file_circuit_composes_to_the_gate_by_gate_action_bit_for_bit(rng):
-    # The runs formed at load are the runs `apply_gates` forms over the single
-    # gates, so the composed action, and `verify`'s deviation, are unchanged.
+def test_a_circuit_and_its_file_form_compose_to_one_action_bit_for_bit(rng):
+    # The runs formed at load are the runs `decompose` emits, so a compiled
+    # circuit's action, and `verify`'s deviation, survive its file unchanged.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
     from workloads import random_code_rows
 
     circuits = [decompose(encoder_quad_action(build_code(random_code_rows(n, 1, n // 4))))[0] for n in (16, 32)]
     circuits += [random_gates(4, 60, rng) for _ in range(20)]
-    circuits.append(Circuit(5, tuple(qnd_x(1, t, 0.1 * t) for t in (2, 3, 2, 4, 5, 3, 5, 4)) + (swap(1, 2),) + tuple(qnd_p(2, t, -0.2) for t in (5, 4, 3, 1))))
+    circuits.append(circuit_of(5, [qnd_x(1, t, 0.1 * t) for t in (2, 3, 2, 4, 5, 3, 5, 4)] + [swap(1, 2)] + [qnd_p(2, t, -0.2) for t in (5, 4, 3, 1)]))
     for circuit in circuits:
         payload = circuit_to_dicts(circuit)
-        want = np.eye(2 * circuit.n)
-        apply_gates(want, [Gate(g["gate"], tuple(g["modes"]), g.get("param")) for g in payload])
-        assert np.array_equal(circuit_action(circuit_from_dicts(payload, circuit.n)), want)
-        assert np.array_equal(circuit_action(circuit), want)
+        got = circuit_action(circuit)
+        assert np.array_equal(circuit_action(circuit_from_dicts(json.loads(json.dumps(payload)), circuit.n)), got)
+        want, scale = _gate_by_gate(circuit.n, [Gate(g["gate"], tuple(g["modes"]), g.get("param")) for g in payload])
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def test_compiling_and_loading_build_no_gate_per_gate(monkeypatch):
+def test_compiling_and_loading_build_no_gate_per_gate():
     code = build_code(np.random.default_rng(3).normal(size=(5, 16)))
-    built = []
-    new = Gate.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Gate, "__new__", counting_new)
     circuit, report = decompose(encoder_quad_action(code))
     loaded = circuit_from_dicts(json.loads(json.dumps(circuit_to_dicts(circuit))), code.n)
-    assert built == []
     for c in (circuit, loaded):
-        assert not any(isinstance(record, Gate) for record in c.records)
+        assert all(type(record) is tuple for record in c.records)
         assert len(c) == sum(report.gate_counts.values()) > 2 * len(c.records)
 
 
@@ -544,19 +577,7 @@ def test_compiling_and_loading_build_no_gate_per_gate(monkeypatch):
     ids=["gate", "range-run", "array-run", "control"],
 )
 def test_a_hand_built_record_above_n_is_refused(record):
+    # A hand-built circuit is loaded as a file is, so the loader's mode check refuses it.
     with pytest.raises(DimensionMismatchError):
-        Circuit(3, (fourier(1), record))
-    assert len(Circuit(4, (fourier(1), record))) == (len(record[2]) + 1 if isinstance(record[2], np.ndarray) else 2)
-
-
-def test_compiling_and_loading_check_no_modes_again(monkeypatch):
-    # Their records are in range by construction or validated column by column.
-    code = build_code(np.random.default_rng(3).normal(size=(5, 16)))
-    checked = []
-    monkeypatch.setattr(Circuit, "__post_init__", lambda circuit: checked.append(circuit))
-    Circuit(2, (fourier(1),))
-    assert len(checked) == 1
-    circuit, _ = decompose(encoder_quad_action(code))
-    loaded = circuit_from_dicts(circuit_to_dicts(circuit), code.n)
-    assert len(checked) == 1
-    assert (circuit.n, loaded.n) == (code.n, code.n) and len(loaded) == len(circuit)
+        circuit_of(3, (fourier(1), record))
+    assert len(circuit_of(4, (fourier(1), record))) == (len(record[2]) + 1 if isinstance(record[2], np.ndarray) else 2)

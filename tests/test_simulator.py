@@ -8,15 +8,7 @@ from scipy.stats import chi2
 
 from cvqec import reference
 from cvqec.codes import build_code, canonical_parity_check
-from cvqec.compiler import (
-    Circuit,
-    circuit_action,
-    decompose,
-    encoder_quad_action,
-    fourier,
-    phase_x,
-    squeeze,
-)
+from cvqec.compiler import circuit_action, decompose, encoder_quad_action
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
 from cvqec.simulator import ExperimentStats, GaussianState, apply_symplectic, homodyne, run_ec_experiment
@@ -26,14 +18,18 @@ from conftest import mixed_code, random_gates
 from oracle import (
     apply_circuit,
     balanced_beamsplitter,
+    circuit_of,
     displace,
     displace_error,
     epr_pair,
+    fourier,
     invert_circuit,
     per_trial_experiment,
     phase_gate_protocol,
     phase_gate_trials,
+    phase_x,
     position_squeezed,
+    squeeze,
     tensor,
     uncertainty_defect,
     vacuum,
@@ -87,9 +83,9 @@ def test_tensor_block_structure():
 
 
 def test_apply_circuit_squeeze_and_fourier():
-    st = apply_circuit(vacuum(1), Circuit(1, (squeeze(1, 3.0),)))
+    st = apply_circuit(vacuum(1), circuit_of(1, [squeeze(1, 3.0)]))
     assert st.variance(0) == pytest.approx(9.0 / 2)
-    rotated = apply_circuit(position_squeezed(1.0), Circuit(1, (fourier(1),)))
+    rotated = apply_circuit(position_squeezed(1.0), circuit_of(1, [fourier(1)]))
     assert rotated.variance(0) == pytest.approx(math.exp(2.0) / 2)
     assert rotated.variance(1) == pytest.approx(math.exp(-2.0) / 2)
 
@@ -210,7 +206,7 @@ def test_phase_gate_noop_when_uncoupled(rng):
 
 def test_phase_gate_infinite_squeezing_limit(rng):
     st = displace(vacuum(1), [0.7, -0.3])
-    ideal = apply_circuit(st, Circuit(1, (phase_x(1, 2.0),)))
+    ideal = apply_circuit(st, circuit_of(1, [phase_x(1, 2.0)]))
     out = phase_gate_protocol(st, 1, 1.0, 1.0, 20.0, rng)
     assert np.max(np.abs(out.mean - ideal.mean)) <= 1e-6
     assert np.max(np.abs(out.cov - ideal.cov)) <= 1e-6
@@ -219,7 +215,7 @@ def test_phase_gate_infinite_squeezing_limit(rng):
 def test_phase_gate_statistics_short(rng):
     # Scaled-down version of the acceptance run: mean map and excess noise.
     st = displace(vacuum(1), [0.7, -0.3])
-    ideal = apply_circuit(st, Circuit(1, (phase_x(1, 2.0),)))
+    ideal = apply_circuit(st, circuit_of(1, [phase_x(1, 2.0)]))
     trials = 20_000
     means, factor = phase_gate_trials(st, 1, 1.0, 1.0, 5.0, rng, trials)
     post_var = float(factor[1] @ factor[1])
@@ -380,7 +376,7 @@ def test_resource_reads_out_as_independent_squeezed_quadratures():
         n, _, l, c = code.params
         total = n + c
         gates = sum((balanced_beamsplitter(j + 1, n + j + 1, total).records for j in range(c)), ())
-        cov = apply_circuit(_resource_state(code, r), Circuit(total, gates)).cov
+        cov = apply_circuit(_resource_state(code, r), circuit_of(total, gates)).cov
         off_diagonal = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off_diagonal)) <= 1e-12 * np.max(np.abs(cov)), params
         measured = np.r_[: c + l, total + n : 2 * total]
