@@ -129,15 +129,9 @@ def _emit(payload, output: str | None) -> None:
 
 
 def cmd_decompose(args) -> int:
-    rows = codes.load_parity_check(args.matrix_file)
-    dec = symplectic_gram_schmidt(rows, tol=args.tolerance)
-    payload = dict(
-        zip("nklc", code_parameters(dec)),
-        pairs=[[u.tolist(), v.tolist()] for u, v in dec.pairs],
-        isotropic=[w.tolist() for w in dec.isotropic],
-        dropped_rows=list(dec.dropped_rows),
-    )
-    _emit(payload, args.output)
+    dec = symplectic_gram_schmidt(codes.load_parity_check(args.matrix_file), tol=args.tolerance)
+    pairs, isotropic = codes._copied_rows(dec.rows.tolist(), dec.l, dec.c)
+    _emit(dict(zip("nklc", code_parameters(dec)), pairs=pairs, isotropic=isotropic, dropped_rows=list(dec.dropped_rows)), args.output)
     return EXIT_OK
 
 
@@ -149,9 +143,9 @@ def cmd_build(args) -> int:
 
 
 def _float_array(value, option: str) -> np.ndarray:
-    """An option's JSON value as a float array; a wrong JSON type or an integer beyond the doubles' range raises ValueError naming the option."""
+    """An option's JSON value as a float array (`codes.json_numbers`); a wrong JSON type or an integer beyond the doubles' range raises ValueError naming the option."""
     try:
-        return np.asarray(value, dtype=float)
+        return codes.json_numbers(value)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"cannot read {option}: {exc}") from exc
 
@@ -203,7 +197,7 @@ def cmd_decode(args) -> int:
 
 def cmd_compile(args) -> int:
     code = codes.load_code(args.code_file)
-    circuit, report = compiler.decompose(compiler.encoder_quad_action(code), tol=args.tolerance)
+    circuit, report = compiler.decompose(compiler.encoder_quad_action(code))
     # the circuit file is a bare gate array; the report goes to stdout
     _write(_circuit_text(circuit), args.output)
     if args.output:
@@ -302,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tolerance=False):
         if tolerance:
-            p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="numerical zero threshold")
+            p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="zero threshold on the input rows: which are dependent, which products are zero")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     p = sub.add_parser("decompose", help="split a parity-check rowspace into pairs and isotropic basis")
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a code's encoder into a gate sequence")
     p.add_argument("code_file")
-    common(p, tolerance=True)
+    common(p)
 
     p = sub.add_parser("verify", help="check a circuit file against a code's encoder")
     p.add_argument("circuit_file")

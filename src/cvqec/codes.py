@@ -195,14 +195,15 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     """Assemble a code from arbitrary real parity-check rows.
 
     Runs the rowspace decomposition and completes it to a symplectic
-    basis B; the encoding matrix is B^{-1}, so the normalized checks map
-    exactly onto the canonical ones.  The stored facts are verified
-    before returning; an inconsistent result raises instead of being
-    returned silently.
+    basis B, whose rows at `check_rows` are the decomposition's rows; the
+    encoding matrix is B^{-1}, so the normalized checks map exactly onto
+    the canonical ones.  The stored facts are verified before returning;
+    an inconsistent result raises instead of being returned silently.
 
     Args:
         rows: nonempty sequence of phase vectors with a common mode count.
-        tol: zero threshold handed to the decomposition.
+        tol: zero threshold on the input rows, handed to the decomposition:
+            which are dependent and which products are zero.
 
     Raises:
         BuildVerificationError: if any internal consistency check fails.
@@ -213,7 +214,7 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     dec = symplectic_gram_schmidt(input_rows, tol)
     code = CodeSpec(
         params=CodeParameters(*code_parameters(dec)),
-        basis=complete_symplectic_basis(dec, tol),
+        basis=complete_symplectic_basis(dec),
         dropped_rows=dec.dropped_rows,
         input_rows=input_rows,
     )
@@ -252,12 +253,20 @@ def json_number(value) -> float:
     raise TypeError(f"expected a number, got {value!r}")
 
 
+def json_numbers(value) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array; a bool, a string or anything else among them raises TypeError."""
+    array = np.asarray(value, dtype=object)
+    if not {int, float}.issuperset(map(type, array.flat)):
+        raise TypeError(f"expected a number, got {next(x for x in array.flat if type(x) not in (int, float))!r}")
+    return array.astype(float)
+
+
 def load_parity_check(path) -> np.ndarray:
-    """Read a parity-check file: ``{"n": int, "rows": [[2n floats], ...]}``."""
+    """Read a parity-check file: ``{"n": int, "rows": [[2n numbers], ...]}``, every entry a JSON number (`json_numbers`)."""
     with open(path) as fh:
         payload = json.load(fh)
     n = read_key(payload, "n", json_int)
-    rows = read_key(payload, "rows", lambda v: np.atleast_2d(np.asarray(v, dtype=float)))
+    rows = read_key(payload, "rows", lambda v: np.atleast_2d(json_numbers(v)))
     if rows.shape[1] != 2 * n:
         raise DimensionMismatchError(f"rows have {rows.shape[1]} columns, expected {2 * n}")
     return rows

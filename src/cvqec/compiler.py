@@ -248,13 +248,13 @@ class _Eliminator:
         self.records.append(rec)
 
 
-def _pivot(el: _Eliminator, r: int, tol: float) -> None:
+def _pivot(el: _Eliminator, r: int) -> None:
     """Bring a usable pivot to position (r, r) and normalize it to 1."""
     n, w = el.n, el.work
     col = np.abs(w[:, r])
     scale = max(1.0, float(np.max(col)))
     pos = np.abs(w[r:n, r])
-    if float(np.max(pos)) <= tol * scale:
+    if float(np.max(pos)) <= DEFAULT_TOL * scale:
         # Whole position block of this column is zero: rotate the largest
         # momentum entry up into the position block first.
         mom = np.abs(w[n + r : 2 * n, r])
@@ -267,7 +267,7 @@ def _pivot(el: _Eliminator, r: int, tol: float) -> None:
     el.push(SQUEEZE, (r + 1,), float(1.0 / w[r, r]))
 
 
-def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
+def decompose(a) -> tuple[Circuit, CompilerReport]:
     """Compile a symplectic quadrature action into a gate sequence.
 
     Round r clears position column r and momentum column n + r of the
@@ -295,10 +295,10 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
     the largest |param|, record by record.
 
     Args:
-        a: symplectic (x | p)-ordered quadrature action.
-        tol: pivot threshold; `require_symplectic` checks the input within
-            ``max(tol, DEFAULT_TOL)``.  The columns of a code's ``upsilon^T``
-            are its basis rows up to sign and order, so a code that loads passes.
+        a: symplectic (x | p)-ordered quadrature action; `require_symplectic`
+            checks it within 1e-9, and pivots are tested against `DEFAULT_TOL`.
+            The columns of a code's ``upsilon^T`` are its basis rows up to
+            sign and order, so a code that loads passes.
 
     Returns:
         (circuit, report): the circuit's composed action reproduces ``a``.
@@ -310,13 +310,13 @@ def decompose(a, tol: float = DEFAULT_TOL) -> tuple[Circuit, CompilerReport]:
         CircuitVerificationError: if the elimination does not reach the
             identity.
     """
-    a = require_symplectic(a, max(tol, DEFAULT_TOL), what="compiler input")
+    a = require_symplectic(a, what="compiler input")
     n = a.shape[0] // 2
     el = _Eliminator(a, n)
     w = el.work  # every record rewrites it in place
 
     for r in range(n):
-        _pivot(el, r, tol)
+        _pivot(el, r)
         mode = r + 1
         below = slice(r + 1, n)  # the later modes' position rows
         el.sweep(QND_X, mode, -w[below, r])  # clear position block of column r

@@ -19,42 +19,30 @@ from .symplectic import DEFAULT_TOL, as_phase_vector, scaled_defect, symplectic_
 
 @dataclass(frozen=True)
 class SymplecticDecomposition:
-    """Hyperbolic pairs plus an isotropic basis spanning an input rowspace.
+    """An input rowspace as check rows: hyperbolic pairs and isotropic rows, in syndrome order.
 
     Attributes:
         n: mode count.
-        pairs: c tuples (u_i, v_i) with pairwise product 1.
-        isotropic: l vectors with vanishing products against everything stored.
+        c: pair count.
+        rows: (2c + l, 2n) array ``u_1..u_c``, the l isotropic rows, then
+            ``v_1..v_c``, with ``u_i (.) v_i = 1`` and every other product
+            zero: the rows a code holds at `check_rows`.
         dropped_rows: indices of input rows discarded as linearly dependent.
     """
 
     n: int
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    isotropic: tuple[np.ndarray, ...]
+    c: int
+    rows: np.ndarray
     dropped_rows: tuple[int, ...] = field(default=())
 
     @property
-    def c(self) -> int:
-        return len(self.pairs)
-
-    @property
     def l(self) -> int:
-        return len(self.isotropic)
+        return self.m - 2 * self.c
 
     @property
     def m(self) -> int:
         """Dimension of the decomposed subspace, 2c + l."""
-        return 2 * self.c + self.l
-
-    def vectors(self) -> np.ndarray:
-        """All stored vectors as rows, ordered (u_1..u_c, isotropic, v_1..v_c)."""
-        rows = [u for u, _ in self.pairs] + list(self.isotropic) + [v for _, v in self.pairs]
-        return np.array(rows) if rows else np.zeros((0, 2 * self.n))
-
-    def canonical_gram(self) -> np.ndarray:
-        """The block form the `vectors`' symplectic Gram matrix must reproduce: J on the check rows, +-1 per pair."""
-        checks, _ = check_rows(self.n, self.l, self.c)
-        return symplectic_form(self.n)[np.ix_(checks, checks)]
+        return len(self.rows)
 
 
 def _independent_rows(rows: np.ndarray, tol: float) -> tuple[list[int], list[int]]:
@@ -81,7 +69,7 @@ def _jv(v: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([v[n:], -v[:n]])
 
 
-def _pairing_loop(working: np.ndarray, tol: float):
+def _pairing_loop(working: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """Split the independent rows of ``working`` into hyperbolic pairs and isotropic leftovers.
 
     Pivot rule: take the first remaining vector w, partner it with the
@@ -91,10 +79,10 @@ def _pairing_loop(working: np.ndarray, tol: float):
     and the pair is projected out of every remaining vector.  Each step
     is one matrix-vector product for the products of w against all
     remaining rows, and two rank-one updates for the projection.
+    Returns the rows in syndrome order (``u_1..u_c``, isotropic, ``v_1..v_c``) and c.
     """
     n = working.shape[1] // 2
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    isotropic: list[np.ndarray] = []
+    us, isotropic, vs = [], [], []
     rest = np.array(working, dtype=float)
     while len(rest):
         w, rest = rest[0].copy(), rest[1:]  # a view of w would keep all of rest alive
@@ -113,8 +101,9 @@ def _pairing_loop(working: np.ndarray, tol: float):
         # r -> r - (r (.) z) w + (r (.) w) z, for all remaining r at once
         rest -= np.outer(rest @ _jv(z, n), w)
         rest += np.outer(rw, z)
-        pairs.append((w, z))
-    return pairs, isotropic
+        us.append(w)
+        vs.append(z)
+    return np.array(us + isotropic + vs).reshape(-1, 2 * n), len(us)
 
 
 def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecomposition:
@@ -123,12 +112,14 @@ def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecompo
     Linearly dependent input rows are dropped (recorded in
     ``dropped_rows``); the remaining independent set is orthogonalized so
     that the Gram matrix of symplectic products takes the canonical block
-    form.  The output spans exactly the input rowspace and is
-    deterministic for fixed input and tolerance.
+    form, and stored as one array of check rows in syndrome order.  The
+    output spans exactly the input rowspace and is deterministic for
+    fixed input and tolerance.
 
     Args:
         rows: sequence of phase vectors sharing one mode count.
-        tol: scale-aware zero threshold for products and rank decisions.
+        tol: scale-aware zero threshold for products and rank decisions:
+            which input rows are dependent and which products are zero.
 
     Raises:
         DecompositionError: on an empty input.
@@ -141,27 +132,22 @@ def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecompo
     n = first.shape[0] // 2
     mat = np.array([as_phase_vector(r, n) for r in rows], dtype=float)
     kept, dropped = _independent_rows(mat, tol)
-    pairs, isotropic = _pairing_loop(mat[kept], tol)
-    return SymplecticDecomposition(
-        n=n,
-        pairs=tuple((u.copy(), v.copy()) for u, v in pairs),
-        isotropic=tuple(w.copy() for w in isotropic),
-        dropped_rows=tuple(dropped),
-    )
+    checks, c = _pairing_loop(mat[kept], tol)
+    return SymplecticDecomposition(n=n, c=c, rows=checks, dropped_rows=tuple(dropped))
 
 
 def check_decomposition(dec: SymplecticDecomposition) -> None:
-    """Raise unless the stored vectors are independent and meet the canonical Gram form within 1e-8 (`scaled_defect`)."""
+    """Raise unless the rows are independent and meet the canonical Gram form within 1e-8 (`scaled_defect`)."""
     if dec.m == 0:
         return
-    vecs = dec.vectors()
-    defect = scaled_defect(vecs, dec.canonical_gram())
+    checks, _ = check_rows(dec.n, dec.l, dec.c)
+    defect = scaled_defect(dec.rows, symplectic_form(dec.n)[np.ix_(checks, checks)])
     if not defect <= 1e-8:
         raise DecompositionError(f"decomposition invariants violated (scaled Gram defect {defect:.3e})")
     # Rank of the unit-normalised rows: a partner rescaled by 1 / product
     # must not swamp the tolerance of the other rows.
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    if not np.all(norms > 0.0) or np.linalg.matrix_rank(vecs / norms, tol=1e-8) < dec.m:
+    norms = np.linalg.norm(dec.rows, axis=1, keepdims=True)
+    if not np.all(norms > 0.0) or np.linalg.matrix_rank(dec.rows / norms, tol=1e-8) < dec.m:
         raise DecompositionError("decomposition vectors are linearly dependent")
 
 
@@ -178,38 +164,37 @@ def check_rows(n: int, l: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((np.arange(c + l), np.arange(n, n + c))), np.concatenate((np.arange(c + l, n), np.arange(n + c + l, 2 * n)))
 
 
-def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT_TOL) -> np.ndarray:
+def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
     """Extend a decomposition to a full symplectic basis of phase space.
 
     Returns a (2n, 2n) array whose rows are ordered ``(u_1..u_n,
     v_1..v_n)`` with ``u_i (.) v_j = delta_ij`` and all other products
-    zero.  The first c pairs coincide with ``dec.pairs`` and
-    ``u_{c+1}..u_{c+l}`` are exactly ``dec.isotropic``, which puts the
-    checks at the `check_rows`; the isotropic partners are found by a
-    least-norm dual solve, and the remaining pairs by running the pairing
-    loop on standard-basis candidates projected against everything fixed.
+    zero.  ``dec.rows`` are written at the `check_rows`, and every pair
+    placed so far is read back from the basis: the isotropic rows'
+    partners, rows ``n+c+1..n+c+l``, come from a least-norm dual solve,
+    and the data rows from the pairing loop run on standard-basis
+    candidates projected against every placed pair.  These thresholds
+    judge rows made here, not input rows, so they are fixed: the
+    candidates' rank test and pairing at `DEFAULT_TOL`, and both
+    self-checks at ``1e3 * DEFAULT_TOL`` (`scaled_defect`).
 
     Raises:
         DecompositionError: if the input violates its own invariants, does
-            not fit inside n modes, or the result misses the Gram form J
-            by more than ``1e3 * tol`` (`scaled_defect`).
+            not fit inside n modes, or a self-check fails.
     """
     n, k, l, c = code_parameters(dec)
     check_decomposition(dec)
     j = symplectic_form(n)
-    pairs: list[tuple[np.ndarray, np.ndarray]] = [(u.copy(), v.copy()) for u, v in dec.pairs]
+    checks, data = check_rows(n, l, c)
+    basis = np.empty((2 * n, 2 * n))
+    basis[checks] = dec.rows
 
     if l:
-        # Partners z_i for the isotropic vectors: w_i (.) z_j = delta_ij with
-        # zero products against the existing pairs, via a min-norm solve.
-        iso = np.array(dec.isotropic)
-        constraints = [iso @ j]
-        rhs = [np.eye(l)]
-        for u, v in pairs:
-            constraints.append(np.vstack([u @ j, v @ j]))
-            rhs.append(np.zeros((2, l)))
-        m = np.vstack(constraints)
-        z, *_ = np.linalg.lstsq(m, np.vstack(rhs), rcond=None)
+        # Partners z_i for the isotropic rows w_i: w_i (.) z_j = delta_ij with
+        # zero products against the pairs, via a min-norm solve.
+        iso = basis[c : c + l]
+        pairs = np.stack([np.arange(c), np.arange(n, n + c)], axis=1).ravel()  # u_1, v_1, u_2, v_2, ...
+        z, *_ = np.linalg.lstsq(basis[np.r_[c : c + l, pairs]] @ j, np.eye(l + 2 * c, l), rcond=None)
         z = z.T  # rows z_1..z_l
         # Kill the mutual z-products by mixing in isotropic directions:
         # z_i -> z_i - (1/2) sum_j (z_i (.) z_j) w_j leaves all other
@@ -218,26 +203,24 @@ def complete_symplectic_basis(dec: SymplecticDecomposition, tol: float = DEFAULT
         z = z - 0.5 * s @ iso
         # Entry (i, j) is w_i (.) z_j, bounded per partner column j.
         defect = np.abs(iso @ j @ z.T - np.eye(l))
-        if not np.all(defect <= 1e3 * tol * np.maximum(1.0, np.linalg.norm(z, axis=1))):
+        if not np.all(defect <= 1e3 * DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(z, axis=1))):
             raise DecompositionError("failed to complete isotropic partners")
-        for i in range(l):
-            pairs.append((iso[i].copy(), z[i].copy()))
+        basis[n + c : n + c + l] = z
 
     if k:
-        # Standard-basis candidates with every fixed pair projected out,
+        # Standard-basis candidates with every placed pair projected out,
         # r -> r - (r (.) v) u + (r (.) u) v, one pair at a time.
         cand = np.eye(2 * n)
-        for u, v in pairs:
+        for u, v in zip(basis[: c + l], basis[n : n + c + l]):
             cv, cu = cand @ _jv(v, n), cand @ _jv(u, n)
             cand -= np.outer(cv, u)
             cand += np.outer(cu, v)
-        kept, _ = _independent_rows(cand, tol)
-        new_pairs, leftovers = _pairing_loop(cand[kept], tol)
-        if leftovers or len(new_pairs) != k:
+        kept, _ = _independent_rows(cand, DEFAULT_TOL)
+        new_rows, new_c = _pairing_loop(cand[kept], DEFAULT_TOL)
+        if new_c != k or len(new_rows) != 2 * k:
             raise DecompositionError("completion did not yield a nondegenerate remainder")
-        pairs.extend(new_pairs)
+        basis[data] = new_rows
 
-    basis = np.array([u for u, _ in pairs] + [v for _, v in pairs])
-    if not scaled_defect(basis, j) <= 1e3 * tol:
+    if not scaled_defect(basis, j) <= 1e3 * DEFAULT_TOL:
         raise DecompositionError("completed basis fails the canonical Gram form")
     return basis

@@ -42,6 +42,16 @@ def test_decompose_reference(tmp_path, reference_matrix, capsys):
     assert main(["decompose", reference_matrix]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["c"], payload["l"], payload["k"]) == (2, 0, 2)
+    # decompose prints the very decomposition that build completes: the
+    # same parameters, and its rows are the code file's check rows.
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for matrix in [reference_matrix] + [os.path.join(data, name + "-rows.json") for name in ("scaled", "ill-conditioned", "coincident-planes")]:
+        assert main(["decompose", matrix]) == 0
+        dec = json.loads(capsys.readouterr().out)
+        assert main(["build", matrix]) == 0
+        code = json.loads(capsys.readouterr().out)
+        assert {key: dec[key] for key in "nklc"} == code["params"], matrix
+        assert all(dec[key] == code[key] for key in ("pairs", "isotropic", "dropped_rows")), matrix
 
 
 def test_decompose_canonical_and_rank_deficient(tmp_path, capsys):
@@ -312,7 +322,7 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
     assert set(code_file) == CODE_KEYS
     assert_rounded(code_file, codes.code_to_dict(codes.build_code(codes.load_parity_check(matrix), tol=1e-9)))
 
-    circuit, want_report = compiler.decompose(compiler.encoder_quad_action(codes.load_code(code_path)), tol=1e-9)
+    circuit, want_report = compiler.decompose(compiler.encoder_quad_action(codes.load_code(code_path)))
     gates = read(circuit_path)
     assert gates and all(set(g) in ({"gate", "modes"}, {"gate", "modes", "param"}) for g in gates)
     assert_rounded(gates, circuit_to_dicts(circuit))
@@ -495,9 +505,10 @@ def test_every_built_code_runs_the_chain_or_fails_compile_loudly(tmp_path):
 
 
 def test_tolerance_is_an_option_only_where_it_is_read(code_file):
-    for argv in (["decompose", "m.json"], ["build", "m.json"], ["compile", code_file]):
+    # Only the input rows take a tolerance; the completion and the compiler keep fixed thresholds.
+    for argv in (["decompose", "m.json"], ["build", "m.json"]):
         assert build_parser().parse_args(argv + ["--tolerance", "1e-8"]).tolerance == 1e-8
-    for argv in (["syndrome", code_file], ["decode", code_file], ["verify", "c.json", code_file], ["simulate", "cfg.json"], ["selftest"]):
+    for argv in (["compile", code_file], ["syndrome", code_file], ["decode", code_file], ["verify", "c.json", code_file], ["simulate", "cfg.json"], ["selftest"]):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--tolerance", "1e-8"])
 
@@ -510,11 +521,8 @@ def test_tolerance_is_an_option_only_where_it_is_read(code_file):
         (["decode", "CODE", "--syndrome", "[0, 1, 1, 0]", "--tolerance-decode", "-0.5"], "--tolerance-decode"),
         (["decompose", "MATRIX", "--tolerance", "nan"], "--tolerance"),
         (["build", "MATRIX", "--tolerance", "inf"], "--tolerance"),
-        (["compile", "CODE", "--tolerance", "-1"], "--tolerance"),
-        (["compile", "CODE", "--tolerance", "nan"], "--tolerance"),
-        (["compile", "CODE", "--tolerance", "1e400"], "--tolerance"),
     ],
-    ids=["decode-nan", "decode-inf", "decode-negative", "decompose-nan", "build-inf", "compile-negative", "compile-nan", "compile-overflow"],
+    ids=["decode-nan", "decode-inf", "decode-negative", "decompose-nan", "build-inf"],
 )
 def test_a_tolerance_must_be_a_finite_number_at_least_zero(reference_matrix, code_file, capsys, argv, option):
     # Each of these ran at the parent: exit 0 with a wrong result, or 3, 5 or 6.
@@ -525,9 +533,17 @@ def test_a_tolerance_must_be_a_finite_number_at_least_zero(reference_matrix, cod
     assert err.startswith("usage: cvqec") and f"argument {option}: must be a finite number >= 0" in err
 
 
-def test_a_zero_tolerance_is_allowed(reference_matrix, code_file):
+def test_a_zero_tolerance_is_allowed(tmp_path, reference_matrix, code_file):
     assert main(["decompose", reference_matrix, "--tolerance", "0"]) == 0
     assert main(["decode", code_file, "--syndrome", "[0, 0, 0, 0]", "--tolerance-decode", "0"]) == 0
+    # The tolerance reaches the input rows only, so the completion of the
+    # paper's raw rows and of the scaled rows keeps its own thresholds.
+    raw = str(tmp_path / "raw.json")
+    save_parity_check(raw, reference.raw_parity_rows())
+    assert main(["build", raw, "--tolerance", "0", "--output", os.devnull]) == 0
+    code = tmp_path / "scaled-code.json"
+    assert main(["build", SCALED_ROWS, "--tolerance", "0", "--output", str(code)]) == 0
+    assert code.read_bytes() == (Path(SCALED_ROWS).parent / "scaled-rows-code.json").read_bytes()
 
 
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference-code-v1.json")
@@ -708,6 +724,8 @@ def _code_with(key, value):
         ("code", _code_with("dropped_rows", None)),
         ("code", lambda payload: [payload]),
         ("matrix", lambda payload: [payload]),
+        ("matrix", lambda payload: dict(payload, rows=[["1", 0.0]])),
+        ("matrix", lambda payload: dict(payload, rows=[[True, 0.0]])),
         ("config", lambda cfg: [cfg]),
         ("config", lambda cfg: dict(cfg, error=[1, 0.5, 0.5])),
         ("config", lambda cfg: dict(cfg, trials=None)),
@@ -719,6 +737,8 @@ def _code_with(key, value):
         "code-dropped-rows-null",
         "code-top-level-list",
         "matrix-top-level-list",
+        "matrix-rows-string",
+        "matrix-rows-bool",
         "config-top-level-list",
         "config-error-list",
         "config-trials-null",
@@ -801,14 +821,21 @@ def test_decode_needs_exactly_one_syndrome_option(code_file):
         (["syndrome", "CODE", "--error", '{"a": 1}'], "--error"),
         (["decode", "CODE", "--syndrome", '{"x": 1}'], "--syndrome"),
         (["decode", "CODE", "--syndrome-file", "SYNDROME"], "--syndrome-file"),
+        (["syndrome", "CODE", "--error", '[true, 0, 0, 0, 0, 0, 0, 0]'], "--error"),
+        (["syndrome", "CODE", "--error", '[0, 0, 0, 0, 0, "0", 0, 0]'], "--error"),
+        (["decode", "CODE", "--syndrome", '[0, false, 0, 0]'], "--syndrome"),
+        (["decode", "CODE", "--syndrome", '[0, 0, "1", 0]'], "--syndrome"),
+        (["decode", "CODE", "--syndrome-file", "SYNDROME_ENTRIES"], "--syndrome-file"),
     ],
-    ids=["error-object", "syndrome-object", "syndrome-file-object"],
+    ids=["error-object", "syndrome-object", "syndrome-file-object", "error-bool", "error-string", "syndrome-bool", "syndrome-string", "syndrome-file-entries"],
 )
 def test_wrong_json_types_in_options_exit_as_parse_errors(tmp_path, code_file, capsys, argv, option):
-    # These raised TypeError, a traceback and exit 1.
-    syndrome = tmp_path / "syndrome.json"
+    # These raised TypeError, a traceback and exit 1; a bool or a string
+    # entry was read as a number and exited 0.
+    syndrome, entries = tmp_path / "syndrome.json", tmp_path / "entries.json"
     syndrome.write_text(json.dumps({"syndrome": {"x": 1}}))
-    assert main([{"CODE": code_file, "SYNDROME": str(syndrome)}.get(arg, arg) for arg in argv]) == 2
+    entries.write_text(json.dumps({"syndrome": [True, "0", 0, 0]}))
+    assert main([{"CODE": code_file, "SYNDROME": str(syndrome), "SYNDROME_ENTRIES": str(entries)}.get(arg, arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and option in err
 

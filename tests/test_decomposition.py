@@ -8,6 +8,7 @@ from cvqec.decomposition import (
     SymplecticDecomposition,
     _pairing_loop,
     check_decomposition,
+    check_rows,
     code_parameters,
     complete_symplectic_basis,
     symplectic_gram_schmidt,
@@ -20,8 +21,9 @@ from oracle import symplectic_product
 
 
 def gram_defect(dec):
-    vecs = dec.vectors()
-    return float(np.max(np.abs(vecs @ symplectic_form(dec.n) @ vecs.T - dec.canonical_gram())))
+    checks, _ = check_rows(dec.n, dec.l, dec.c)
+    canonical = symplectic_form(dec.n)[np.ix_(checks, checks)]
+    return float(np.max(np.abs(dec.rows @ symplectic_form(dec.n) @ dec.rows.T - canonical)))
 
 
 def same_rowspace(a, b, tol=1e-8):
@@ -36,24 +38,21 @@ def test_reference_raw_rows():
     dec = symplectic_gram_schmidt(reference.raw_parity_rows())
     assert (dec.c, dec.l) == (2, 0)
     assert gram_defect(dec) <= 1e-9
-    assert same_rowspace(dec.vectors(), reference.raw_parity_rows())
+    assert same_rowspace(dec.rows, reference.raw_parity_rows())
 
 
 def test_reference_basis_rows_kept_verbatim():
     rows = reference.symplectic_basis_rows()
     dec = symplectic_gram_schmidt(rows)
     assert (dec.c, dec.l) == (2, 0)
-    assert np.allclose(dec.vectors(), rows, atol=1e-12)
+    assert np.allclose(dec.rows, rows, atol=1e-12)
 
 
 def test_standard_rows_give_standard_pairs():
     e = np.eye(8)
     dec = symplectic_gram_schmidt([e[0], e[1], e[4], e[5]])
     assert (dec.c, dec.l) == (2, 0)
-    assert np.array_equal(dec.pairs[0][0], e[0])
-    assert np.array_equal(dec.pairs[0][1], e[4])
-    assert np.array_equal(dec.pairs[1][0], e[1])
-    assert np.array_equal(dec.pairs[1][1], e[5])
+    assert np.array_equal(dec.rows, [e[0], e[1], e[4], e[5]])  # u_1, u_2, v_1, v_2
 
 
 def test_single_row_is_isotropic():
@@ -81,7 +80,7 @@ def test_gram_form_random(rng):
         m = int(rng.integers(1, 2 * n + 1))
         dec = symplectic_gram_schmidt(rng.normal(size=(m, 2 * n)))
         assert 2 * dec.c + dec.l == m
-        scale = max(1.0, float(np.max(np.abs(dec.vectors()))) ** 2)
+        scale = max(1.0, float(np.max(np.abs(dec.rows))) ** 2)
         assert gram_defect(dec) <= 1e-9 * scale
 
 
@@ -89,14 +88,14 @@ def test_rowspace_preserved(rng):
     for _ in range(10):
         rows = rng.normal(size=(4, 8))
         dec = symplectic_gram_schmidt(rows)
-        assert same_rowspace(dec.vectors(), rows)
+        assert same_rowspace(dec.rows, rows)
 
 
 def test_determinism(rng):
     rows = rng.normal(size=(5, 8))
     a = symplectic_gram_schmidt(rows)
     b = symplectic_gram_schmidt(rows.copy())
-    assert np.array_equal(a.vectors(), b.vectors())
+    assert np.array_equal(a.rows, b.rows)
     assert a.dropped_rows == b.dropped_rows
 
 
@@ -143,11 +142,8 @@ def test_completion_of_reference_pairs_gram_oracle():
     assert basis.shape == (8, 8)
     gram = basis @ symplectic_form(4) @ basis.T
     assert np.max(np.abs(gram - symplectic_form(4))) <= 1e-9
-    # the fixed vectors appear unchanged in the promised slots
-    assert np.allclose(basis[0], dec.pairs[0][0])
-    assert np.allclose(basis[1], dec.pairs[1][0])
-    assert np.allclose(basis[4], dec.pairs[0][1])
-    assert np.allclose(basis[5], dec.pairs[1][1])
+    # the check rows appear unchanged in the promised slots
+    assert np.array_equal(basis[check_rows(4, dec.l, dec.c)[0]], dec.rows)
 
 
 def test_completion_random_including_isotropic(rng):
@@ -161,13 +157,12 @@ def test_completion_random_including_isotropic(rng):
         gram = basis @ symplectic_form(n) @ basis.T
         scale = max(1.0, float(np.max(np.abs(basis))) ** 2)
         assert np.max(np.abs(gram - symplectic_form(n))) <= 1e-8 * scale
-        for i, w in enumerate(dec.isotropic):
-            assert np.allclose(basis[dec.c + i], w)
+        assert np.array_equal(basis[check_rows(n, dec.l, dec.c)[0]], dec.rows)
 
 
 def test_completion_rejects_invalid_decomposition():
     e = np.eye(4)
-    broken = SymplecticDecomposition(n=2, pairs=((e[0], e[1]),), isotropic=())
+    broken = SymplecticDecomposition(n=2, c=1, rows=np.array([e[0], e[1]]))
     with pytest.raises(DecompositionError):
         complete_symplectic_basis(broken)
 
@@ -190,8 +185,9 @@ def test_small_pair_product_builds_and_compiles():
     ],
 )
 def test_check_decomposition_rejects_dependent_vectors(pairs, isotropic):
+    rows = np.array([u for u, _ in pairs] + list(isotropic) + [v for _, v in pairs])
     with pytest.raises(DecompositionError, match="linearly dependent"):
-        check_decomposition(SymplecticDecomposition(n=6, pairs=pairs, isotropic=isotropic))
+        check_decomposition(SymplecticDecomposition(n=6, c=len(pairs), rows=rows))
 
 
 def per_vector_pairing_loop(working, tol):
@@ -239,11 +235,10 @@ def oracle_cases():
 
 @pytest.mark.parametrize("rows", oracle_cases())
 def test_pairing_loop_matches_per_vector_oracle(rows):
-    got_pairs, got_iso = _pairing_loop(rows, 1e-9)
+    got, got_c = _pairing_loop(rows, 1e-9)
     want_pairs, want_iso = per_vector_pairing_loop(list(rows), 1e-9)
-    assert len(got_pairs) == len(want_pairs)
-    assert len(got_iso) == len(want_iso)
-    got = [v for pair in got_pairs for v in pair] + got_iso
-    want = [v for pair in want_pairs for v in pair] + want_iso
+    assert got_c == len(want_pairs)
+    want = [u for u, _ in want_pairs] + want_iso + [v for _, v in want_pairs]  # syndrome order
+    assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.max(np.abs(b))))
