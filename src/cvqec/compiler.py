@@ -49,14 +49,14 @@ class Circuit:
     """Gate sequence on n modes, as records that `apply_gate` takes, first applied first.
 
     A record is one gate, a bare (kind, modes, param) tuple, or one run
-    of QND gates of one kind from one control,
-    ``(kind, (control, targets), params)``: the targets are distinct modes,
-    a ``range`` where evenly spaced and an integer array otherwise, and
-    ``params`` is a float array, both in the gates' order.  A run's gates
-    commute, so it is applied as one step.  A circuit checks nothing:
-    `decompose` and `circuit_from_dicts`, which make circuits, emit only
-    valid records on modes 1..n.  ``len`` counts gates.  Circuits compare
-    by identity.
+    of QND gates of one kind from one control, ``(kind, (control,
+    targets), params)``, as `_run` builds it: the targets are distinct
+    modes, a ``range`` where they ascend evenly spaced and an integer
+    array otherwise, and ``params`` is a float array, both in the gates'
+    order.  A run's gates commute, so it is applied as one step.  A
+    circuit checks nothing: `decompose` and `circuit_from_dicts`, which
+    make circuits, emit only valid records on modes 1..n.  ``len`` counts
+    gates.  Circuits compare by identity.
     """
 
     n: int
@@ -78,12 +78,12 @@ def apply_gate(rows: np.ndarray, gate: tuple) -> None:
     the control, with an array of parameters: that is the run of those
     QND gates from one control, which commute, applied as one rank-1
     update (``p_c -= g @ p_T; x_T += outer(g, x_c)`` for QND_X, mirrored
-    for QND_P).  A range of targets is read and updated through views;
-    an array is gathered and scattered, and numpy's fancy indexing would
-    silently lose a repeated target, so it must not hold one.  A gate on
-    a mode beyond the n modes of ``rows`` raises IndexError, possibly
-    after rewriting one row; `gate_action` and `circuit_from_dicts`
-    check the modes up front.
+    for QND_P).  A range of targets, which must be ascending, is read and
+    updated through views; an array, in any order, is gathered and
+    scattered, and numpy's fancy indexing would silently lose a repeated
+    target, so it must not hold one.  A gate on a mode beyond the n modes
+    of ``rows`` raises IndexError, possibly after rewriting one row;
+    `gate_action` and `circuit_from_dicts` check the modes up front.
     """
     kind, modes, param = gate
     n = rows.shape[0] // 2
@@ -107,8 +107,6 @@ def apply_gate(rows: np.ndarray, gate: tuple) -> None:
     else:
         xj = modes[1]
         if isinstance(xj, range):
-            if xj.step < 0:  # views run fastest in memory order
-                xj, param = xj[::-1], param[::-1]
             start, stop = xj.start - 1, xj.stop - 1
             xj, pj = slice(start, stop, xj.step), slice(n + start, n + stop, xj.step)
         else:
@@ -125,20 +123,21 @@ def apply_gate(rows: np.ndarray, gate: tuple) -> None:
 
 
 def _run(kind: str, control: int, targets: list | range, params) -> tuple:
-    """The record of a run of QND gates from ``control``, in the one form every caller builds.
+    """The record of a run of QND gates from ``control`` onto distinct ``targets``, a range or a list: the one run builder.
 
     A run of one gate is that gate's scalar record.  Otherwise evenly
-    spaced targets become a ``range`` (either direction) and other targets
-    an integer array, and the parameters a new float array.  A composed
-    action depends on this form in its last bits, so building runs here
-    alone keeps a circuit's action the same however it was made.
+    spaced ascending targets become an ascending ``range`` and any other
+    targets an integer array, in the gates' order, and the parameters a
+    new float array.  A composed action depends on this form in its last
+    bits, so building runs here alone keeps a circuit's action the same
+    however it was made.
     """
     if len(targets) == 1:
         return kind, (control, targets[0]), float(params[0])
     if not isinstance(targets, range):
         step = targets[1] - targets[0]
         spaced = range(targets[0], targets[-1] + step, step)
-        targets = spaced if list(spaced) == targets else np.array(targets)
+        targets = spaced if step > 0 and list(spaced) == targets else np.array(targets)
     return kind, (control, targets), np.array(params, dtype=float)
 
 
@@ -178,10 +177,9 @@ _INVERSE_KIND = {FOURIER: FOURIER_INV, FOURIER_INV: FOURIER}
 
 
 def _inverse_record(kind: str, modes: tuple, param) -> tuple:
-    """Record of a record's inverse; a run's is its gates' inverses in reverse order."""
+    """Record of a record's inverse; a run's gates commute, so its inverse is the same run with negated parameters."""
     if isinstance(param, np.ndarray):
-        targets = modes[1][::-1]
-        return _run(kind, modes[0], targets if isinstance(targets, range) else targets.tolist(), -param[::-1])
+        return kind, modes, -param
     if kind == SQUEEZE:
         return kind, modes, 1.0 / param
     if param is None:
@@ -191,22 +189,20 @@ def _inverse_record(kind: str, modes: tuple, param) -> tuple:
 
 @dataclass(frozen=True)
 class CompilerReport:
-    """Bookkeeping emitted alongside a decomposition."""
+    """Bookkeeping emitted alongside a decomposition: gates by kind, and the largest |param|."""
 
     gate_counts: dict = field(default_factory=dict)
-    squeezer_count: int = 0
     max_abs_param: float = 0.0
-    rounds: int = 0
 
 
 class _Eliminator:
     """Accumulates left-multiplied elimination records against a working matrix.
 
     Records are bare (kind, modes, param) tuples, as a `Circuit` holds
-    them: the elimination builds only valid gates.  A sweep of more than
-    one gate is one run record whose targets are a range or an array and
-    whose parameters are an array; `decompose` inverts the records into
-    the circuit without expanding them.
+    them: the elimination builds only valid gates.  A sweep is one record
+    that `_run` builds from the targets it keeps, in ascending order;
+    `decompose` inverts the records into the circuit without expanding
+    them.
     """
 
     def __init__(self, a: np.ndarray, n: int):
@@ -231,15 +227,10 @@ class _Eliminator:
         keep = (np.abs(g) > GATE_EPS).nonzero()[0]
         if not keep.size:
             return
-        if keep.size == 1:  # one gate: a scalar record costs less
-            targets, g = mode + 1 + int(keep[0]), float(g[keep[0]])
-        elif keep.size == g.size:
-            targets = range(mode + 1, mode + 1 + g.size)
-        else:
-            targets, g = keep + (mode + 1), g[keep]
+        targets = range(mode + 1, mode + 1 + g.size) if keep.size == g.size else (keep + (mode + 1)).tolist()
         if rotate:
             self._emit((rotate, (mode,), None))
-        self._emit((kind, (mode, targets), g))
+        self._emit(_run(kind, mode, targets, g[keep]))
         if rotate:
             self._emit((_INVERSE_KIND[rotate], (mode,), None))
 
@@ -280,17 +271,17 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
 
     A sweep's gates share their control and commute, and its parameters
     come from a column the sweep leaves unchanged, so each sweep is read
-    up front and applied as one array-target record (see `apply_gate`);
+    up front and applied as one run record (see `_run` and `apply_gate`);
     gates with |param| <= GATE_EPS are dropped.  A Fourier bracket is
     emitted only around a nonempty sweep, so the circuit holds no
     adjacent inverse pair to cancel afterwards.
 
     The circuit is the elimination's records inverted one by one
-    (`_inverse_record`) in reverse order: each sweep stays one run
-    record, its targets reversed, and no record is built per gate.  No
-    two runs of one kind and control are adjacent, so these are the runs
-    `circuit_from_dicts` forms when it reads the circuit's file form
-    back, and both give the same composed action.
+    (`_inverse_record`) in reverse order: a sweep's run keeps its
+    ascending targets and negates its parameters, and no record is built
+    per gate.  No two runs of one kind and control are adjacent, so these
+    are the runs `circuit_from_dicts` forms from the circuit's file form,
+    and both give the same composed action.
     The report counts gates by kind in order of first appearance, and
     the largest |param|, record by record.
 
@@ -345,7 +336,7 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
             counts[kind] = counts.get(kind, 0) + 1
             if param is not None:
                 max_abs_param = max(max_abs_param, abs(param))
-    return circuit, CompilerReport(gate_counts=counts, squeezer_count=counts.get(SQUEEZE, 0), max_abs_param=max_abs_param, rounds=n)
+    return circuit, CompilerReport(gate_counts=counts, max_abs_param=max_abs_param)
 
 
 def encoder_quad_action(code: CodeSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ command calls them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,16 +144,9 @@ class ExperimentStats:
     uncorrectable_rate: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_residual": self.mean_residual.tolist(),
-            "residual_variance": self.residual_variance.tolist(),
-            "excess_variance": self.excess_variance.tolist(),
-            "syndrome_noise_variance": self.syndrome_noise_variance.tolist(),
-            "mode_match_rate": self.mode_match_rate,
-            "ambiguity_rate": self.ambiguity_rate,
-            "uncorrectable_rate": self.uncorrectable_rate,
-        }
+        """The fields in their order, each array as a list: `simulate`'s output."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in items}
 
 
 # Standard deviation of a vacuum quadrature (variance 1/2).

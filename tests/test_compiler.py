@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
+from cvqec.cli import _circuit_text
 from cvqec.codes import build_code, canonical_parity_check, json_int
 from cvqec.compiler import (
     FOURIER,
@@ -20,6 +21,7 @@ from cvqec.compiler import (
     QND_X,
     SQUEEZE,
     SWAP,
+    _inverse_record,
     apply_gate,
     circuit_action,
     circuit_from_dicts,
@@ -135,6 +137,25 @@ def test_invert_circuit_involution_and_action(c):
             assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.abs(want))
     prod = circuit_action(invert_circuit(c)) @ circuit_action(c)
     assert np.max(np.abs(prod - np.eye(2 * c.n))) <= 1e-10 * (1 + np.max(np.abs(circuit_action(c))))
+    for record in c.records:
+        kind, modes, param = record
+        if isinstance(param, np.ndarray):
+            assert _in_run_form(record)
+            # a run's inverse: the same targets object, negated parameters
+            inv_kind, inv_modes, inv_param = _inverse_record(*record)
+            assert inv_kind == kind and inv_modes[0] == modes[0] and inv_modes[1] is modes[1]
+            assert np.array_equal(inv_param, -param)
+
+
+def _in_run_form(record):
+    """Whether a run record is in `_run`'s form: an ascending range, or an array that is not an evenly spaced ascending sequence."""
+    _, (_, targets), param = record
+    if len(targets) != len(param) or len(param) < 2:
+        return False
+    if isinstance(targets, range):
+        return targets.step > 0
+    steps = np.diff(targets)
+    return isinstance(targets, np.ndarray) and not (steps[0] > 0 and np.all(steps == steps[0]))
 
 
 def test_invert_circuit_gate_by_gate():
@@ -318,7 +339,7 @@ def test_decompose_emits_gates_that_revalidate(n, seed, from_gates):
 
 @st.composite
 def qnd_runs_on_arrays(draw):
-    """A QND record with many targets: a range either way, or an array in any order."""
+    """A QND record with many targets: an ascending range, or an array in any order (evenly spaced descending ones too)."""
     kind = draw(st.sampled_from([QND_X, QND_P]))
     n = draw(st.integers(2, 7))
     if draw(st.booleans()):
@@ -326,6 +347,8 @@ def qnd_runs_on_arrays(draw):
         first = draw(st.integers(1, n))
         count = draw(st.integers(1, min(n - 1, len(range(first, 0 if step < 0 else n + 1, step)))))
         targets = range(first, first + step * count, step)
+        if step < 0:  # a run's range ascends; descending targets are an array
+            targets = np.array(targets)
     else:
         targets = np.array(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
     control = draw(st.sampled_from([m for m in range(1, n + 1) if m not in targets]))
@@ -404,7 +427,8 @@ def _gate_by_gate(n, gates):
 
 
 # The reference code's encoder, compiled gate by gate before sweeps became
-# one step each; the batched eliminator must emit the same circuit.
+# one step each; the batched eliminator must emit the same gates, each run's
+# gates in ascending target order.
 REFERENCE_ENCODER_GATES = [
     (PHASE_X, (4,), 0.75),
     (SQUEEZE, (4,), 0.5),
@@ -417,15 +441,15 @@ REFERENCE_ENCODER_GATES = [
     (QND_X, (3, 4), -1.0),
     (SQUEEZE, (3,), 2.0),
     (FOURIER_INV, (2,), None),
-    (QND_X, (2, 4), 0.5),
     (QND_X, (2, 3), -1.0),
+    (QND_X, (2, 4), 0.5),
     (FOURIER, (2,), None),
     (PHASE_P, (2,), -0.25),
-    (QND_P, (2, 4), 0.5),
     (QND_P, (2, 3), -0.5),
+    (QND_P, (2, 4), 0.5),
     (FOURIER, (2,), None),
-    (QND_P, (2, 4), -1.5),
     (QND_P, (2, 3), 1.5),
+    (QND_P, (2, 4), -1.5),
     (FOURIER_INV, (2,), None),
     (PHASE_X, (2,), 0.75),
     (QND_X, (2, 4), 0.5),
@@ -434,12 +458,12 @@ REFERENCE_ENCODER_GATES = [
     (QND_X, (1, 2), -1.0),
     (FOURIER, (1,), None),
     (PHASE_P, (1,), 2.0),
-    (QND_P, (1, 4), -1.0),
-    (QND_P, (1, 3), 1.0),
     (QND_P, (1, 2), -1.0),
+    (QND_P, (1, 3), 1.0),
+    (QND_P, (1, 4), -1.0),
     (FOURIER, (1,), None),
-    (QND_P, (1, 4), 1.0),
     (QND_P, (1, 2), 1.0),
+    (QND_P, (1, 4), 1.0),
     (FOURIER_INV, (1,), None),
     (SQUEEZE, (1,), -1.0),
     (FOURIER_INV, (1,), None),
@@ -549,7 +573,23 @@ def test_a_circuit_and_its_file_form_compose_to_one_action_bit_for_bit(rng):
     # The runs formed at load are the runs `decompose` emits, so a compiled
     # circuit's action, and `verify`'s deviation, survive its file unchanged.
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
-    from workloads import random_code_rows
+    from workloads import COMPILE_LARGE_CODES, MC_MIDSIZE_CODES, random_code_rows
+
+    # The circuit file `compile` writes loads back as the same records:
+    # kinds, controls, target forms and values, parameters to 12 digits.
+    for rows in [reference.raw_parity_rows()] + [random_code_rows(*p) for p in COMPILE_LARGE_CODES + MC_MIDSIZE_CODES]:
+        compiled, _ = decompose(encoder_quad_action(build_code(rows)))
+        loaded = circuit_from_dicts(json.loads(_circuit_text(compiled)), compiled.n)
+        assert len(loaded.records) == len(compiled.records)
+        for (kind, modes, param), (want_kind, want_modes, want_param) in zip(loaded.records, compiled.records):
+            assert kind == want_kind and len(modes) == len(want_modes) and modes[0] == want_modes[0]
+            assert [type(m) for m in modes[1:]] == [type(m) for m in want_modes[1:]]
+            assert all(np.array_equal(m, w) for m, w in zip(modes[1:], want_modes[1:]))
+            if want_param is None:
+                assert param is None
+            else:
+                assert type(param) is type(want_param)
+                assert np.array_equal(np.ravel(param), [float("%.12g" % v) for v in np.ravel(want_param).tolist()])
 
     circuits = [decompose(encoder_quad_action(build_code(random_code_rows(n, 1, n // 4))))[0] for n in (16, 32)]
     circuits += [random_gates(4, 60, rng) for _ in range(20)]
