@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     NotSymplecticError,
 )
+from .symplectic import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tolerance=False):
         if tolerance:
-            p.add_argument("--tolerance", type=_tolerance, default=1e-9, help="zero threshold on the input rows: which are dependent, which products are zero")
+            p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL, help="zero threshold on the input rows: which are dependent, which products are zero")
         p.add_argument("--output", help="write JSON here instead of stdout")
 
     p = sub.add_parser("decompose", help="split a parity-check rowspace into pairs and isotropic basis")

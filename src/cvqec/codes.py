@@ -15,8 +15,8 @@ receiver's halves of the entangled pairs are appended as modes
 A code stores its parameters, symplectic basis, dropped-row indices
 and input rows; its checks are the basis rows `check_rows` names, and
 the check, canonical, syndrome and encoding matrices are derived, as
-are each mode's syndrome plane and least-squares solve, which the
-decoder reads.
+are the factors of each mode's syndrome-plane SVD, which the decoder
+and the Monte-Carlo moments read.
 """
 
 from __future__ import annotations
@@ -118,24 +118,25 @@ class CodeSpec:
         return smat
 
     @cached_property
-    def mode_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each mode's syndrome plane and least-squares solve, from one batched SVD (read-only).
+    def mode_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each mode's syndrome plane as the factors of its thin SVD, from one batched SVD (read-only).
 
         For mode j + 1, let ``A`` be the (m, 2) matrix whose columns are the
         syndromes of a unit momentum and a unit position shift on that
-        mode, ``A = U diag(sigma) V^T`` its thin SVD, and ``P`` its
-        least-squares inverse: the pseudoinverse at `numpy.linalg.lstsq`'s
-        default cutoff, which keeps the singular values above
+        mode, and ``A = U diag(sigma) V^T`` its thin SVD.  A singular value
+        is kept at `numpy.linalg.lstsq`'s default cutoff: above
         ``eps * max(m, 2)`` times the largest.
 
         ``planes`` has shape (n, 2, m).  ``planes[j]`` is ``Q_j^T``: its rows
         are the kept columns of ``U``, zero for a dropped one, so ``Q_j`` is
         an orthonormal basis of the plane, line or point that the mode's
-        syndromes span, and ``A P = Q_j Q_j^T``.  One product with
-        ``planes.reshape(2 n, m)`` thus fits a syndrome on every mode at
-        once.  ``solves[j]`` is ``P^T``, shape (m, 2), so ``s @ solves[j]``
-        is the best (p, x) fit of syndrome s on the mode; it is formed as
-        `numpy.linalg.pinv` forms ``P``, to the bit.
+        syndromes span.  One product with ``planes.reshape(2 n, m)`` thus
+        fits a syndrome on every mode at once.  ``inverse[j]``, shape (2,),
+        holds ``1 / sigma`` for a kept value and 0 for a dropped one, and
+        ``vt[j]`` is ``V^T``, shape (2, 2), its rows the mode's principal
+        (p, x) axes, largest singular value first.  So the best (p, x) fit
+        of syndrome s on the mode is ``((s Q_j) * inverse[j]) @ vt[j]``,
+        the least-squares solution at that cutoff.
         """
         n, m = self.n, self.m
         smat = self.syndrome_matrix
@@ -144,11 +145,9 @@ class CodeSpec:
         large = sigma > np.finfo(float).eps * max(m, 2) * sigma.max(axis=1, keepdims=True)
         inverse = np.divide(1.0, sigma, where=large, out=np.zeros_like(sigma))
         planes = np.swapaxes(u * large[:, None, :], 1, 2).copy()
-        solves = np.swapaxes(np.swapaxes(vt, 1, 2) @ (inverse[..., None] * np.swapaxes(u, 1, 2)), 1, 2).copy()
-        planes.setflags(write=False)
-        solves.setflags(write=False)
-        return planes, solves
-
+        for factor in (planes, inverse, vt):
+            factor.setflags(write=False)
+        return planes, inverse, vt
 
 def verify_code(code: CodeSpec) -> None:
     """Check a code's stored facts against one another, raising on any failure.

@@ -27,9 +27,16 @@ DEFAULT_DECODE_TOL = 1e-6
 
 
 def syndrome(code: CodeSpec, u) -> np.ndarray:
-    """Syndrome of a displacement on the sender's modes, one value per check row."""
-    u = as_phase_vector(u, code.n)
-    return code.syndrome_matrix @ u
+    """Syndrome of a displacement on the sender's modes, one value per check row.
+
+    Raises:
+        DimensionMismatchError: if the syndrome is not finite, as when a
+            displacement near the doubles' range overflows.
+    """
+    s = code.syndrome_matrix @ as_phase_vector(u, code.n)
+    if not np.isfinite(s).all():
+        raise DimensionMismatchError("syndrome entries must be finite: the displacement overflows a double")
+    return s
 
 
 @dataclass(frozen=True)
@@ -96,10 +103,13 @@ class BatchDecode(NamedTuple):
 def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual ``|s - (s Q_j) Q_j^T|`` and (p, x) fit of each syndrome row on the 0-based mode j that ``modes`` names.
 
-    The rows are sorted by mode, so each run of one mode costs two
-    (rows, m) x (m, 2) products and one (rows, 2) x (2, m) product.
+    The rows are sorted by mode, and each run of one mode is projected
+    once: its coordinates ``s Q_j``, one (rows, m) x (m, 2) product, give
+    the residual through one (rows, 2) x (2, m) product and the fit
+    ``((s Q_j) * inverse[j]) @ vt[j]`` through a (rows, 2) x (2, 2) one
+    (`CodeSpec.mode_planes`).
     """
-    planes, solves = code.mode_planes
+    planes, inverse, vt = code.mode_planes
     order = modes.argsort(kind="stable")
     ranked = modes[order]
     part = s.take(order, axis=0)
@@ -110,8 +120,9 @@ def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray,
     starts = first.nonzero()[0].tolist()
     for a, b in zip(starts, starts[1:] + [len(s)]):
         block, j = part[a:b], ranked[a]
-        fit[a:b] = block @ solves[j]
-        block -= (block @ planes[j].T) @ planes[j]
+        coords = block @ planes[j].T
+        fit[a:b] = (coords * inverse[j]) @ vt[j]
+        block -= coords @ planes[j]
     back = order.argsort(kind="stable")  # the inverse permutation: gathers cost less than a scatter of pairs
     return np.sqrt(np.einsum("ij,ij->i", part, part)).take(back), fit.take(back, axis=0)
 
@@ -121,7 +132,8 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
 
     Every mode hypothesis j has a two-unknown least-squares system for
     (p, x).  Its fit of s is the projection ``s Q_j`` onto the orthonormal
-    basis ``Q_j`` of the mode's syndrome plane (`CodeSpec.mode_planes`),
+    basis ``Q_j`` of the mode's syndrome plane, read back as (p, x)
+    through the other factors of the plane's SVD (`CodeSpec.mode_planes`),
     and the hypothesis with the smallest residual ``|s - (s Q_j) Q_j^T|``
     wins.  Per row, in this order of precedence: a syndrome whose norm is
     at most ``tol`` is NO_ERROR; a best residual above ``tol * (1 + |s|)``
@@ -150,6 +162,11 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
         code: a built code with at least two check rows.
         s: (rows, m) array of syndromes.
         tol: residual scale separating success, ambiguity, and failure.
+
+    Raises:
+        DimensionMismatchError: for a shape that does not fit the code, or
+            a row whose ``|s|^2`` is not finite: a non-finite entry, or
+            ``|s|`` above about 1.3e154, where the square overflows.
     """
     s = np.asarray(s, dtype=float)
     m, n = code.m, code.n
@@ -157,11 +174,12 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
         raise DimensionMismatchError(f"syndromes must have shape (rows, {m}), got {s.shape}")
     if m < 2:
         raise DimensionMismatchError("single-mode decoding needs at least two check rows")
-    planes, _ = code.mode_planes
     squared = np.einsum("ij,ij->i", s, s)
+    if not np.isfinite(squared).all():
+        raise DimensionMismatchError("syndrome norms must be finite: |s|^2 overflows a double above |s| ~ 1.3e154")
     snorm = np.sqrt(squared)
     # (2n, rows): rows 2j and 2j + 1 hold the fit on mode j, summed in place into the even ones.
-    fitted = np.dot(planes.reshape(2 * n, m), s.T)
+    fitted = np.dot(code.mode_planes[0].reshape(2 * n, m), s.T)
     np.square(fitted, out=fitted)
     fitted = np.add(fitted[0::2], fitted[1::2], out=fitted[0::2])
     columns = np.arange(len(s))

@@ -149,9 +149,6 @@ class ExperimentStats:
         return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in items}
 
 
-# Standard deviation of a vacuum quadrature (variance 1/2).
-_VACUUM_SD = 1.0 / math.sqrt(2.0)
-
 # Residual tolerance handed to the decoder: absolute, and generous because
 # measured syndromes carry finite-squeezing noise.  ROADMAP item 1 replaces
 # it with a threshold calibrated to that noise.
@@ -183,8 +180,10 @@ def run_ec_experiment(
     squeezed in position and its receiver half in momentum, ancillas are
     squeezed in position, and data modes hold vacuum.  So each readout is
     its check value plus independent noise of standard deviation
-    e^{-r}/sqrt(2); a pair's value enters the beamsplitter scaled by
-    sqrt(1/2) and its outcome is read back scaled by sqrt(2).  The data
+    e^{-r}/sqrt(2).  A pair's value leaves the beamsplitter scaled by
+    sqrt(1/2) and its outcome is read back scaled by sqrt(2), so the
+    syndrome carries noise of standard deviation e^{-r} on pair rows and
+    e^{-r}/sqrt(2) on ancilla rows, one figure per row.  The data
     modes take the same shift in every trial and no noise: their means
     would pass through unchanged and cancel, so none are drawn, and they
     keep the vacuum covariance exactly.
@@ -196,9 +195,9 @@ def run_ec_experiment(
     this order: receiver momenta of the entangled pairs from the last pair
     to the first, ancilla positions from the last to the first, then
     sender positions from the last pair to the first, so readout i gives
-    syndrome entry m - 1 - i.  Trial t's outcome of a readout with mean mu
-    is ``mu + e^{-r}/sqrt(2) z[t, i]``.  A fixed seed gives bit-identical
-    results.
+    syndrome entry m - 1 - i: trial t reads entry m - 1 - i as its check
+    value plus that row's standard deviation times ``z[t, i]``
+    (`readout_syndromes`).  A fixed seed gives bit-identical results.
 
     No per-trial data quadratures are formed.  A trial's correction is one
     of n + 1 affine maps of its decoded (p, x) fit, one per corrected mode
@@ -216,6 +215,11 @@ def run_ec_experiment(
         r: resource squeezing parameter (>= 0; infinity reads without noise).
         trials: number of Monte-Carlo runs (>= 1).
         seed: seed of the random stream (non-negative).
+
+    Raises:
+        DimensionMismatchError: if the error's canonical image is not
+            finite, as when an error near the doubles' range overflows, or
+            a measured syndrome's ``|s|^2`` is not (`decode_batch`).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -234,6 +238,8 @@ def run_ec_experiment(
 
     checks, data = check_rows(n, l, c)
     shift = code.basis @ swap_halves(error)
+    if not np.isfinite(shift).all():
+        raise DimensionMismatchError("the error's canonical image must be finite: the error overflows a double")
     s_meas = readout_syndromes(code, shift[checks], r, trials, seed)
     decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
     mean_residual, residual_variance = _residual_moments(code, data, shift[data], decoded)
@@ -255,21 +261,18 @@ def readout_syndromes(code: CodeSpec, values: np.ndarray, r: float, trials: int,
 
     ``values`` are the check values in syndrome order (sender positions
     of the pairs, ancilla positions, pair momenta): the error's ideal
-    syndrome.  The draw, its readout order and its noise scale are those
-    `run_ec_experiment` states; each pair's value is scaled by sqrt(1/2)
-    as it leaves the readout beamsplitter.  ``values`` is not changed.
+    syndrome.  Each row's noise is one standard deviation ``sd``: e^{-r}
+    on pair rows and e^{-r}/sqrt(2) on ancilla rows.  Entry m - 1 - i of
+    trial t is ``values[m - 1 - i] + z[t, i] sd[m - 1 - i]``, for the one
+    draw ``z = default_rng(seed).standard_normal((trials, m))``, so at
+    r = infinity every trial reads ``values`` exactly.  The result is a
+    new C-contiguous array; ``values`` is not changed.
     """
     _, _, l, c = code.params
-    m = code.m
-    pairs = np.r_[:c, c + l : m]
-    value = values.copy()
-    value[pairs] *= math.sqrt(0.5)
-    s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]  # readout i -> entry m - 1 - i
-    s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
-    s_meas += value
-    s_meas[:, pairs] *= math.sqrt(2.0)
-    return s_meas
-
+    sd = np.full(code.m, math.exp(-r))
+    sd[c : c + l] /= math.sqrt(2.0)
+    z = np.random.default_rng(seed).standard_normal((trials, code.m))
+    return values + z[:, ::-1] * sd  # readout i -> entry m - 1 - i
 
 def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: BatchDecode) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance over the trials of the corrected data quadratures, from per-mode sums.
@@ -285,10 +288,11 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: 
     (Chan, Golub and LeVeque, The American Statistician 37, 242 (1983)).
 
     Each part is a sum of non-negative terms, never E[y^2] - E[y]^2, and
-    each mode's fits are taken on the principal axes of its decoder solve.
-    A mode whose syndrome plane has rank 1 fits along one axis only, so a
-    data quadrature that a correction along it cannot move, and that no
-    noise reaches, reads 0 to rounding of its own size, not of the fits'.
+    each mode's fits are taken on its plane's principal (p, x) axes, the
+    rows of ``V^T`` in `CodeSpec.mode_planes`.  A mode whose syndrome plane
+    has rank 1 fits along the first axis only, so a data quadrature that a
+    correction along it cannot move, and that no noise reaches, reads 0 to
+    rounding of its own size, not of the fits'.
     The cost is O(trials) for the sums and O(g k) after them, for the g
     groups that hold trials.
     """
@@ -302,27 +306,28 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: 
     # The no-correction group's fits are zeroed, so any mode's axes and columns serve it.
     modes = np.minimum(modes, n - 1)
 
-    # Each trial's fit on the principal axes of its mode's decoder solve.
-    solves = code.mode_planes[1][modes]
-    axes = np.linalg.eigh(np.swapaxes(solves, 1, 2) @ solves)[1]
+    # Each trial's fit on its mode's principal axes, the rows of V^T, largest singular value first.
+    axes = code.mode_planes[2][modes]
     p, x = (decoded.shift * (decoded.status == DECODED)[:, None]).T
     trial_axes = axes[group]
-    u = p * trial_axes[:, 0, 0] + x * trial_axes[:, 1, 0]
-    v = p * trial_axes[:, 0, 1] + x * trial_axes[:, 1, 1]
+    u = p * trial_axes[:, 0, 0] + x * trial_axes[:, 0, 1]
+    v = p * trial_axes[:, 1, 0] + x * trial_axes[:, 1, 1]
     centre = np.stack([np.bincount(group, u), np.bincount(group, v)]) / counts
     du, dv = np.stack([u, v]) - centre[:, group]
     s_uu, s_uv, s_vv = (np.bincount(group, weights) for weights in (du * du, du * dv, dv * dv))
 
-    # A fit (p, x) on mode j moves the data quadratures by p * b_{n+j} + x * b_j, and (u, v) = (p, x) @ axes[j].
+    # A fit (p, x) on mode j moves the data quadratures by p * b_{n+j} + x * b_j, and (u, v) = axes[j] @ (p, x).
     basis = code.basis[data]
     b_p, b_x = basis[:, n + modes], basis[:, modes]
-    b_u = b_p * axes[:, 0, 0] + b_x * axes[:, 1, 0]
-    b_v = b_p * axes[:, 0, 1] + b_x * axes[:, 1, 1]
+    b_u = b_p * axes[:, 0, 0] + b_x * axes[:, 0, 1]
+    b_v = b_p * axes[:, 1, 0] + b_x * axes[:, 1, 1]
     group_mean = d[:, None] - b_u * centre[0] - b_v * centre[1]
     trials = len(group)
     mean = group_mean @ counts / trials
     # b S b^T for each group's scatter S, in its LDL^T form: s_uu (b_u + ratio b_v)^2 + schur b_v^2.
-    # No spread on the first axis means s_uv = 0 exactly; a negative Schur complement is rounding.
+    # A rank-1 plane's spread axis comes first, so its pivot s_uu is the larger one and ratio, which
+    # divides by it, stays small.  No spread on the first axis (as in the no-correction group) means
+    # s_uv = 0 exactly; a negative Schur complement is rounding.
     ratio = s_uv / np.where(s_uu > 0, s_uu, 1.0)
     schur = np.maximum(s_vv - ratio * s_uv, 0.0)
     within = s_uu * np.square(b_u + ratio * b_v) + schur * np.square(b_v)

@@ -51,7 +51,7 @@ from cvqec.compiler import (
 from cvqec.decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from cvqec.decomposition import check_rows
 from cvqec.errors import DimensionMismatchError
-from cvqec.simulator import _DECODE_TOL, _VACUUM_SD, ExperimentStats, GaussianState, homodyne
+from cvqec.simulator import _DECODE_TOL, ExperimentStats, GaussianState, homodyne, readout_syndromes
 from cvqec.symplectic import as_phase_vector, mode_count, swap_halves, symplectic_form
 
 
@@ -454,25 +454,19 @@ def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:
 def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int) -> ExperimentStats:
     """`cvqec.simulator.run_ec_experiment` with its statistics taken over per-trial data quadratures.
 
-    The same draw, readout and `decode_batch` call, so the rates and the
-    syndromes are the package's own; then each trial's corrected data
-    quadratures are formed as one row of a (trials, 2k) array, and the
-    mean and variance are numpy's over its rows.  Inputs are not checked.
+    The package's own readout (`readout_syndromes`) and `decode_batch`
+    call, so the rates and the syndromes are the package's own; then each
+    trial's corrected data quadratures are formed as one row of a
+    (trials, 2k) array, and the mean and variance are numpy's over its
+    rows.  Inputs are not checked.
     """
     n, _, l, c = code.params
-    m = code.m
     error = np.asarray(error, dtype=float)
     support = {i % n for i in np.nonzero(error)[0]}
     error_mode = (support.pop() + 1) if support else 0
     checks, data = check_rows(n, l, c)
     shift = code.basis @ swap_halves(error)
-    pairs = np.r_[:c, c + l : m]
-    value = shift[checks]
-    value[pairs] *= math.sqrt(0.5)
-    s_meas = np.random.default_rng(seed).standard_normal((trials, m))[:, ::-1]
-    s_meas = s_meas * (math.exp(-r) * _VACUUM_SD)
-    s_meas += value
-    s_meas[:, pairs] *= math.sqrt(2.0)
+    s_meas = readout_syndromes(code, shift[checks], r, trials, seed)
 
     # A decoded shift (p, x) on mode j displaces the canonical frame by
     # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.

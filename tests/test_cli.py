@@ -175,6 +175,30 @@ def test_compile_canonical_code_empty(tmp_path, capsys):
     assert payload == []
 
 
+@pytest.mark.parametrize("command, size", [("syndrome", "1e308"), ("simulate", "1e308"), ("simulate", "1e200"), ("decode", "1e200")])
+def test_a_non_finite_result_is_a_dimension_error(tmp_path, capsys, command, size):
+    # Without the finite checks each exited 0 on the scaled-rows code: a syndrome of
+    # [Infinity, NaN, ...], NaN figures with a match rate of 1.0, or mode 1
+    # decoded with an infinite residual.
+    code_file = os.path.join(os.path.dirname(__file__), "data", "scaled-rows-code.json")
+    argv = ["syndrome", code_file, "--mode", "1", "--p", size, "--x", size]
+    cause = "syndrome entries must be finite"
+    if command == "simulate":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"code_file": code_file, "error": {"mode": 1, "p": float(size), "x": float(size)}, "squeezing_r": 5.0, "trials": 100, "seed": 1}))
+        argv = ["simulate", str(cfg)]
+        cause = "canonical image must be finite" if size == "1e308" else "syndrome norms must be finite"
+    elif command == "decode":
+        syndrome_file = str(tmp_path / "syndrome.json")
+        assert main(argv + ["--output", syndrome_file]) == 0
+        argv = ["decode", code_file, "--syndrome-file", syndrome_file]
+        cause = "syndrome norms must be finite"
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 3
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path, code_file):
     cfg = {
         "code_file": code_file,

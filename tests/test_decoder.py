@@ -62,6 +62,20 @@ def test_syndrome_dimension_check(code):
         syndrome(code, np.zeros(6))
 
 
+def test_a_non_finite_syndrome_or_norm_is_refused(code):
+    # Without the finite checks the overflowing syndrome came back with an infinite entry,
+    # and the rows decoded: mode 1 with an infinite residual, or a NaN row as anything.
+    with pytest.raises(DimensionMismatchError, match="syndrome entries must be finite"):
+        syndrome(code, single_mode_error(4, 3, 1e308, 1e308))
+    s = syndrome(code, single_mode_error(4, 1, 1e200, 1e200))  # finite entries, but |s|^2 overflows
+    assert np.isfinite(s).all()
+    for row in (s, np.full(4, np.nan)):
+        with pytest.raises(DimensionMismatchError, match="syndrome norms must be finite"):
+            decode_batch(code, np.vstack([np.zeros(4), row]))
+    # Below the overflow the row decodes as any other.
+    assert decode_batch(code, 1e-50 * s[None, :]).mode_hypothesis.tolist() == [1]
+
+
 def test_decode_forward_inverse_example(code):
     s = syndrome(code, single_mode_error(4, 1, 0.3, -1.1))
     corr = decode_single_mode(code, s)

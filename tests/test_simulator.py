@@ -11,7 +11,7 @@ from cvqec.codes import build_code, canonical_parity_check
 from cvqec.compiler import circuit_action, decompose, encoder_quad_action
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.errors import AmbiguousSyndromeError, DecodeError, DimensionMismatchError, InvalidStateError
-from cvqec.simulator import ExperimentStats, GaussianState, apply_symplectic, homodyne, run_ec_experiment
+from cvqec.simulator import ExperimentStats, GaussianState, apply_symplectic, homodyne, readout_syndromes, run_ec_experiment
 from cvqec.symplectic import swap_halves, symplectic_form
 
 from conftest import mixed_code, random_gates
@@ -313,6 +313,34 @@ def test_experiment_deterministic():
     assert np.array_equal(a.excess_variance, b.excess_variance)
     assert np.array_equal(a.syndrome_noise_variance, b.syndrome_noise_variance)
     assert a.mode_match_rate == b.mode_match_rate
+
+
+@pytest.mark.parametrize("size, cause", [(1e308, "canonical image must be finite"), (1e200, "syndrome norms must be finite")])
+def test_experiment_refuses_a_non_finite_result(size, cause):
+    # Without the finite checks both ran, and reported NaN figures with a match rate of 1.0.
+    code = reference.build_example_code()
+    with pytest.raises(DimensionMismatchError, match=cause):
+        run_ec_experiment(code, single_mode_error(4, 1, size, size), r=5.0, trials=10, seed=1)
+
+
+@pytest.mark.parametrize("r", [0.0, 3.0, math.inf])
+@pytest.mark.parametrize("params", [(4, 2, 0, 2), (5, 2, 2, 1), (3, 1, 2, 0)], ids=["pairs", "mixed", "ancillas"])
+def test_readout_is_the_documented_draw(params, r):
+    # Entry m - 1 - i is column i of the one draw times the row's standard
+    # deviation, bit for bit, and at r = infinity every trial reads the values.
+    n, _, l, c = params
+    code = build_code(canonical_parity_check(*params))
+    m, trials, seed = code.m, 7, 5
+    z = np.random.default_rng(seed).standard_normal((trials, m))
+    sd = np.full(m, math.exp(-r))
+    sd[c : c + l] = math.exp(-r) / math.sqrt(2.0)
+    got = readout_syndromes(code, np.zeros(m), r, trials, seed)
+    assert got.flags.c_contiguous
+    for i in range(m):
+        assert np.array_equal(got[:, m - 1 - i], z[:, i] * sd[m - 1 - i]), i
+    if r == math.inf:
+        values = np.random.default_rng(1).normal(size=m) * 10.0 ** np.arange(m)
+        assert np.array_equal(readout_syndromes(code, values, r, trials, seed), np.tile(values, (trials, 1)))
 
 
 def test_experiment_rejects_multimode_error():
