@@ -3,8 +3,10 @@
 Exit codes are fixed for scripting: 0 success, 2 parse error, 3
 dimension error, 4 build verification failure, 5 decode failure, 6
 circuit verification failure.  JSON output is compact, one line, with
-every float rounded to 12 significant digits, formatted once and written
-as JSON writes the rounded value; re-parsing it recovers that value.
+every JSON number that is a float rounded to 12 significant digits,
+formatted once and written as JSON writes the rounded value; re-parsing
+it recovers that value.  A code file's basis and input rows are no JSON
+numbers but base64 float64 columns (`codes.code_to_dict`), exact.
 """
 
 from __future__ import annotations
@@ -65,21 +67,17 @@ def _fix_float(text: str) -> str:
     return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text) or text + ".0"
 
 
-def _json_text(obj, rows: dict) -> str:
-    """JSON text of a payload, compact as ``json.dumps`` writes it, every float through `_floats_text`.
-
-    A list of floats only (a row from ``tolist()``) is formatted once per list object, ``rows`` mapping
-    its id to its text: a code file's ``pairs`` and ``isotropic`` hold its basis rows again.
-    """
+def _json_text(obj) -> str:
+    """JSON text of a payload, compact as ``json.dumps`` writes it, every float through `_floats_text`."""
     if isinstance(obj, float):
         return _floats_text((obj,))
     if isinstance(obj, dict):
-        return "{" + ", ".join([encode_basestring_ascii(key) + ": " + _json_text(value, rows) for key, value in obj.items()]) + "}"
+        return "{" + ", ".join([encode_basestring_ascii(key) + ": " + _json_text(value) for key, value in obj.items()]) + "}"
     if not isinstance(obj, (list, tuple)):  # an int, a string, a bool or null
         return repr(obj) if type(obj) is int else {True: "true", False: "false", None: "null"}.get(obj) or encode_basestring_ascii(obj)
     if obj and set(map(type, obj)) == {float}:
-        return rows.get(id(obj)) or rows.setdefault(id(obj), "[" + _floats_text(obj) + "]")
-    return "[" + ", ".join([_json_text(value, rows) for value in obj]) + "]"
+        return "[" + _floats_text(obj) + "]"
+    return "[" + ", ".join([_json_text(value) for value in obj]) + "]"
 
 
 def _circuit_text(circuit: compiler.Circuit) -> str:
@@ -126,13 +124,13 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _emit(payload, output: str | None) -> None:
-    _write(_json_text(payload, {}), output)
+    _write(_json_text(payload), output)
 
 
 def cmd_decompose(args) -> int:
     dec = symplectic_gram_schmidt(codes.load_parity_check(args.matrix_file), tol=args.tolerance)
-    pairs, isotropic = codes._copied_rows(dec.rows.tolist(), dec.l, dec.c)
-    _emit(dict(zip("nklc", code_parameters(dec)), pairs=pairs, isotropic=isotropic, dropped_rows=list(dec.dropped_rows)), args.output)
+    pairs, isotropic = codes._copied_rows(dec.rows, dec.l, dec.c)
+    _emit(dict(zip("nklc", code_parameters(dec)), pairs=pairs.tolist(), isotropic=isotropic.tolist(), dropped_rows=list(dec.dropped_rows)), args.output)
     return EXIT_OK
 
 

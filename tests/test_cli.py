@@ -5,12 +5,14 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cvqec import cli, codes, compiler, reference, simulator
 from cvqec.cli import build_parser, main
@@ -73,10 +75,10 @@ def test_build_emits_verified_code(code_file):
     # The file holds the stored facts only; the encoding matrix they imply
     # carries the checks onto the canonical ones.
     payload = read(code_file)
-    assert payload["format"] == 2
+    assert payload["format"] == 3
     h = np.array([u for u, _ in payload["pairs"]] + payload["isotropic"] + [v for _, v in payload["pairs"]])
     f = canonical_parity_check(*(payload["params"][key] for key in "nklc"))
-    y = np.linalg.inv(np.array(payload["basis"]).T)
+    y = np.linalg.inv(codes.json_column(payload["basis"]).T)
     assert np.max(np.abs(h @ y.T - f)) <= 1e-8
 
 
@@ -86,7 +88,7 @@ def test_build_standard_basis_gives_identity(tmp_path, capsys):
     save_parity_check(path, np.array([e[0], e[1], e[4], e[5]]))
     assert main(["build", str(path)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert np.allclose(np.array(payload["basis"]), np.eye(8))
+    assert np.allclose(codes.json_column(payload["basis"]), np.eye(8))
 
 
 def test_syndrome_known_values(code_file, capsys):
@@ -175,11 +177,13 @@ def test_compile_canonical_code_empty(tmp_path, capsys):
     assert payload == []
 
 
-@pytest.mark.parametrize("command, size", [("syndrome", "1e308"), ("simulate", "1e308"), ("simulate", "1e200"), ("decode", "1e200")])
+@pytest.mark.parametrize("command, size", [("syndrome", "1e308"), ("simulate", "1e308"), ("simulate", "1e200"), ("decode", "1e200"), ("min-norm", "1e200")])
 def test_a_non_finite_result_is_a_dimension_error(tmp_path, capsys, command, size):
     # Without the finite checks each exited 0 on the scaled-rows code: a syndrome of
     # [Infinity, NaN, ...], NaN figures with a match rate of 1.0, or mode 1
-    # decoded with an infinite residual.
+    # (or the least-norm correction) with an infinite residual.  The refusal
+    # is the one line on stderr: syndrome and simulate at 1e308 also printed
+    # numpy's overflow warnings before it.
     code_file = os.path.join(os.path.dirname(__file__), "data", "scaled-rows-code.json")
     argv = ["syndrome", code_file, "--mode", "1", "--p", size, "--x", size]
     cause = "syndrome entries must be finite"
@@ -188,14 +192,18 @@ def test_a_non_finite_result_is_a_dimension_error(tmp_path, capsys, command, siz
         cfg.write_text(json.dumps({"code_file": code_file, "error": {"mode": 1, "p": float(size), "x": float(size)}, "squeezing_r": 5.0, "trials": 100, "seed": 1}))
         argv = ["simulate", str(cfg)]
         cause = "canonical image must be finite" if size == "1e308" else "syndrome norms must be finite"
-    elif command == "decode":
+    elif command in ("decode", "min-norm"):
         syndrome_file = str(tmp_path / "syndrome.json")
         assert main(argv + ["--output", syndrome_file]) == 0
-        argv = ["decode", code_file, "--syndrome-file", syndrome_file]
+        argv = ["decode", code_file, "--syndrome-file", syndrome_file] + ["--min-norm"] * (command == "min-norm")
         cause = "syndrome norms must be finite"
     out = tmp_path / "out.json"
-    assert main(argv + ["--output", str(out)]) == 3
-    assert cause in capsys.readouterr().err
+    with warnings.catch_warnings():
+        # pytest records warnings rather than print them; as errors, any warning fails the command.
+        warnings.simplefilter("error")
+        assert main(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and cause in err
     assert not out.exists()
 
 
@@ -255,7 +263,7 @@ def test_selftest_writes_its_text_report_to_the_output(tmp_path, capsys):
 
 def test_tampered_code_file_fails_verification(tmp_path, code_file):
     payload = read(code_file)
-    payload["basis"][0][0] += 0.25
+    _shift_basis_entry(0, 0, 0.25)(payload)
     bad = tmp_path / "bad_code.json"
     bad.write_text(json.dumps(payload))
     assert main(["syndrome", str(bad), "--mode", "1", "--p", "1"]) == 4
@@ -355,7 +363,12 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
 
     code_file = read(code_path)
     assert set(code_file) == CODE_KEYS
-    assert_rounded(code_file, codes.code_to_dict(codes.build_code(codes.load_parity_check(matrix), tol=1e-9)))
+    built = codes.build_code(codes.load_parity_check(matrix), tol=1e-9)
+    assert_rounded(code_file, codes.code_to_dict(built))
+    # basis and input_rows are exact: the file loads back to the very arrays build_code made.
+    loaded = codes.load_code(code_path)
+    for name in ("basis", "input_rows"):
+        assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
 
     circuit, want_report = compiler.decompose(compiler.encoder_quad_action(codes.load_code(code_path)))
     gates = read(circuit_path)
@@ -390,7 +403,22 @@ def test_floats_are_written_as_rounding_then_encoding_wrote_them(values):
     for value in values:
         assert cli._floats_text((value,)) == rounding_then_encoding(value)
     payload = {"row": values, "pair": [values, values], "value": values[0] if values else None}
-    assert cli._json_text(payload, {}) == json.dumps(json.loads(json.dumps(payload), parse_float=lambda text: float("%.12g" % float(text))))
+    assert cli._json_text(payload) == json.dumps(json.loads(json.dumps(payload), parse_float=lambda text: float("%.12g" % float(text))))
+
+
+COLUMN_FLOATS = st.one_of(
+    st.floats(),  # arbitrary doubles, NaN and the infinities among them
+    st.sampled_from([0.0, -0.0, sys.float_info.max, -sys.float_info.max, sys.float_info.min, 5e-324, -5e-324]),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),  # subnormals
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6), elements=COLUMN_FLOATS))
+def test_a_column_round_trips_every_bit_through_json_text(array):
+    text = cli._json_text({"basis": codes._column(array)})
+    back = codes.json_column(json.loads(text)["basis"])
+    assert (back.dtype, back.shape, back.tobytes()) == (array.dtype, array.shape, array.tobytes())
 
 
 def rounded_circuit(circuit: compiler.Circuit) -> compiler.Circuit:
@@ -585,7 +613,7 @@ def test_old_format_code_file_gives_the_same_chain(tmp_path, capsys):
     matrix, fresh = str(tmp_path / "raw.json"), str(tmp_path / "code.json")
     save_parity_check(matrix, reference.raw_parity_rows())
     assert main(["build", matrix, "--output", fresh]) == 0
-    assert read(fresh)["format"] == 2
+    assert read(fresh)["format"] == 3
     from_old = chain_outputs(tmp_path, V1_FIXTURE, "old")
     old_report = capsys.readouterr().out
     from_new = chain_outputs(tmp_path, fresh, "new")
@@ -593,18 +621,36 @@ def test_old_format_code_file_gives_the_same_chain(tmp_path, capsys):
     assert old_report == capsys.readouterr().out
 
 
+V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "scaled-rows-code-v2.json")
+
+
+def test_format_2_code_file_loads_and_its_circuit_verifies_against_format_3(tmp_path, capsys):
+    # The fixture is the scaled-rows code file as format 2 wrote it, every
+    # float rounded to 12 digits; scaled-rows-code.json is the same code in format 3.
+    fresh = str(Path(SCALED_ROWS).parent / "scaled-rows-code.json")
+    assert read(V2_FIXTURE)["format"] == 2 and read(fresh)["format"] == 3
+    old, new = codes.load_code(V2_FIXTURE), codes.load_code(fresh)
+    assert old.params == new.params and old.dropped_rows == new.dropped_rows
+    for name in ("basis", "input_rows"):
+        assert np.all(np.abs(getattr(old, name) - getattr(new, name)) <= 1e-11 * np.abs(getattr(new, name)))
+    circuit = str(tmp_path / "circuit.json")
+    assert main(["compile", V2_FIXTURE, "--output", circuit]) == 0
+    assert main(["verify", circuit, fresh]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["verified"] is True
+
+
 def test_unknown_code_format_exit_code(tmp_path, code_file):
-    payload = dict(read(code_file), format=3)
     path = tmp_path / "future.json"
-    path.write_text(json.dumps(payload))
-    assert main(["syndrome", str(path), "--mode", "1", "--p", "1"]) == 2
+    for fmt in (1, 4):
+        path.write_text(json.dumps(dict(read(code_file), format=fmt)))
+        assert main(["syndrome", str(path), "--mode", "1", "--p", "1"]) == 2
 
 
 def _params_same_m(payload):
     # (4, 2, 0, 2) -> (4, 1, 2, 1) keeps m and k + l + c = n; pairs and
     # isotropic are rewritten to the basis rows the new params name, so
     # only the input rows can tell.
-    basis = payload["basis"]
+    basis = codes.json_column(payload["basis"]).tolist()
     payload.update(params={"n": 4, "k": 1, "l": 2, "c": 1}, pairs=[[basis[0], basis[4]]], isotropic=basis[1:3])
 
 
@@ -613,7 +659,7 @@ def _shift_isotropic_entry(payload):
 
 
 def _foreign_input_rows(payload):
-    payload["input_rows"] = np.random.default_rng(0).normal(size=np.shape(payload["input_rows"])).tolist()
+    payload["input_rows"] = codes._column(np.random.default_rng(0).normal(size=codes.json_column(payload["input_rows"]).shape))
 
 
 def _shift_pair_entry(payload):
@@ -621,17 +667,20 @@ def _shift_pair_entry(payload):
 
 
 def _foreign_dropped_row(payload):
-    payload["dropped_rows"].append(len(payload["input_rows"]))
-    payload["input_rows"].append(np.random.default_rng(0).normal(size=len(payload["input_rows"][0])).tolist())
+    rows = codes.json_column(payload["input_rows"])
+    payload["dropped_rows"].append(len(rows))
+    payload["input_rows"] = codes._column(np.vstack([rows, np.random.default_rng(0).normal(size=rows.shape[1])]))
 
 
 def _dropped_row_out_of_range(payload):
-    payload["dropped_rows"].append(len(payload["input_rows"]))
+    payload["dropped_rows"].append(len(codes.json_column(payload["input_rows"])))
 
 
 def _shift_basis_entry(row, column, delta):
     def tamper(payload):
-        payload["basis"][row][column] += delta
+        basis = codes.json_column(payload["basis"]).copy()
+        basis[row, column] += delta
+        payload["basis"] = codes._column(basis)
 
     return tamper
 
@@ -639,7 +688,8 @@ def _shift_basis_entry(row, column, delta):
 def _independent_row_dropped(payload):
     # A copy of input row 0 is appended and row 1 named as dropped: the
     # rows left number m but span only m - 1 dimensions.
-    payload["input_rows"].append(payload["input_rows"][0])
+    rows = codes.json_column(payload["input_rows"])
+    payload["input_rows"] = codes._column(np.vstack([rows, rows[:1]]))
     payload["dropped_rows"] = [1]
 
 
@@ -720,12 +770,12 @@ def test_a_tampered_basis_entry_is_refused_or_within_the_scaled_bound(tmp_path_f
     if main(["build", matrix, "--output", code]) != 0:
         reject()  # about one draw in forty at scale 1e-3 (a known build defect)
     payload = read(code)
-    basis = np.array(payload["basis"])
+    basis = codes.json_column(payload["basis"]).copy()
     i, j = rng.integers(0, 2 * n, size=2)
     basis[i, j] += rng.choice([-1.0, 1.0]) * 10.0**log_delta * np.max(np.abs(basis[i]))
     l, c = payload["params"]["l"], payload["params"]["c"]
     h = basis[np.r_[: c + l, n : n + c]].tolist()
-    payload.update(basis=basis.tolist(), pairs=[[h[k], h[c + l + k]] for k in range(c)], isotropic=h[c : c + l])
+    payload.update(basis=codes._column(basis), pairs=[[h[k], h[c + l + k]] for k in range(c)], isotropic=h[c : c + l])
     with open(bad, "w") as fh:
         json.dump(payload, fh)
     exit_code = main(["compile", bad, "--output", circuit])
@@ -783,6 +833,28 @@ def test_wrong_json_types_exit_as_parse_errors(tmp_path, code_file, capsys, kind
         json.dump(edit(source), fh)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["basis", "input_rows"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda column: dict(column, dtype="<f4"),
+        lambda column: dict(column, shape=[column["shape"][0], column["shape"][1] + 1]),
+        lambda column: dict(column, data="*" + column["data"][1:]),
+        lambda column: dict(column, data=5),
+        lambda column: codes.json_column(column).tolist(),
+    ],
+    ids=["dtype", "shape-off-data", "data-not-base64", "data-not-a-string", "list"],
+)
+def test_a_malformed_column_is_a_parse_error_naming_its_key(tmp_path, code_file, capsys, key, edit):
+    payload = read(code_file)
+    payload[key] = edit(payload[key])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    assert main(["syndrome", str(path), "--mode", "1", "--p", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
 
 
 def _set(path, value):
@@ -870,14 +942,20 @@ def test_wrong_json_types_in_options_exit_as_parse_errors(tmp_path, code_file, c
 HUGE = 10**400  # a JSON integer beyond the doubles' range; json.dump writes it digit by digit
 
 
+def _format_2(path):
+    """The code file at path as format 2 wrote it: every float a JSON number, ``json.dump`` writing each exactly."""
+    code = codes.load_code(path)
+    return dict(codes.code_to_dict(code), format=2, basis=code.basis.tolist(), input_rows=code.input_rows.tolist())
+
+
 @pytest.mark.parametrize(
     "kind, edit, argv, name",
     [
         ("matrix", _set(["rows", 0, 0], HUGE), ["decompose", "INPUT"], "'rows'"),
         ("matrix", _set(["rows", 0, 0], -HUGE), ["build", "INPUT"], "'rows'"),
-        ("code", _set(["basis", 0, 0], HUGE), ["syndrome", "INPUT", "--mode", "1", "--p", "1"], "'basis'"),
-        ("code", _set(["input_rows", 0, 0], HUGE), ["compile", "INPUT"], "'input_rows'"),
-        ("code", _set(["basis", 1, 2], -HUGE), ["verify", "CIRCUIT", "INPUT"], "'basis'"),
+        ("code-v2", _set(["basis", 0, 0], HUGE), ["syndrome", "INPUT", "--mode", "1", "--p", "1"], "'basis'"),
+        ("code-v2", _set(["input_rows", 0, 0], HUGE), ["compile", "INPUT"], "'input_rows'"),
+        ("code-v2", _set(["basis", 1, 2], -HUGE), ["verify", "CIRCUIT", "INPUT"], "'basis'"),
         ("syndrome", _set(["syndrome", 0], HUGE), ["decode", "CODE", "--syndrome-file", "INPUT"], "--syndrome-file"),
         ("config", _set(["error", "p"], HUGE), ["simulate", "INPUT"], "'error'"),
         ("config", _set(["squeezing_r"], HUGE), ["simulate", "INPUT"], "'squeezing_r'"),
@@ -894,7 +972,7 @@ def test_an_integer_beyond_the_double_range_is_a_parse_error(tmp_path, reference
     if kind is not None:
         source = {
             "matrix": read(reference_matrix),
-            "code": read(code_file),
+            "code-v2": _format_2(code_file),
             "syndrome": {"syndrome": [0.0] * 4},
             "config": {"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1},
         }[kind]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from cvqec import reference
+from cvqec import cli, reference
 from cvqec.codes import (
+    _column,
     build_code,
     canonical_parity_check,
     code_from_dict,
@@ -69,15 +70,27 @@ def test_augment_canonical_block_pattern():
     assert np.all(aug[1, [n, 2 * n + c]] == 0.0)
 
 
+def _format_2(code):
+    """A code's file form as format 2 wrote it, every float a JSON number."""
+    return dict(code_to_dict(code), format=2, basis=code.basis.tolist(), input_rows=code.input_rows.tolist())
+
+
 def test_code_from_dict_rejects_foreign_rows(rng):
-    payload = code_to_dict(build_code(reference.symplectic_basis_rows()))
-    code_from_dict(payload)
-    foreign = dict(payload, input_rows=rng.normal(size=(4, 8)).tolist())
-    with pytest.raises(BuildVerificationError, match="rowspace"):
-        code_from_dict(foreign)
-    shifted = dict(payload, pairs=[[[u[0] + 0.25] + u[1:], v] for u, v in payload["pairs"]])
+    code = build_code(rng.normal(size=(3, 8)))
+    for payload, foreign_rows in ((code_to_dict(code), _column(rng.normal(size=(3, 8)))), (_format_2(code), rng.normal(size=(3, 8)).tolist())):
+        code_from_dict(payload)
+        with pytest.raises(BuildVerificationError, match="rowspace"):
+            code_from_dict(dict(payload, input_rows=foreign_rows))
+        shifted = dict(payload, pairs=[[[u[0] + 0.25] + u[1:], v] for u, v in payload["pairs"]])
+        with pytest.raises(BuildVerificationError, match="basis rows"):
+            code_from_dict(shifted)
+    # Format 3 takes pairs and isotropic as 12-digit text reads them back;
+    # format 2 wrote them with the basis, and they must equal it bit for bit.
+    rounded = {key: json.loads(json.dumps(code_to_dict(code)[key]), parse_float=lambda text: float("%.12g" % float(text))) for key in ("pairs", "isotropic")}
+    assert rounded["pairs"] != code_to_dict(code)["pairs"]
+    code_from_dict(dict(code_to_dict(code), **rounded))
     with pytest.raises(BuildVerificationError, match="basis rows"):
-        code_from_dict(shifted)
+        code_from_dict(dict(_format_2(code), **rounded))
 
 
 def test_load_check_accepts_dependent_tiny_and_scaled_rows(rng):
@@ -111,10 +124,12 @@ def test_code_file_round_trip_is_exact(n, seed, log_scale):
         # at scale 1e-3 fails basis completion (a known build defect).
         reject()
     payload = code_to_dict(code)
-    clone = code_from_dict(json.loads(json.dumps(payload)))
-    assert clone.params == code.params and clone.dropped_rows == code.dropped_rows
-    for name in ("basis", "input_rows", "h"):
-        assert _bits(getattr(clone, name)) == _bits(getattr(code, name))
+    # As json.dumps writes it, and as the CLI does, pairs and isotropic rounded to 12 digits.
+    for text in (json.dumps(payload), cli._json_text(payload)):
+        clone = code_from_dict(json.loads(text))
+        assert clone.params == code.params and clone.dropped_rows == code.dropped_rows
+        for name in ("basis", "input_rows", "h"):
+            assert _bits(getattr(clone, name)) == _bits(getattr(code, name))
     _, _, l, c = code.params
     h = code.basis[np.r_[: c + l, n : n + c]]
     assert payload["pairs"] == [[h[i].tolist(), h[c + l + i].tolist()] for i in range(c)]

@@ -64,7 +64,8 @@ def test_syndrome_dimension_check(code):
 
 def test_a_non_finite_syndrome_or_norm_is_refused(code):
     # Without the finite checks the overflowing syndrome came back with an infinite entry,
-    # and the rows decoded: mode 1 with an infinite residual, or a NaN row as anything.
+    # and the rows decoded: mode 1 with an infinite residual, or a NaN row as anything;
+    # the least-norm correction of the 1e200 row had an infinite residual.
     with pytest.raises(DimensionMismatchError, match="syndrome entries must be finite"):
         syndrome(code, single_mode_error(4, 3, 1e308, 1e308))
     s = syndrome(code, single_mode_error(4, 1, 1e200, 1e200))  # finite entries, but |s|^2 overflows
@@ -72,6 +73,8 @@ def test_a_non_finite_syndrome_or_norm_is_refused(code):
     for row in (s, np.full(4, np.nan)):
         with pytest.raises(DimensionMismatchError, match="syndrome norms must be finite"):
             decode_batch(code, np.vstack([np.zeros(4), row]))
+        with pytest.raises(DimensionMismatchError, match="syndrome norms must be finite"):
+            min_norm_correction(code, row)
     # Below the overflow the row decodes as any other.
     assert decode_batch(code, 1e-50 * s[None, :]).mode_hypothesis.tolist() == [1]
 
