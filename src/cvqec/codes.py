@@ -278,9 +278,7 @@ def save_parity_check(path, rows) -> None:
         json.dump({"n": rows.shape[1] // 2, "rows": rows.tolist()}, fh, indent=1)
 
 
-# Version of the code-file layout that `code_to_dict` writes.  Format 2
-# held every float as a JSON number; a file without a "format" key
-# predates it and is read through the same keys.
+# Version of the code-file layout that `code_to_dict` writes, the one `code_from_dict` reads.
 CODE_FORMAT = 3
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
@@ -341,34 +339,28 @@ def code_to_dict(code: CodeSpec) -> dict:
 def code_from_dict(payload: dict) -> CodeSpec:
     """Code from its file form, verified; ``pairs`` and ``isotropic`` must copy its check rows.
 
-    Format 3 holds ``basis`` and ``input_rows`` as `_column` objects, and
-    ``pairs`` and ``isotropic`` need only equal the check rows as they read
-    back from 12-digit text.  Format 2, and a file without a format key,
-    hold every float as a JSON number, and the copies must equal the
-    check rows bit for bit.
+    Only format 3 is read: ``basis`` and ``input_rows`` are `_column`
+    objects, and ``pairs`` and ``isotropic`` need only equal the check
+    rows as they read back from 12-digit text.  An older file is remade
+    by ``cvqec build`` on ``{"n": params.n, "rows": input_rows}``.
 
     Raises:
-        ValueError: for a format this version cannot read, or a key of
-            the wrong JSON type.
+        ValueError: for another format, or a key of the wrong JSON type.
         BuildVerificationError: if the stored facts disagree.
     """
-    fmt = payload.get("format", 2) if isinstance(payload, dict) else None
-    if fmt not in (2, CODE_FORMAT):
-        raise ValueError(f"not a code file of format 2 or {CODE_FORMAT}")
-    rows = json_column if fmt == CODE_FORMAT else lambda value: np.atleast_2d(np.asarray(value, dtype=float))
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != CODE_FORMAT:
+        found = "no format key" if fmt is None else f"format {fmt!r}"
+        raise ValueError(f'code files of format {CODE_FORMAT} only are read, found {found}; remake the file with `cvqec build` on the check-matrix file {{"n": params.n, "rows": input_rows}}')
     code = CodeSpec(
         params=read_key(payload, "params", lambda p: CodeParameters(**{key: json_int(p[key]) for key in CodeParameters._fields})),
-        basis=read_key(payload, "basis", rows),
+        basis=read_key(payload, "basis", json_column),
         dropped_rows=read_key(payload, "dropped_rows", lambda indices: tuple(map(json_int, indices))),
-        input_rows=read_key(payload, "input_rows", rows),
+        input_rows=read_key(payload, "input_rows", json_column),
     )
     verify_code(code)
     copies = _copied_rows(code.h, code.params.l, code.params.c)
-    if fmt == CODE_FORMAT:  # list() refuses a bare number as the wrong JSON type
-        same = all(_within_rounding(read_key(payload, key, lambda value: json_numbers(list(value))), want) for key, want in zip(("pairs", "isotropic"), copies))
-    else:
-        same = (read_key(payload, "pairs", list), read_key(payload, "isotropic", list)) == tuple(copy.tolist() for copy in copies)
-    if not same:
+    if not all(_within_rounding(read_key(payload, key, lambda value: json_numbers(list(value))), want) for key, want in zip(("pairs", "isotropic"), copies)):  # list() refuses a bare number
         raise BuildVerificationError("pairs and isotropic differ from the basis rows they copy")
     return code
 

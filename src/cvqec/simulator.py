@@ -150,8 +150,8 @@ class ExperimentStats:
 
 
 # Residual tolerance handed to the decoder: absolute, and generous because
-# measured syndromes carry finite-squeezing noise.  ROADMAP item 1 replaces
-# it with a threshold calibrated to that noise.
+# measured syndromes carry finite-squeezing noise.  ROADMAP item 1a replaces
+# it with thresholds calibrated to that noise.
 _DECODE_TOL = 0.1
 
 

@@ -89,12 +89,12 @@ def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
     return _defect(np.asarray(m, dtype=float)) <= tol
 
 
-def require_symplectic(m, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    """Validate symplecticity as `is_symplectic` does, returning the matrix as a float array."""
+def require_symplectic(m, what: str = "matrix") -> np.ndarray:
+    """Validate symplecticity as `is_symplectic` does at `DEFAULT_TOL`, returning the matrix as a float array."""
     m = np.asarray(m, dtype=float)
     defect = _defect(m)
-    if not defect <= tol:  # a non-finite entry gives a NaN defect
-        raise NotSymplecticError(f"{what} violates the symplectic condition (scaled defect {defect:.3e} > tol {tol:.3e})")
+    if not defect <= DEFAULT_TOL:  # a non-finite entry gives a NaN defect
+        raise NotSymplecticError(f"{what} violates the symplectic condition (scaled defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
     return m
 
 

@@ -6,7 +6,9 @@ the suite is deterministic.
 """
 
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from cvqec.symplectic import is_symplectic, symplectic_form
 
 from conftest import random_symplectic_from_gates, random_symplectic_from_hamiltonian
 from oracle import apply_circuit, circuit_of, displace, h_aug, phase_gate_protocol, phase_gate_trials, phase_x, vacuum
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+from speed import Calibrator  # noqa: E402
 
 
 def announce(num, label, passed, detail):
@@ -75,19 +80,27 @@ def test_criterion_3_unique_decodability():
     signs = rng.choice([-1.0, 1.0], size=(count, 2))
     vals = mags * signs
 
-    t0 = time.perf_counter()
-    worst_rel = 0.0
-    for mode, (p, x) in zip(modes, vals):
-        corr = decode_single_mode(code, syndrome(code, single_mode_error(4, int(mode), p, x)))
-        assert corr.mode_hypothesis == mode
-        worst_rel = max(
-            worst_rel,
-            abs(corr.u_prime[mode - 1] - p) / abs(p),
-            abs(corr.u_prime[4 + mode - 1] - x) / abs(x),
-        )
-    elapsed = time.perf_counter() - t0
+    # The budget is in reference seconds: the loop's wall time, less the time
+    # spent sampling, scaled by chainbench/speed.py's calibration kernel run
+    # before, during and after it, as chainbench/run.py times a step. On a
+    # shared host the wall time alone swings with other tenants' load.
+    calibrator = Calibrator()
+    before = calibrator.probe()
+    with calibrator.sampling():
+        t0 = time.perf_counter()
+        worst_rel = 0.0
+        for mode, (p, x) in zip(modes, vals):
+            corr = decode_single_mode(code, syndrome(code, single_mode_error(4, int(mode), p, x)))
+            assert corr.mode_hypothesis == mode
+            worst_rel = max(
+                worst_rel,
+                abs(corr.u_prime[mode - 1] - p) / abs(p),
+                abs(corr.u_prime[4 + mode - 1] - x) / abs(x),
+            )
+        wall = time.perf_counter() - t0 - calibrator.sampled_s
+    elapsed = wall * Calibrator.scale([before, calibrator.probe()] + calibrator.samples)
     ok = worst_rel <= 1e-6 and elapsed < 1.0
-    announce(3, "unique decodability", ok, f"10^4 errors, worst rel err {worst_rel:.2e}, 0 ambiguities, {elapsed:.2f} s")
+    announce(3, "unique decodability", ok, f"10^4 errors, worst rel err {worst_rel:.2e}, 0 ambiguities, {elapsed:.2f} reference s ({wall:.2f} s wall)")
 
 
 def test_criterion_4_code_construction_contract():

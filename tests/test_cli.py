@@ -506,21 +506,6 @@ def test_verify_rejects_a_circuit_file_that_is_no_array_of_objects(tmp_path, cod
     assert capsys.readouterr().err.startswith("error:")
 
 
-def chain_outputs(tmp_path, code_path, tag):
-    """Bytes of the circuit, verify and simulate files that one code file gives, at a fixed seed."""
-    circuit, verify, sim, cfg = (str(tmp_path / f"{tag}-{name}.json") for name in ("circuit", "verify", "sim", "cfg"))
-    with open(cfg, "w") as fh:
-        json.dump({"code_file": code_path, "error": {"mode": 3, "p": 0.5, "x": -0.25}, "squeezing_r": 6.0, "trials": 40, "seed": 5}, fh)
-    assert main(["compile", code_path, "--output", circuit]) == 0
-    assert main(["verify", circuit, code_path, "--output", verify]) == 0
-    assert main(["simulate", cfg, "--output", sim]) == 0
-    outputs = []
-    for path in (circuit, verify, sim):
-        with open(path, "rb") as fh:
-            outputs.append(fh.read())
-    return outputs
-
-
 SCALED_ROWS = os.path.join(os.path.dirname(__file__), "data", "scaled-rows.json")
 # Rows e_1 and e_2 + 1e-6 e_7 on n = 6 modes: the pair's partner is rescaled
 # to entries of 1e6, while the other basis rows keep entries of order 1.
@@ -601,49 +586,38 @@ def test_a_zero_tolerance_is_allowed(tmp_path, reference_matrix, code_file):
     assert code.read_bytes() == (Path(SCALED_ROWS).parent / "scaled-rows-code.json").read_bytes()
 
 
-V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "reference-code-v1.json")
-
-
-def test_old_format_code_file_gives_the_same_chain(tmp_path, capsys):
-    # The fixture is a code file from before the "format" key, with the
-    # derived matrices it then stored; they are ignored on load.
-    old = read(V1_FIXTURE)
-    assert "format" not in old and {"h", "f", "h_aug", "f_aug", "upsilon"} <= set(old)
-    assert tuple(codes.load_code(V1_FIXTURE).params) == (4, 2, 0, 2)
-    matrix, fresh = str(tmp_path / "raw.json"), str(tmp_path / "code.json")
-    save_parity_check(matrix, reference.raw_parity_rows())
-    assert main(["build", matrix, "--output", fresh]) == 0
-    assert read(fresh)["format"] == 3
-    from_old = chain_outputs(tmp_path, V1_FIXTURE, "old")
-    old_report = capsys.readouterr().out
-    from_new = chain_outputs(tmp_path, fresh, "new")
-    assert from_old == from_new
-    assert old_report == capsys.readouterr().out
-
-
-V2_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "scaled-rows-code-v2.json")
-
-
-def test_format_2_code_file_loads_and_its_circuit_verifies_against_format_3(tmp_path, capsys):
-    # The fixture is the scaled-rows code file as format 2 wrote it, every
-    # float rounded to 12 digits; scaled-rows-code.json is the same code in format 3.
-    fresh = str(Path(SCALED_ROWS).parent / "scaled-rows-code.json")
-    assert read(V2_FIXTURE)["format"] == 2 and read(fresh)["format"] == 3
-    old, new = codes.load_code(V2_FIXTURE), codes.load_code(fresh)
-    assert old.params == new.params and old.dropped_rows == new.dropped_rows
-    for name in ("basis", "input_rows"):
-        assert np.all(np.abs(getattr(old, name) - getattr(new, name)) <= 1e-11 * np.abs(getattr(new, name)))
-    circuit = str(tmp_path / "circuit.json")
-    assert main(["compile", V2_FIXTURE, "--output", circuit]) == 0
-    assert main(["verify", circuit, fresh]) == 0
-    assert json.loads(capsys.readouterr().out.splitlines()[-1])["verified"] is True
-
-
-def test_unknown_code_format_exit_code(tmp_path, code_file):
-    path = tmp_path / "future.json"
-    for fmt in (1, 4):
-        path.write_text(json.dumps(dict(read(code_file), format=fmt)))
-        assert main(["syndrome", str(path), "--mode", "1", "--p", "1"]) == 2
+def test_unknown_code_format_exit_code(tmp_path, code_file, capsys):
+    # Only format 3 is read. Format 2 (every float a JSON number, here
+    # written exactly, as it wrote them), a file with no format key and any
+    # other format exit 2 from every command that reads a code file, on one
+    # error line that names the format and the command that remakes the
+    # file. Format 2 with strings in basis and input_rows loaded before,
+    # converted by NumPy.
+    code = codes.load_code(code_file)
+    payload = codes.code_to_dict(code)
+    format_2 = dict(payload, format=2, basis=code.basis.tolist(), input_rows=code.input_rows.tolist())
+    strings = json.loads(json.dumps(format_2))
+    strings["basis"][0][0], strings["input_rows"][0][0] = str(code.basis[0, 0]), str(code.input_rows[0, 0])
+    no_key = {key: value for key, value in format_2.items() if key != "format"}
+    path, circuit, config = (str(tmp_path / name) for name in ("old.json", "circuit.json", "config.json"))
+    assert main(["compile", code_file, "--output", circuit]) == 0
+    with open(config, "w") as fh:
+        json.dump({"code_file": path, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1}, fh)
+    commands = (
+        ["syndrome", path, "--mode", "1", "--p", "1"],
+        ["decode", path, "--syndrome", "[0, 0, 0, 0]"],
+        ["compile", path, "--output", os.devnull],
+        ["verify", circuit, path],
+        ["simulate", config],
+    )
+    for found, old in (("no format key", no_key), ("format 2", format_2), ("format 2", strings), ("format 1", dict(payload, format=1)), ("format 4", dict(payload, format=4))):
+        with open(path, "w") as fh:
+            json.dump(old, fh)
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error:") and f"found {found};" in err and "`cvqec build`" in err
 
 
 def _params_same_m(payload):
@@ -942,20 +916,14 @@ def test_wrong_json_types_in_options_exit_as_parse_errors(tmp_path, code_file, c
 HUGE = 10**400  # a JSON integer beyond the doubles' range; json.dump writes it digit by digit
 
 
-def _format_2(path):
-    """The code file at path as format 2 wrote it: every float a JSON number, ``json.dump`` writing each exactly."""
-    code = codes.load_code(path)
-    return dict(codes.code_to_dict(code), format=2, basis=code.basis.tolist(), input_rows=code.input_rows.tolist())
-
-
 @pytest.mark.parametrize(
     "kind, edit, argv, name",
     [
         ("matrix", _set(["rows", 0, 0], HUGE), ["decompose", "INPUT"], "'rows'"),
         ("matrix", _set(["rows", 0, 0], -HUGE), ["build", "INPUT"], "'rows'"),
-        ("code-v2", _set(["basis", 0, 0], HUGE), ["syndrome", "INPUT", "--mode", "1", "--p", "1"], "'basis'"),
-        ("code-v2", _set(["input_rows", 0, 0], HUGE), ["compile", "INPUT"], "'input_rows'"),
-        ("code-v2", _set(["basis", 1, 2], -HUGE), ["verify", "CIRCUIT", "INPUT"], "'basis'"),
+        ("code", _set(["pairs", 0, 0, 0], HUGE), ["syndrome", "INPUT", "--mode", "1", "--p", "1"], "'pairs'"),
+        ("code", _set(["pairs", 1, 1, 3], HUGE), ["compile", "INPUT"], "'pairs'"),
+        ("code", _set(["isotropic"], [[-HUGE] + [0.0] * 7]), ["verify", "CIRCUIT", "INPUT"], "'isotropic'"),
         ("syndrome", _set(["syndrome", 0], HUGE), ["decode", "CODE", "--syndrome-file", "INPUT"], "--syndrome-file"),
         ("config", _set(["error", "p"], HUGE), ["simulate", "INPUT"], "'error'"),
         ("config", _set(["squeezing_r"], HUGE), ["simulate", "INPUT"], "'squeezing_r'"),
@@ -972,7 +940,7 @@ def test_an_integer_beyond_the_double_range_is_a_parse_error(tmp_path, reference
     if kind is not None:
         source = {
             "matrix": read(reference_matrix),
-            "code-v2": _format_2(code_file),
+            "code": read(code_file),
             "syndrome": {"syndrome": [0.0] * 4},
             "config": {"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1},
         }[kind]

@@ -70,27 +70,19 @@ def test_augment_canonical_block_pattern():
     assert np.all(aug[1, [n, 2 * n + c]] == 0.0)
 
 
-def _format_2(code):
-    """A code's file form as format 2 wrote it, every float a JSON number."""
-    return dict(code_to_dict(code), format=2, basis=code.basis.tolist(), input_rows=code.input_rows.tolist())
-
-
 def test_code_from_dict_rejects_foreign_rows(rng):
     code = build_code(rng.normal(size=(3, 8)))
-    for payload, foreign_rows in ((code_to_dict(code), _column(rng.normal(size=(3, 8)))), (_format_2(code), rng.normal(size=(3, 8)).tolist())):
-        code_from_dict(payload)
-        with pytest.raises(BuildVerificationError, match="rowspace"):
-            code_from_dict(dict(payload, input_rows=foreign_rows))
-        shifted = dict(payload, pairs=[[[u[0] + 0.25] + u[1:], v] for u, v in payload["pairs"]])
-        with pytest.raises(BuildVerificationError, match="basis rows"):
-            code_from_dict(shifted)
-    # Format 3 takes pairs and isotropic as 12-digit text reads them back;
-    # format 2 wrote them with the basis, and they must equal it bit for bit.
-    rounded = {key: json.loads(json.dumps(code_to_dict(code)[key]), parse_float=lambda text: float("%.12g" % float(text))) for key in ("pairs", "isotropic")}
-    assert rounded["pairs"] != code_to_dict(code)["pairs"]
-    code_from_dict(dict(code_to_dict(code), **rounded))
+    payload = code_to_dict(code)
+    code_from_dict(payload)
+    with pytest.raises(BuildVerificationError, match="rowspace"):
+        code_from_dict(dict(payload, input_rows=_column(rng.normal(size=(3, 8)))))
+    shifted = dict(payload, pairs=[[[u[0] + 0.25] + u[1:], v] for u, v in payload["pairs"]])
     with pytest.raises(BuildVerificationError, match="basis rows"):
-        code_from_dict(dict(_format_2(code), **rounded))
+        code_from_dict(shifted)
+    # pairs and isotropic need only equal the basis rows as 12-digit text reads them back.
+    rounded = {key: json.loads(json.dumps(payload[key]), parse_float=lambda text: float("%.12g" % float(text))) for key in ("pairs", "isotropic")}
+    assert rounded["pairs"] != payload["pairs"]
+    code_from_dict(dict(payload, **rounded))
 
 
 def test_load_check_accepts_dependent_tiny_and_scaled_rows(rng):
