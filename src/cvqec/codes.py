@@ -36,7 +36,7 @@ from .decomposition import (
     symplectic_gram_schmidt,
 )
 from .errors import BuildVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, is_symplectic, symplectic_form
+from .symplectic import DEFAULT_TOL, is_symplectic, symplectic_form, symplectic_inverse
 
 
 class CodeParameters(NamedTuple):
@@ -101,8 +101,7 @@ class CodeSpec:
     @cached_property
     def upsilon(self) -> np.ndarray:
         """Encoding matrix ``inv(basis^T)``, in its symplectic closed form ``-J basis J`` (read-only)."""
-        j = symplectic_form(self.n)
-        y = -j @ self.basis @ j
+        y = symplectic_inverse(self.basis).T
         y.setflags(write=False)
         return y
 
@@ -197,8 +196,10 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     Runs the rowspace decomposition and completes it to a symplectic
     basis B, whose rows at `check_rows` are the decomposition's rows; the
     encoding matrix is B^{-1}, so the normalized checks map exactly onto
-    the canonical ones.  The stored facts are verified before returning;
-    an inconsistent result raises instead of being returned silently.
+    the canonical ones.  The data rows make the encoder the inverse of
+    its compilation's first c + l rounds (`complete_symplectic_basis`).
+    The stored facts are verified before returning; an inconsistent
+    result raises instead of being returned silently.
 
     Args:
         rows: nonempty sequence of phase vectors with a common mode count.

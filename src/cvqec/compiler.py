@@ -20,12 +20,15 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codes import CodeSpec
 from .errors import CircuitVerificationError, DimensionMismatchError
 from .symplectic import DEFAULT_TOL, require_symplectic, scaled_defect
+
+if TYPE_CHECKING:  # annotations only: codes imports decomposition, which imports this module
+    from .codes import CodeSpec
 
 SQUEEZE = "SQUEEZE"
 FOURIER = "FOURIER"
@@ -200,14 +203,12 @@ class _Eliminator:
 
     Records are bare (kind, modes, param) tuples, as a `Circuit` holds
     them: the elimination builds only valid gates.  A sweep is one record
-    that `_run` builds from the targets it keeps, in ascending order;
-    `decompose` inverts the records into the circuit without expanding
-    them.
+    that `_run` builds from the targets it keeps, in ascending order.
     """
 
-    def __init__(self, a: np.ndarray, n: int):
+    def __init__(self, a: np.ndarray):
         self.work = a.copy()
-        self.n = n
+        self.n = a.shape[0] // 2
         self.records: list[tuple] = []
 
     def push(self, kind: str, modes: tuple[int, ...], param: float | None = None) -> None:
@@ -238,36 +239,53 @@ class _Eliminator:
         apply_gate(self.work, rec)
         self.records.append(rec)
 
+    def round(self, r: int, half: int) -> None:
+        """Round r: clear position column r and momentum column n + r, held at columns r and ``half + r``.
 
-def _pivot(el: _Eliminator, r: int) -> None:
-    """Bring a usable pivot to position (r, r) and normalize it to 1."""
-    n, w = el.n, el.work
-    col = np.abs(w[:, r])
-    scale = max(1.0, float(np.max(col)))
-    pos = np.abs(w[r:n, r])
-    if float(np.max(pos)) <= DEFAULT_TOL * scale:
-        # Whole position block of this column is zero: rotate the largest
-        # momentum entry up into the position block first.
-        mom = np.abs(w[n + r : 2 * n, r])
-        m = r + int(np.argmax(mom))
-        el.push(FOURIER, (m + 1,))
-        pos = np.abs(w[r:n, r])
-    m = r + int(np.argmax(pos))
-    if m != r:
-        el.push(SWAP, (r + 1, m + 1))
-    el.push(SQUEEZE, (r + 1,), float(1.0 / w[r, r]))
+        Pivot (permute / Fourier-rotate / squeeze to a unit pivot), clear
+        column r's positions by QND_X and its momenta by PHASE_X and QND_P
+        behind a Fourier, then the mirror image on column n + r.
+        """
+        n, w, x, p, mode = self.n, self.work, r, half + r, r + 1
+        scale = max(1.0, float(np.max(np.abs(w[:, x]))))
+        if float(np.max(np.abs(w[r:n, x]))) <= DEFAULT_TOL * scale:
+            # Whole position block of this column is zero: rotate the largest
+            # momentum entry up into the position block first.
+            self.push(FOURIER, (r + 1 + int(np.argmax(np.abs(w[n + r :, x]))),))
+        m = r + int(np.argmax(np.abs(w[r:n, x])))
+        if m != r:
+            self.push(SWAP, (mode, m + 1))
+        self.push(SQUEEZE, (mode,), float(1.0 / w[r, x]))
+        self.sweep(QND_X, mode, -w[r + 1 : n, x])  # clear position block of column r
+        self.push(PHASE_X, (mode,), -w.item(n + r, x))
+        self.sweep(QND_P, mode, -w[n + r + 1 :, x], rotate=FOURIER)  # clear momentum block of column r
+        self.sweep(QND_P, mode, -w[n + r + 1 :, p])  # clear momentum block of column n + r
+        self.push(PHASE_P, (mode,), -w.item(r, p))
+        self.sweep(QND_X, mode, -w[r + 1 : n, p], rotate=FOURIER_INV)  # clear position block of column n + r
+
+
+def eliminate(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
+    """Elimination rounds 1..``rounds`` on a symplectic action's columns, and the records that undo them.
+
+    ``columns`` holds the action's position columns 1..rounds, then its
+    momentum columns n + 1..n + rounds (the whole action when ``rounds`` is
+    n), then any columns to carry along.  A round reads its own two columns
+    only.  Returns the worked columns and the records inverted one by one
+    (`_inverse_record`) in reverse order.
+    """
+    el = _Eliminator(columns)
+    for r in range(rounds):
+        el.round(r, rounds)
+    return el.work, tuple(_inverse_record(*record) for record in reversed(el.records))
 
 
 def decompose(a) -> tuple[Circuit, CompilerReport]:
     """Compile a symplectic quadrature action into a gate sequence.
 
     Round r clears position column r and momentum column n + r of the
-    working matrix: pivot (permute / Fourier-rotate / squeeze to a unit
-    pivot), sweep the position block with QND_X couplings, fold the
-    remaining momentum entries away behind a Fourier with a PHASE_X and
-    QND_P sweep, then repeat the mirrored sequence on column n + r.
-    After each round the cleared rows and columns are unit vectors, and
-    symplecticity confines all later work to the trailing submatrix.
+    working matrix (see `eliminate`).  After each round the cleared rows
+    and columns are unit vectors, and symplecticity confines all later
+    work to the trailing submatrix.
 
     A sweep's gates share their control and commute, and its parameters
     come from a column the sweep leaves unchanged, so each sweep is read
@@ -276,12 +294,9 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
     emitted only around a nonempty sweep, so the circuit holds no
     adjacent inverse pair to cancel afterwards.
 
-    The circuit is the elimination's records inverted one by one
-    (`_inverse_record`) in reverse order: a sweep's run keeps its
-    ascending targets and negates its parameters, and no record is built
-    per gate.  No two runs of one kind and control are adjacent, so these
-    are the runs `circuit_from_dicts` forms from the circuit's file form,
-    and both give the same composed action.
+    The circuit is the elimination's records inverted in reverse order, in
+    which no two runs of one kind and control are adjacent: the runs
+    `circuit_from_dicts` forms from its file form, with the same action.
     The report counts gates by kind in order of first appearance, and
     the largest |param|, record by record.
 
@@ -303,29 +318,14 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
     """
     a = require_symplectic(a, what="compiler input")
     n = a.shape[0] // 2
-    el = _Eliminator(a, n)
-    w = el.work  # every record rewrites it in place
-
-    for r in range(n):
-        _pivot(el, r)
-        mode = r + 1
-        below = slice(r + 1, n)  # the later modes' position rows
-        el.sweep(QND_X, mode, -w[below, r])  # clear position block of column r
-        el.push(PHASE_X, (mode,), -w.item(n + r, r))
-        el.sweep(QND_P, mode, -w[n + r + 1 :, r], rotate=FOURIER)  # clear momentum block of column r
-
-        el.sweep(QND_P, mode, -w[n + r + 1 :, n + r])  # clear momentum block of column n + r
-        el.push(PHASE_P, (mode,), -w.item(r, n + r))
-        el.sweep(QND_X, mode, -w[below, n + r], rotate=FOURIER_INV)  # clear position block of column n + r
-
+    w, records = eliminate(a, n)
     residual = float(np.max(np.abs(w - np.eye(2 * n))))
     if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(a)))):  # NaN fails too
         raise CircuitVerificationError(f"elimination failed to reach the identity (residual {residual:.3e})")
 
-    # The circuit is the records' inverses in reverse order.  Every
-    # record has in-range modes, and its parameter is finite and nonzero
-    # while the work matrix stays finite, which the residual check confirms.
-    circuit = Circuit(n, tuple(_inverse_record(*record) for record in reversed(el.records)))
+    # Every record has in-range modes, and its parameter is finite and
+    # nonzero while the work matrix stays finite, which the residual check confirms.
+    circuit = Circuit(n, records)
     counts: dict[str, int] = {}
     max_abs_param = 0.0
     for kind, _, param in circuit.records:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compiler import eliminate
 from .errors import DecompositionError
-from .symplectic import DEFAULT_TOL, as_phase_vector, scaled_defect, symplectic_form
+from .symplectic import DEFAULT_TOL, as_phase_vector, scaled_defect, symplectic_form, symplectic_inverse
 
 
 @dataclass(frozen=True)
@@ -169,14 +170,14 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
 
     Returns a (2n, 2n) array whose rows are ordered ``(u_1..u_n,
     v_1..v_n)`` with ``u_i (.) v_j = delta_ij`` and all other products
-    zero.  ``dec.rows`` are written at the `check_rows`, and every pair
-    placed so far is read back from the basis: the isotropic rows'
-    partners, rows ``n+c+1..n+c+l``, come from a least-norm dual solve,
-    and the data rows from the pairing loop run on standard-basis
-    candidates projected against every placed pair.  These thresholds
-    judge rows made here, not input rows, so they are fixed: the
-    candidates' rank test and pairing at `DEFAULT_TOL`, and both
-    self-checks at ``1e3 * DEFAULT_TOL`` (`scaled_defect`).
+    zero.  ``dec.rows`` are written at the `check_rows`, and the isotropic
+    rows' partners, rows ``n+c+1..n+c+l``, come from a least-norm dual
+    solve.  Those rows fix the encoder's columns on modes 1..c + l, all
+    that `eliminate`'s rounds 1..c + l read.  The data rows are those of
+    the rounds' product, carried along on identity columns, so that the
+    encoder is the product's inverse and `decompose` has nothing to clear
+    in the later rounds.  Both self-checks judge rows made here, not input
+    rows, so they are fixed at ``1e3 * DEFAULT_TOL`` (`scaled_defect`).
 
     Raises:
         DecompositionError: if the input violates its own invariants, does
@@ -208,18 +209,8 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
         basis[n + c : n + c + l] = z
 
     if k:
-        # Standard-basis candidates with every placed pair projected out,
-        # r -> r - (r (.) v) u + (r (.) u) v, one pair at a time.
-        cand = np.eye(2 * n)
-        for u, v in zip(basis[: c + l], basis[n : n + c + l]):
-            cv, cu = cand @ _jv(v, n), cand @ _jv(u, n)
-            cand -= np.outer(cv, u)
-            cand += np.outer(cu, v)
-        kept, _ = _independent_rows(cand, DEFAULT_TOL)
-        new_rows, new_c = _pairing_loop(cand[kept], DEFAULT_TOL)
-        if new_c != k or len(new_rows) != 2 * k:
-            raise DecompositionError("completion did not yield a nondegenerate remainder")
-        basis[data] = new_rows
+        work, _ = eliminate(np.hstack((symplectic_inverse(basis[np.r_[: c + l, n : n + c + l]]), np.eye(2 * n))), c + l)
+        basis[data] = work[data, 2 * (c + l) :]
 
     if not scaled_defect(basis, j) <= 1e3 * DEFAULT_TOL:
         raise DecompositionError("completed basis fails the canonical Gram form")

@@ -98,6 +98,13 @@ def require_symplectic(m, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def symplectic_inverse(m: np.ndarray) -> np.ndarray:
+    """``-J m^T J`` as a signed swap of blocks: a symplectic ``m``'s inverse, or from its (2p, 2n) rows at p modes, the inverse's columns there."""
+    p, q, x = m.shape[0] // 2, m.shape[1] // 2, np.empty(m.shape)
+    x[:p, :q], x[:p, q:], x[p:, :q], x[p:, q:] = m[p:, q:], -m[p:, :q], -m[:p, q:], m[:p, :q]
+    return x.T
+
+
 def swap_halves(v) -> np.ndarray:
     """Exchange the two n-blocks of a vector: (p|x) <-> (x|p).
 

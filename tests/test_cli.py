@@ -586,6 +586,18 @@ def test_a_zero_tolerance_is_allowed(tmp_path, reference_matrix, code_file):
     assert code.read_bytes() == (Path(SCALED_ROWS).parent / "scaled-rows-code.json").read_bytes()
 
 
+def test_an_old_basis_code_file_keeps_its_circuit(tmp_path):
+    # A code file keeps its stored basis, so the scaled-rows code built before
+    # the data rows came from the check rounds still compiles to its old
+    # circuit, byte for byte, and that circuit with each run's gates listed in
+    # descending target order still verifies against it.
+    data = Path(SCALED_ROWS).parent
+    code, circuit = str(data / "scaled-rows-code-old-basis.json"), tmp_path / "circuit.json"
+    assert main(["compile", code, "--output", str(circuit)]) == 0
+    assert circuit.read_bytes() == (data / "scaled-rows-circuit-old-basis.json").read_bytes()
+    assert main(["verify", str(data / "scaled-rows-circuit-descending-old-basis.json"), code]) == 0
+
+
 def test_unknown_code_format_exit_code(tmp_path, code_file, capsys):
     # Only format 3 is read. Format 2 (every float a JSON number, here
     # written exactly, as it wrote them), a file with no format key and any
@@ -741,8 +753,13 @@ def test_a_tampered_basis_entry_is_refused_or_within_the_scaled_bound(tmp_path_f
     work = tmp_path_factory.mktemp("tamper")
     matrix, code, bad, circuit = (str(work / f"{name}.json") for name in ("matrix", "code", "bad", "circuit"))
     save_parity_check(matrix, rows[rng.permutation(len(rows))])
-    if main(["build", matrix, "--output", code]) != 0:
-        reject()  # about one draw in forty at scale 1e-3 (a known build defect)
+    status = main(["build", matrix, "--output", code])
+    if status == 4:
+        # The least-squares partner of an isotropic row can miss the 1e-9
+        # Gram bound of `verify_code` at scale 1e-3: n=5, seed=2147,
+        # log_scale=-3.0 (a known build defect).
+        reject()
+    assert status == 0
     payload = read(code)
     basis = codes.json_column(payload["basis"]).copy()
     i, j = rng.integers(0, 2 * n, size=2)

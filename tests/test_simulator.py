@@ -318,9 +318,11 @@ def test_experiment_deterministic():
 @pytest.mark.parametrize("size, cause", [(1e308, "canonical image must be finite"), (1e200, "syndrome norms must be finite")])
 def test_experiment_refuses_a_non_finite_result(size, cause):
     # Without the finite checks both ran, and reported NaN figures with a match rate of 1.0.
+    # The error is on mode 3, whose basis columns hold entries of 2.1, so that
+    # its canonical image overflows at 1e308; on mode 1 the entries are at most 1.
     code = reference.build_example_code()
     with pytest.raises(DimensionMismatchError, match=cause):
-        run_ec_experiment(code, single_mode_error(4, 1, size, size), r=5.0, trials=10, seed=1)
+        run_ec_experiment(code, single_mode_error(4, 3, size, size), r=5.0, trials=10, seed=1)
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, math.inf])
