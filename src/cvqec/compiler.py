@@ -7,13 +7,14 @@ commuting QND gates from one control (see `Circuit`).  Two functions
 make circuits: `decompose` reduces an arbitrary symplectic quadrature
 action to the identity by a pivoted elimination that clears one
 position column and one momentum column per round using only gates
-from the set, and emits the inverse sequence in reverse order, so its
-composed action reproduces the input; `circuit_from_dicts` reads a
-circuit file's gate list, validating it and forming its runs once.
+from the set, up to its first idle tail, and emits the inverse sequence
+in reverse order, so its composed action reproduces the input; `circuit_from_dicts`
+reads a circuit file's gate list, validating it and forming its runs once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -263,6 +264,29 @@ class _Eliminator:
         self.push(PHASE_P, (mode,), -w.item(r, p))
         self.sweep(QND_X, mode, -w[r + 1 : n, p], rotate=FOURIER_INV)  # clear position block of column n + r
 
+    def idle_from(self, r: int, half: int) -> bool:
+        """Whether rounds r.. of ``half`` all emit nothing on the work matrix as it stands.
+
+        Idle rounds leave it alone, so each such round reads it as it is
+        now, and is idle when `round` finds no Fourier fallback, a pivot
+        with |1/pivot - 1| <= GATE_EPS, hence no swap, and every other entry
+        it reads (`_read_mask`) within GATE_EPS of 0.  A NaN is not idle.
+        """
+        b = self.work[:, : 2 * half].reshape(2, self.n, 2, half)[:, r:, :, r:]  # (x | p row, mode, x | p column, round)
+        pivot = b[0, :, 0].diagonal()
+        fallback = DEFAULT_TOL * np.maximum(1.0, np.abs(self.work[:, r:half]).max(axis=0))
+        if not (np.abs(b[_read_mask(self.n - r, half - r)]).max(initial=0.0) <= GATE_EPS and (np.abs(pivot) > fallback).all()):
+            return False
+        return bool(np.abs(1.0 / pivot - 1.0).max(initial=0.0) <= GATE_EPS)  # a pivot over the fallback is nonzero
+
+
+@functools.lru_cache(maxsize=16)
+def _read_mask(modes: int, rounds: int) -> np.ndarray:
+    """In `idle_from`'s view, what each round reads but its pivot: x column below its x row and from its p row, p column from its x row and below its p row."""
+    mask = np.subtract.outer(np.arange(modes), np.arange(rounds))[None, :, None, :] + np.array([[0, 1], [1, 0]])[:, None, :, None] > 0
+    mask.flags.writeable = False
+    return mask
+
 
 def eliminate(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
     """Elimination rounds 1..``rounds`` on a symplectic action's columns, and the records that undo them.
@@ -270,12 +294,17 @@ def eliminate(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
     ``columns`` holds the action's position columns 1..rounds, then its
     momentum columns n + 1..n + rounds (the whole action when ``rounds`` is
     n), then any columns to carry along.  A round reads its own two columns
-    only.  Returns the worked columns and the records inverted one by one
+    only.  After an idle round, the rounds stop if all later ones are idle
+    (`_Eliminator.idle_from`), which changes no bit of the result.  Returns
+    the worked columns and the records inverted one by one
     (`_inverse_record`) in reverse order.
     """
     el = _Eliminator(columns)
     for r in range(rounds):
+        emitted = len(el.records)
         el.round(r, rounds)
+        if len(el.records) == emitted and el.idle_from(r + 1, rounds):
+            break
     return el.work, tuple(_inverse_record(*record) for record in reversed(el.records))
 
 
@@ -285,7 +314,8 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
     Round r clears position column r and momentum column n + r of the
     working matrix (see `eliminate`).  After each round the cleared rows
     and columns are unit vectors, and symplecticity confines all later
-    work to the trailing submatrix.
+    work to the trailing submatrix.  It stops at its first idle tail, after
+    round c + l + 1 on a built code's encoder and round n on an older file's.
 
     A sweep's gates share their control and commute, and its parameters
     come from a column the sweep leaves unchanged, so each sweep is read

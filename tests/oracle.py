@@ -13,8 +13,9 @@ Beside it: the symplectic product of two phase vectors, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
 test, single-mode decoding by one least-squares solve per row and mode,
 the inverse of a circuit, a circuit's gate list as one dict per gate,
-and the error-correction experiment with its statistics taken over an
-array of per-trial data quadratures.
+the elimination with every round run, which `cvqec.compiler.eliminate`
+stops at its first idle tail, and the error-correction experiment with
+its statistics taken over an array of per-trial data quadratures.
 
 Hand-built circuits start here too.  `Gate` is one gate validated by
 its constructor, the per-gate reference that the column-wise circuit
@@ -44,6 +45,7 @@ from cvqec.compiler import (
     SQUEEZE,
     SWAP,
     Circuit,
+    _Eliminator,
     _inverse_record,
     apply_gate,
     circuit_from_dicts,
@@ -264,6 +266,14 @@ def decode_by_lstsq(code: CodeSpec, s, tol: float) -> tuple[np.ndarray, ...]:
 def invert_circuit(circuit: Circuit) -> Circuit:
     """Record-wise inverses in reverse order, as `decompose` inverts its records; composes to the inverse action."""
     return Circuit(circuit.n, tuple(_inverse_record(*record) for record in reversed(circuit.records)))
+
+
+def eliminate_every_round(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
+    """`cvqec.compiler.eliminate` with rounds 1..``rounds`` all run: it does not stop at an idle tail."""
+    el = _Eliminator(columns)
+    for r in range(rounds):
+        el.round(r, rounds)
+    return el.work, tuple(_inverse_record(*record) for record in reversed(el.records))
 
 
 def circuit_to_dicts(circuit: Circuit) -> list[dict]:

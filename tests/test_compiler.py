@@ -5,12 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
 from cvqec.cli import _circuit_text
-from cvqec.codes import build_code, canonical_parity_check, json_int
+from cvqec.codes import build_code, canonical_parity_check, json_int, load_code
 from cvqec.compiler import (
     FOURIER,
     FOURIER_INV,
@@ -21,23 +21,26 @@ from cvqec.compiler import (
     QND_X,
     SQUEEZE,
     SWAP,
+    _Eliminator,
     _inverse_record,
     apply_gate,
     circuit_action,
     circuit_from_dicts,
     decompose,
+    eliminate,
     encoder_quad_action,
     gate_action,
     verify_circuit,
 )
-from cvqec.errors import CircuitVerificationError, DimensionMismatchError, NotSymplecticError
-from cvqec.symplectic import is_symplectic
+from cvqec.errors import BuildVerificationError, CircuitVerificationError, DimensionMismatchError, NotSymplecticError
+from cvqec.symplectic import is_symplectic, symplectic_inverse
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
 from oracle import (
     Gate,
     circuit_of,
     circuit_to_dicts,
+    eliminate_every_round,
     fourier,
     fourier_inv,
     invert_circuit,
@@ -612,3 +615,133 @@ def test_a_hand_built_record_above_n_is_refused(record):
     with pytest.raises(DimensionMismatchError):
         circuit_of(3, (fourier(1), record))
     assert len(circuit_of(4, (fourier(1), record))) == (len(record[2]) + 1 if isinstance(record[2], np.ndarray) else 2)
+
+
+# ---------------------------------------------------------------------------
+# The elimination stops at its first idle tail
+# ---------------------------------------------------------------------------
+
+
+def _record_bits(record):
+    """A record as comparable values: kind, each mode with its type, and the parameter's type and bytes."""
+    kind, modes, param = record
+    modes = tuple((type(m), m if isinstance(m, int) else tuple(np.asarray(m).tolist())) for m in modes)
+    return kind, modes, None if param is None else (type(param), np.asarray(param, dtype=float).tobytes())
+
+
+def assert_eliminates_as_every_round(columns, rounds):
+    work, records = eliminate(columns, rounds)
+    want_work, want_records = eliminate_every_round(columns, rounds)
+    assert work.tobytes() == want_work.tobytes()
+    assert [_record_bits(r) for r in records] == [_record_bits(r) for r in want_records]
+    return records
+
+
+def _scaled_code_rows(seed, log_scale):
+    """n = 1..8 modes and 1 to 2n normal rows, scaled by 10^log_scale."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    return 10.0**log_scale * rng.normal(size=(int(rng.integers(1, 2 * n + 1)), 2 * n))
+
+
+# Built codes whose trailing rounds emit gates: `decompose`'s rounds undo the
+# completion's only to rounding, and leave up to 2.2e-8 on the data modes.
+LATE_GATE_DRAWS = [(555, 3.0), (1150, -3.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+@example(*LATE_GATE_DRAWS[0])
+@example(*LATE_GATE_DRAWS[1])
+def test_eliminate_on_built_codes_matches_every_round(seed, log_scale):
+    # Both callers: `decompose` on the encoder (rounds = n), and the basis
+    # completion on its check columns with identity columns carried along
+    # (rounds = c + l).
+    try:
+        code = build_code(_scaled_code_rows(seed, log_scale))
+    except BuildVerificationError:
+        reject()  # two known build defects at scale 1e-3; see test_the_encoder_is_its_check_rounds
+    n, _, l, c = code.params
+    assert_eliminates_as_every_round(encoder_quad_action(code), n)
+    checks = symplectic_inverse(code.basis[np.r_[: c + l, n : n + c + l]])
+    assert_eliminates_as_every_round(np.hstack((checks, np.eye(2 * n))), c + l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_eliminate_on_dense_symplectic_matrices_matches_every_round(n, seed, from_gates):
+    rng = np.random.default_rng(seed)
+    a = random_symplectic_from_gates(n, rng) if from_gates else random_symplectic_from_hamiltonian(n, rng)
+    assert_eliminates_as_every_round(a, n)
+
+
+@st.composite
+def identity_then_a_block(draw):
+    """An action that is the identity on modes 1..j and nontrivial after: a dense block, or one gate on the last mode."""
+    n = draw(st.integers(2, 6))
+    j = draw(st.integers(1, n - 1))
+    last = draw(st.sampled_from(["dense", SWAP, SQUEEZE, PHASE_X, PHASE_P]))
+    if last == "dense":
+        a = np.eye(2 * n)
+        block = random_symplectic_from_gates(n - j, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        keep = np.r_[j:n, n + j : 2 * n]
+        a[np.ix_(keep, keep)] = block
+        return a
+    # Parameters just over GATE_EPS from a no-op as well as far from it.
+    param = draw(st.sampled_from([2e-12, -0.5, 3.0]))
+    if last == SQUEEZE:
+        return gate_action((SQUEEZE, (n,), 1.0 + param), n)
+    return gate_action((last, (n - 1, n), None) if last == SWAP else (last, (n,), param), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(identity_then_a_block())
+def test_eliminate_does_not_stop_before_a_later_nontrivial_round(a):
+    n = a.shape[0] // 2
+    records = assert_eliminates_as_every_round(a, n)
+    assert records
+    circuit, _ = decompose(a)
+    assert np.max(np.abs(circuit_action(circuit) - a)) <= 1e-10 * max(1.0, np.max(np.abs(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_eliminate_with_a_nan_or_a_huge_entry_in_a_later_column_matches_every_round(n, data):
+    # A NaN that a later round reads makes that round emit gates on NaN; one
+    # above the modes of every round that reads its column leaves them idle.
+    # An entry of 1e10 anywhere in a position column raises its round's
+    # Fourier-fallback threshold over a unit pivot.
+    a = np.eye(2 * n)
+    later = data.draw(st.sampled_from(list(range(1, n)) + list(range(n + 1, 2 * n))))
+    a[data.draw(st.integers(0, 2 * n - 1)), later] = data.draw(st.sampled_from([np.nan, 1e10]))
+    with np.errstate(all="ignore"):
+        assert_eliminates_as_every_round(a, n)
+
+
+def _rounds_run(monkeypatch, action):
+    """The number of elimination rounds `decompose` runs on ``action``."""
+    rounds = []
+    run_round = _Eliminator.round
+    monkeypatch.setattr(_Eliminator, "round", lambda el, r, half: (rounds.append(r), run_round(el, r, half)))
+    decompose(action)
+    monkeypatch.undo()
+    return len(rounds)
+
+
+def test_decompose_runs_c_plus_l_plus_one_rounds_on_a_built_code(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+    from workloads import random_code_rows
+
+    # A built code's encoder is its check rounds' inverse, so round c + l + 1
+    # is the first idle one, and no later round has anything to clear.
+    for rows, rounds in ((reference.raw_parity_rows(), 3), (random_code_rows(56, 5, 6), 12)):
+        code = build_code(rows)
+        assert rounds == code.params.c + code.params.l + 1
+        assert _rounds_run(monkeypatch, encoder_quad_action(code)) == rounds
+    # A code file keeps its stored basis, and the old completion's encoder
+    # needs every round; so do codes whose trailing rounds emit gates.
+    old = load_code(Path(__file__).parent / "data" / "scaled-rows-code-old-basis.json")
+    assert _rounds_run(monkeypatch, encoder_quad_action(old)) == old.n
+    for draw in LATE_GATE_DRAWS:
+        code = build_code(_scaled_code_rows(*draw))
+        assert _rounds_run(monkeypatch, encoder_quad_action(code)) == code.n

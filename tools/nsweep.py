@@ -11,18 +11,28 @@ seconds, and beside it, under the layer's key with ``_range`` appended,
 the fastest and slowest repeat. A difference between two sweeps that
 lies inside those ranges is within the run-to-run spread. The same figures go to stderr as a table, one row per
 n and layer. `verify_circuit` raises if the circuit is wrong, so a sweep
-that prints has checked every circuit it timed.
+that prints has checked every circuit it timed. Each point also gives
+the compiled circuit's `gates` and its `records` (a QND run counts once).
 
-`cli_chain_s` times the same code through the command line, in process:
-`cvqec.cli.main` runs build, compile, verify and simulate (same error,
-squeezing and trial count) on files in a temporary directory. Its excess
-over the layer times is the fixed cost of each command: parsing its
-arguments and reading and writing its files. `cli_build_s` and
-`cli_compile_s` are the chain's build and compile commands on their own:
-`build_code` or `decompose` plus writing the code or circuit file, and
-for compile reading the code file. `load_circuit_s` is the largest part
-of that cost in `verify`: `load_circuit` reading the circuit file the
-chain's compile step wrote, JSON decoding and validation.
+Each layer is also given in reference seconds, under ``<layer>_ref_s``
+(and its ``_range``), with `chainbench/speed.py`'s `Calibrator`, which
+this script imports and does not change: its kernel is timed before and
+after each call and sampled during it, and the call's wall time, less
+the sampling, is scaled to a host where one kernel repetition takes
+`REFERENCE_S`. On a shared host the wall time swings with other tenants'
+load, and the reference time less. The wall seconds reported are those
+less the sampling too.
+
+`cli_<command>_s` times the same code through the command line, in
+process: `cvqec.cli.main` runs build, compile, verify and simulate (same
+error, squeezing and trial count) on files in a temporary directory, and
+`cli_chain_s` is their sum. Its excess over the layer times is the fixed
+cost of each command: parsing its arguments and reading and writing its
+files. `cli_build_s` is `build_code` plus writing the code file, and
+`cli_compile_s` reading the code file, `decompose` and writing the
+circuit file. `load_circuit_s` is the largest part of that cost in
+`verify`: `load_circuit` reading the circuit file the chain's compile
+step wrote, JSON decoding and validation.
 
 Run from the repository root, single-threaded BLAS for stable figures:
 
@@ -51,6 +61,7 @@ from cvqec.decoder import decode_batch, single_mode_error, syndrome
 from cvqec.simulator import _DECODE_TOL, readout_syndromes, run_ec_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+from speed import REFERENCE_S, Calibrator  # noqa: E402
 from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
 
 
@@ -66,30 +77,30 @@ CLI_CHAIN = (
 )
 
 
-def cli_chain(work: Path) -> dict[str, float]:
-    """Run the CLI chain in process on the files in ``work``; return each command's seconds, raise if a step fails."""
-    seconds = {}
-    for step in CLI_CHAIN:
-        argv = [str(work / arg) if arg.endswith(".json") else arg for arg in step]
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = cli.main(argv)
-        seconds[step[0]] = time.perf_counter() - t0
-        if status != 0:
-            raise RuntimeError(f"cvqec {' '.join(step)} exited with {status}")
-    return seconds
+def cli_step(work: Path, step: list[str]) -> None:
+    """Run one command of the CLI chain in process on the files in ``work``; raise if it fails."""
+    argv = [str(work / arg) if arg.endswith(".json") else arg for arg in step]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    if status != 0:
+        raise RuntimeError(f"cvqec {' '.join(step)} exited with {status}")
 
 
 def sweep_point(n: int) -> dict:
     l, c = 1, n // 4
     rows = random_code_rows(n, l, c)
     error = single_mode_error(n, 1, 2.0, 2.0)
+    calibrator = Calibrator()
     times: dict[str, list[float]] = {}
 
     def timed(name, fn, *args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        times.setdefault(name + "_s", []).append(time.perf_counter() - t0)
+        before = calibrator.probe()
+        with calibrator.sampling():
+            t0 = time.perf_counter()
+            out = fn(*args)
+            wall = time.perf_counter() - t0 - calibrator.sampled_s
+        times.setdefault(name + "_s", []).append(wall)
+        times.setdefault(name + "_ref_s", []).append(wall * Calibrator.scale([before, calibrator.probe()] + calibrator.samples))
         return out
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -105,27 +116,28 @@ def sweep_point(n: int) -> dict:
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
             s_meas = readout_syndromes(code, syndrome(code, error), RANDOM_CODE_R, TRIALS, 1)
             timed("decode_batch", decode_batch, code, s_meas, _DECODE_TOL)
-            steps = timed("cli_chain", cli_chain, work)
-            for command in ("build", "compile"):
-                times.setdefault(f"cli_{command}_s", []).append(steps[command])
+            for step in CLI_CHAIN:
+                timed(f"cli_{step[0]}", cli_step, work, step)
+            for unit in ("_s", "_ref_s"):
+                times.setdefault("cli_chain" + unit, []).append(sum(times[f"cli_{step[0]}{unit}"][-1] for step in CLI_CHAIN))
             timed("load_circuit", load_circuit, work / "circuit.json", n)
     point = {"n": n, "l": l, "c": c}
     for key, values in times.items():
         point[key] = statistics.median(values)
         point[key + "_range"] = [min(values), max(values)]
-    point.update(gates=len(circuit), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
+    point.update(gates=len(circuit), records=len(circuit.records), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
     return point
 
 
 def table(points: list[dict]) -> str:
-    """The points' layer times as text: median, fastest and slowest repeat, and (slowest - fastest) / median."""
-    lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7}"]
+    """The points' layer times as text: median wall and reference seconds, fastest and slowest wall repeat, and (slowest - fastest) / median."""
+    lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'ref_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7}"]
     for point in points:
         for key, value in point.items():
-            if key.endswith("_s_range"):
+            if key.endswith("_s_range") and not key.endswith("_ref_s_range"):
                 layer, (low, high) = key[: -len("_s_range")], value
                 median = point[layer + "_s"]
-                lines.append(f"{point['n']:>5}  {layer:<20} {median:>10.4g} {low:>10.4g} {high:>10.4g} {(high - low) / median:>7.1%}")
+                lines.append(f"{point['n']:>5}  {layer:<20} {median:>10.4g} {point[layer + '_ref_s']:>10.4g} {low:>10.4g} {high:>10.4g} {(high - low) / median:>7.1%}")
     return "\n".join(lines)
 
 
@@ -141,6 +153,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": platform.machine(),
         "repeats": REPEATS,
+        "reference_s": REFERENCE_S,
         "trials": TRIALS,
         "points": [sweep_point(n) for n in args.n],
     }
