@@ -12,7 +12,6 @@ numbers but base64 float64 columns (`codes.code_to_dict`), exact.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -200,7 +199,7 @@ def cmd_compile(args) -> int:
     # the circuit file is a bare gate array; the report goes to stdout
     _write(_circuit_text(circuit), args.output)
     if args.output:
-        _emit(dataclasses.asdict(report), None)
+        _emit(report, None)
     return EXIT_OK
 
 

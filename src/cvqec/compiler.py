@@ -10,6 +10,7 @@ position column and one momentum column per round using only gates
 from the set, up to its first idle tail, and emits the inverse sequence
 in reverse order, so its composed action reproduces the input; `circuit_from_dicts`
 reads a circuit file's gate list, validating it and forming its runs once.
+`circuit_report` counts a circuit's gates for `cvqec compile` to print.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -54,10 +55,10 @@ class Circuit:
 
     A record is one gate, a bare (kind, modes, param) tuple, or one run
     of QND gates of one kind from one control, ``(kind, (control,
-    targets), params)``, as `_run` builds it: the targets are distinct
-    modes, a ``range`` where they ascend evenly spaced and an integer
-    array otherwise, and ``params`` is a float array, both in the gates'
-    order.  A run's gates commute, so it is applied as one step.  A
+    targets), params)``, as `_run` builds it: the targets are strictly
+    ascending modes, a ``range`` where they are evenly spaced and an
+    integer array otherwise, and ``params`` is a float array, both in the
+    gates' order.  A run's gates commute, so it is applied as one step.  A
     circuit checks nothing: `decompose` and `circuit_from_dicts`, which
     make circuits, emit only valid records on modes 1..n.  ``len`` counts
     gates.  Circuits compare by identity.
@@ -127,21 +128,20 @@ def apply_gate(rows: np.ndarray, gate: tuple) -> None:
 
 
 def _run(kind: str, control: int, targets: list | range, params) -> tuple:
-    """The record of a run of QND gates from ``control`` onto distinct ``targets``, a range or a list: the one run builder.
+    """The record of a run of QND gates from ``control`` onto strictly ascending ``targets``, a range or a list: the one run builder.
 
     A run of one gate is that gate's scalar record.  Otherwise evenly
-    spaced ascending targets become an ascending ``range`` and any other
-    targets an integer array, in the gates' order, and the parameters a
-    new float array.  A composed action depends on this form in its last
-    bits, so building runs here alone keeps a circuit's action the same
-    however it was made.
+    spaced targets become a ``range`` and any others an integer array,
+    and the parameters a new float array.  A composed action depends on
+    this form in its last bits, so building runs here alone keeps a
+    circuit's action the same however it was made.
     """
     if len(targets) == 1:
         return kind, (control, targets[0]), float(params[0])
     if not isinstance(targets, range):
         step = targets[1] - targets[0]
         spaced = range(targets[0], targets[-1] + step, step)
-        targets = spaced if step > 0 and list(spaced) == targets else np.array(targets)
+        targets = spaced if list(spaced) == targets else np.array(targets)
     return kind, (control, targets), np.array(params, dtype=float)
 
 
@@ -189,14 +189,6 @@ def _inverse_record(kind: str, modes: tuple, param) -> tuple:
     if param is None:
         return _INVERSE_KIND.get(kind, kind), modes, None
     return kind, modes, -param
-
-
-@dataclass(frozen=True)
-class CompilerReport:
-    """Bookkeeping emitted alongside a decomposition: gates by kind, and the largest |param|."""
-
-    gate_counts: dict = field(default_factory=dict)
-    max_abs_param: float = 0.0
 
 
 class _Eliminator:
@@ -308,7 +300,7 @@ def eliminate(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
     return el.work, tuple(_inverse_record(*record) for record in reversed(el.records))
 
 
-def decompose(a) -> tuple[Circuit, CompilerReport]:
+def decompose(a) -> tuple[Circuit, dict]:
     """Compile a symplectic quadrature action into a gate sequence.
 
     Round r clears position column r and momentum column n + r of the
@@ -324,11 +316,10 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
     emitted only around a nonempty sweep, so the circuit holds no
     adjacent inverse pair to cancel afterwards.
 
-    The circuit is the elimination's records inverted in reverse order, in
-    which no two runs of one kind and control are adjacent: the runs
-    `circuit_from_dicts` forms from its file form, with the same action.
-    The report counts gates by kind in order of first appearance, and
-    the largest |param|, record by record.
+    The circuit is the elimination's records inverted in reverse order.
+    Each run's targets ascend, and no two runs of one kind and control are
+    adjacent, so its file form loads back as the same runs
+    (`circuit_from_dicts`), with the same action.
 
     Args:
         a: symplectic (x | p)-ordered quadrature action; `require_symplectic`
@@ -339,7 +330,8 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
     Returns:
         (circuit, report): the circuit's composed action reproduces ``a``.
         Its records are on modes 1..n, a two-mode gate's modes differ,
-        and every parameter is finite and nonzero.
+        and every parameter is finite and nonzero.  ``report`` is the
+        circuit's `circuit_report`.
 
     Raises:
         NotSymplecticError: if ``a`` is not symplectic on that scale.
@@ -356,6 +348,11 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
     # Every record has in-range modes, and its parameter is finite and
     # nonzero while the work matrix stays finite, which the residual check confirms.
     circuit = Circuit(n, records)
+    return circuit, circuit_report(circuit)
+
+
+def circuit_report(circuit: Circuit) -> dict:
+    """What `cvqec compile` prints: ``gate_counts``, the gates by kind in order of first appearance, and ``max_abs_param``, the largest |param|."""
     counts: dict[str, int] = {}
     max_abs_param = 0.0
     for kind, _, param in circuit.records:
@@ -366,7 +363,7 @@ def decompose(a) -> tuple[Circuit, CompilerReport]:
             counts[kind] = counts.get(kind, 0) + 1
             if param is not None:
                 max_abs_param = max(max_abs_param, abs(param))
-    return circuit, CompilerReport(gate_counts=counts, max_abs_param=max_abs_param)
+    return {"gate_counts": counts, "max_abs_param": max_abs_param}
 
 
 def encoder_quad_action(code: CodeSpec) -> np.ndarray:
@@ -445,11 +442,14 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     modes.  The checks are made on whole columns, and no object is built
     per gate.  An error names the first offending record.
 
-    Consecutive QND gates of one kind and control then become one run
-    record (see `Circuit`), closed at the first repeated target, in the
-    form `_run` gives every run, so a circuit that `decompose` made
-    composes to the same action, bit for bit, after a round trip
-    through its file form.
+    Consecutive QND gates of one kind and control whose targets strictly
+    ascend then become one run record (see `Circuit`), in the form `_run`
+    gives every run: a run closes where the kind or the control changes
+    or a target does not exceed the one before.  A circuit that
+    `decompose` made therefore loads back as its own records and composes
+    to the same action, bit for bit; a file that lists a run's gates in
+    another order loads as shorter runs, with the same action within
+    rounding.
 
     Raises:
         ValueError: for a malformed or invalid gate record.
@@ -511,13 +511,12 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
         index = int(owner[above.argmax()])
         raise DimensionMismatchError(f"gate record {index} {payload[index]!r} exceeds mode count {n}")
 
-    # Consecutive QND gates of one kind and control make a segment, which
-    # is one run record unless a target repeats in it; any other gate is a
-    # segment of its own.
+    # Consecutive QND gates of one kind and control with ascending targets
+    # make one run record; any other gate is a record of its own.
     control, target = first.astype(np.intp), second.astype(np.intp)
     qnd = (kind == _KIND_CODE[QND_X]) | (kind == _KIND_CODE[QND_P])
     starts = np.ones(count, bool)
-    starts[1:] = ~(qnd[1:] & (kind[1:] == kind[:-1]) & (control[1:] == control[:-1]))
+    starts[1:] = ~(qnd[1:] & (kind[1:] == kind[:-1]) & (control[1:] == control[:-1]) & (target[1:] > target[:-1]))
     bounds = np.flatnonzero(starts).tolist() + [count]
     kind_l, control_l, target_l, param_l = kind.tolist(), control.tolist(), target.tolist(), values_p.tolist()
     two_mode, has_param_l = (lengths == 2).tolist(), has_param.tolist()
@@ -525,24 +524,11 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     for s, e in zip(bounds, bounds[1:]):
         name = GATE_KINDS[kind_l[s]]
         if e - s > 1:
-            records += [_run(name, control_l[s], target_l[a:b], param_l[a:b]) for a, b in _split_at_repeats(target_l, s, e)]
+            records.append(_run(name, control_l[s], target_l[s:e], param_l[s:e]))
         else:
             gate_modes = (control_l[s], target_l[s]) if two_mode[s] else (control_l[s],)
             records.append((name, gate_modes, param_l[s] if has_param_l[s] else None))
     return Circuit(n, tuple(records))
-
-
-def _split_at_repeats(targets: list, s: int, e: int) -> list[tuple[int, int]]:
-    """Spans of the runs in ``targets[s:e]``: a run closes before its first repeated target."""
-    if len(set(targets[s:e])) == e - s:
-        return [(s, e)]
-    spans, seen = [], set()
-    for i in range(s, e):
-        if targets[i] in seen:
-            spans.append((s, i))
-            s, seen = i, set()
-        seen.add(targets[i])
-    return spans + [(s, e)]
 
 
 def load_circuit(path, n: int) -> Circuit:

@@ -172,8 +172,10 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
     v_1..v_n)`` with ``u_i (.) v_j = delta_ij`` and all other products
     zero.  ``dec.rows`` are written at the `check_rows`, and the isotropic
     rows' partners, rows ``n+c+1..n+c+l``, come from a least-norm dual
-    solve.  Those rows fix the encoder's columns on modes 1..c + l, all
-    that `eliminate`'s rounds 1..c + l read.  The data rows are those of
+    solve, refined once by a least-squares correction of the same system
+    where the rows placed so far miss `verify_code`'s 1e-9 Gram bound.
+    Those rows fix the encoder's columns on modes 1..c + l, all that
+    `eliminate`'s rounds 1..c + l read.  The data rows are those of
     the rounds' product, carried along on identity columns, so that the
     encoder is the product's inverse and `decompose` has nothing to clear
     in the later rounds.  Both self-checks judge rows made here, not input
@@ -190,26 +192,33 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
     basis = np.empty((2 * n, 2 * n))
     basis[checks] = dec.rows
 
+    placed = np.r_[: c + l, n : n + c + l]  # the checks and, once made, the partners
+
     if l:
         # Partners z_i for the isotropic rows w_i: w_i (.) z_j = delta_ij with
         # zero products against the pairs, via a min-norm solve.
         iso = basis[c : c + l]
         pairs = np.stack([np.arange(c), np.arange(n, n + c)], axis=1).ravel()  # u_1, v_1, u_2, v_2, ...
-        z, *_ = np.linalg.lstsq(basis[np.r_[c : c + l, pairs]] @ j, np.eye(l + 2 * c, l), rcond=None)
-        z = z.T  # rows z_1..z_l
+        system, duals = basis[np.r_[c : c + l, pairs]] @ j, np.eye(l + 2 * c, l)
+        z = np.linalg.lstsq(system, duals, rcond=None)[0].T  # rows z_1..z_l
         # Kill the mutual z-products by mixing in isotropic directions:
         # z_i -> z_i - (1/2) sum_j (z_i (.) z_j) w_j leaves all other
         # products untouched and zeroes the antisymmetric defect exactly.
-        s = z @ j @ z.T
-        z = z - 0.5 * s @ iso
+        basis[n + c : n + c + l] = z - 0.5 * (z @ j @ z.T) @ iso
+        if not scaled_defect(basis[placed], symplectic_form(c + l)) <= 1e-9:
+            # At small scales the solve can miss `verify_code`'s Gram bound;
+            # one least-squares correction of the same system, mixed in as
+            # above, meets it.
+            z = z + np.linalg.lstsq(system, duals - system @ z.T, rcond=None)[0].T
+            basis[n + c : n + c + l] = z - 0.5 * (z @ j @ z.T) @ iso
+        z = basis[n + c : n + c + l]
         # Entry (i, j) is w_i (.) z_j, bounded per partner column j.
         defect = np.abs(iso @ j @ z.T - np.eye(l))
         if not np.all(defect <= 1e3 * DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(z, axis=1))):
             raise DecompositionError("failed to complete isotropic partners")
-        basis[n + c : n + c + l] = z
 
     if k:
-        work, _ = eliminate(np.hstack((symplectic_inverse(basis[np.r_[: c + l, n : n + c + l]]), np.eye(2 * n))), c + l)
+        work, _ = eliminate(np.hstack((symplectic_inverse(basis[placed]), np.eye(2 * n))), c + l)
         basis[data] = work[data, 2 * (c + l) :]
 
     if not scaled_defect(basis, j) <= 1e3 * DEFAULT_TOL:

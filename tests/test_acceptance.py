@@ -141,7 +141,7 @@ def test_criterion_5_compiler_soundness():
         circuit, report = decompose(a)
         dev = float(np.max(np.abs(circuit_action(circuit) - a))) / (1.0 + float(np.max(np.abs(a))))
         worst = max(worst, dev)
-        count_ok = count_ok and sum(report.gate_counts.values()) <= 8 * n * n + 8 * n
+        count_ok = count_ok and sum(report["gate_counts"].values()) <= 8 * n * n + 8 * n
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and count_ok and elapsed < 30.0
     announce(5, "compiler soundness", ok, f"500 matrices (n<=8), worst rel dev {worst:.2e}, counts bounded, {elapsed:.1f} s")

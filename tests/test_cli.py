@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -375,7 +375,7 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
     assert gates and all(set(g) in ({"gate", "modes"}, {"gate", "modes", "param"}) for g in gates)
     assert_rounded(gates, circuit_to_dicts(circuit))
     assert set(report) == REPORT_KEYS
-    assert_rounded(report, {"gate_counts": want_report.gate_counts, "max_abs_param": want_report.max_abs_param})
+    assert_rounded(report, want_report)
 
 
 def rounding_then_encoding(value) -> str:
@@ -742,6 +742,9 @@ def _within_scaled_gram_bound(basis, tol):
 # Loads and compiles, but the elimination amplifies the 6e-10 Gram defect
 # into a 1.2e-7 deviation, so verify exits 6, as it does under the old bound.
 @example(n=2, seed=4838662, log_scale=0.0, log_delta=-9.0)
+# Built only since the completion refines a least-squares partner that
+# misses the 1e-9 Gram bound of `verify_code`.
+@example(n=5, seed=2147, log_scale=-3.0, log_delta=-6.0)
 def test_a_tampered_basis_entry_is_refused_or_within_the_scaled_bound(tmp_path_factory, n, seed, log_scale, log_delta):
     # A build drawn as in test_codes.py's round trip; then one basis entry
     # moves by 10^log_delta times the largest entry of its row, and pairs and
@@ -753,13 +756,7 @@ def test_a_tampered_basis_entry_is_refused_or_within_the_scaled_bound(tmp_path_f
     work = tmp_path_factory.mktemp("tamper")
     matrix, code, bad, circuit = (str(work / f"{name}.json") for name in ("matrix", "code", "bad", "circuit"))
     save_parity_check(matrix, rows[rng.permutation(len(rows))])
-    status = main(["build", matrix, "--output", code])
-    if status == 4:
-        # The least-squares partner of an isotropic row can miss the 1e-9
-        # Gram bound of `verify_code` at scale 1e-3: n=5, seed=2147,
-        # log_scale=-3.0 (a known build defect).
-        reject()
-    assert status == 0
+    assert main(["build", matrix, "--output", code]) == 0
     payload = read(code)
     basis = codes.json_column(payload["basis"]).copy()
     i, j = rng.integers(0, 2 * n, size=2)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import cli, reference
@@ -102,6 +102,9 @@ def _bits(a):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+# The least-squares partner of its isotropic row missed the 1e-9 Gram bound
+# of `verify_code` by 2.3e-9 until the completion refined it.
+@example(n=4, seed=229, log_scale=-3.0)
 def test_code_file_round_trip_is_exact(n, seed, log_scale):
     # Up to n independent rows scaled by 10^log_scale, then up to three
     # dropped rows: a combination of them, a near-zero row and a zero row.
@@ -109,14 +112,7 @@ def test_code_file_round_trip_is_exact(n, seed, log_scale):
     rows = 10.0**log_scale * rng.normal(size=(int(rng.integers(1, n + 1)), 2 * n))
     dropped = [rng.normal(size=len(rows)) @ rows, 1e-11 * rng.normal(size=2 * n), np.zeros(2 * n)]
     rows = np.vstack([rows] + dropped[: int(rng.integers(0, 4))])
-    try:
-        code = build_code(rows[rng.permutation(len(rows))])
-    except BuildVerificationError:
-        # The property is about codes that exist.  The least-squares partner
-        # of an isotropic row can miss the 1e-9 Gram bound of `verify_code`
-        # at scale 1e-3: n=4, seed=229, log_scale=-3.0 misses it by 2.3e-9
-        # (a known build defect).
-        reject()
+    code = build_code(rows[rng.permutation(len(rows))])
     payload = code_to_dict(code)
     # As json.dumps writes it, and as the CLI does, pairs and isotropic rounded to 12 digits.
     for text in (json.dumps(payload), cli._json_text(payload)):

@@ -26,13 +26,14 @@ from cvqec.compiler import (
     apply_gate,
     circuit_action,
     circuit_from_dicts,
+    circuit_report,
     decompose,
     eliminate,
     encoder_quad_action,
     gate_action,
     verify_circuit,
 )
-from cvqec.errors import BuildVerificationError, CircuitVerificationError, DimensionMismatchError, NotSymplecticError
+from cvqec.errors import BuildVerificationError, CircuitVerificationError, DecompositionError, DimensionMismatchError, NotSymplecticError
 from cvqec.symplectic import is_symplectic, symplectic_inverse
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
@@ -170,7 +171,7 @@ def test_invert_circuit_gate_by_gate():
 def test_decompose_identity_is_empty():
     circuit, report = decompose(np.eye(6))
     assert len(circuit) == 0
-    assert sum(report.gate_counts.values()) == 0
+    assert sum(report["gate_counts"].values()) == 0
 
 
 def test_decompose_single_generator_roundtrip():
@@ -193,7 +194,7 @@ def test_decompose_random_gate_products(rng):
         circuit, report = decompose(a)
         bound = 1e-8 * (1.0 + np.max(np.abs(a)))
         assert np.max(np.abs(circuit_action(circuit) - a)) <= bound
-        assert sum(report.gate_counts.values()) <= 8 * n * n + 8 * n
+        assert sum(report["gate_counts"].values()) <= 8 * n * n + 8 * n
         assert all(g["gate"] in GATE_KINDS for g in circuit_to_dicts(circuit))
 
 
@@ -310,7 +311,7 @@ def test_decompose_round_trip_large(n):
     a = random_symplectic_from_hamiltonian(n, np.random.default_rng(n))
     circuit, report = decompose(a)
     assert np.max(np.abs(circuit_action(circuit) - a)) <= 1e-8 * (1.0 + np.max(np.abs(a)))
-    assert sum(report.gate_counts.values()) <= 8 * n * n + 8 * n
+    assert sum(report["gate_counts"].values()) <= 8 * n * n + 8 * n
 
 
 def test_verify_circuit_returns_deviation_and_raises():
@@ -602,7 +603,7 @@ def test_compiling_and_loading_build_no_gate_per_gate():
     loaded = circuit_from_dicts(json.loads(json.dumps(circuit_to_dicts(circuit))), code.n)
     for c in (circuit, loaded):
         assert all(type(record) is tuple for record in c.records)
-        assert len(c) == sum(report.gate_counts.values()) > 2 * len(c.records)
+        assert len(c) == sum(report["gate_counts"].values()) > 2 * len(c.records)
 
 
 @pytest.mark.parametrize(
@@ -660,7 +661,7 @@ def test_eliminate_on_built_codes_matches_every_round(seed, log_scale):
     try:
         code = build_code(_scaled_code_rows(seed, log_scale))
     except BuildVerificationError:
-        reject()  # two known build defects at scale 1e-3; see test_the_encoder_is_its_check_rounds
+        reject()  # a build refused at scale 1e-3; see test_the_encoder_is_its_check_rounds
     n, _, l, c = code.params
     assert_eliminates_as_every_round(encoder_quad_action(code), n)
     checks = symplectic_inverse(code.basis[np.r_[: c + l, n : n + c + l]])
@@ -745,3 +746,61 @@ def test_decompose_runs_c_plus_l_plus_one_rounds_on_a_built_code(monkeypatch):
     for draw in LATE_GATE_DRAWS:
         code = build_code(_scaled_code_rows(*draw))
         assert _rounds_run(monkeypatch, encoder_quad_action(code)) == code.n
+
+
+# ---------------------------------------------------------------------------
+# A circuit file's run is an ascending stretch of targets
+# ---------------------------------------------------------------------------
+
+
+def _rounded(record):
+    """A record with its parameters rounded to 12 significant digits, as a circuit file holds them."""
+    kind, modes, param = record
+    if isinstance(param, np.ndarray):
+        return kind, modes, np.array([float("%.12g" % v) for v in param.tolist()])
+    return kind, modes, None if param is None else float("%.12g" % param)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+@example(*LATE_GATE_DRAWS[0])
+@example(*LATE_GATE_DRAWS[1])
+def test_a_compiled_circuit_file_loads_as_its_own_records(seed, log_scale):
+    # `decompose` emits every run with ascending targets, and no two runs of
+    # one kind and control side by side, so the file `compile` writes loads
+    # back as its records: kinds, modes with range versus array, and the
+    # parameters' bits as the file rounds them.
+    try:
+        code = build_code(_scaled_code_rows(seed, log_scale))
+    except DecompositionError:
+        reject()  # c + l > n; see test_the_encoder_is_its_check_rounds
+    circuit, _ = decompose(encoder_quad_action(code))
+    loaded = circuit_from_dicts(json.loads(_circuit_text(circuit)), code.n)
+    assert [_record_bits(r) for r in loaded.records] == [_record_bits(_rounded(r)) for r in circuit.records]
+
+
+@pytest.mark.parametrize(
+    "targets, records",
+    [((6, 5, 3, 2), [[6], [5], [3], [2]]), ((2, 3, 2, 4, 5, 3, 5, 4), [[2, 3], [2, 4, 5], [3, 5], [4]])],
+    ids=["descending", "repeated"],
+)
+def test_a_run_in_another_order_loads_as_ascending_stretches(targets, records):
+    # A run closes where a target does not exceed the one before.
+    gates = [qnd_x(1, t, 0.1 * t) for t in targets]
+    circuit = circuit_of(6, gates)
+    assert [list(np.atleast_1d(modes[1])) for _, modes, _ in circuit.records] == records
+    want, scale = _gate_by_gate(6, gates)
+    assert np.max(np.abs(circuit_action(circuit) - want)) <= 1e-13 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits_with_qnd_runs())
+def test_circuit_report_counts_the_gates_one_by_one(case):
+    n, gates = case
+    counts: dict[str, int] = {}
+    for gate in gates:
+        counts[gate.kind] = counts.get(gate.kind, 0) + 1
+    report = circuit_report(circuit_of(n, gates))
+    assert list(report) == ["gate_counts", "max_abs_param"]
+    assert list(report["gate_counts"].items()) == list(counts.items())
+    assert report["max_abs_param"] == max((abs(gate.param) for gate in gates if gate.param is not None), default=0.0)

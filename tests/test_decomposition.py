@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
@@ -15,7 +15,7 @@ from cvqec.decomposition import (
     complete_symplectic_basis,
     symplectic_gram_schmidt,
 )
-from cvqec.errors import BuildVerificationError, DecompositionError
+from cvqec.errors import DecompositionError
 from cvqec.symplectic import symplectic_form
 
 from conftest import random_symplectic_from_hamiltonian
@@ -180,6 +180,9 @@ def test_small_pair_product_builds_and_compiles():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+# The least-squares partner of its isotropic row missed the 1e-9 Gram bound
+# of `verify_code` until the completion refined it.
+@example(n=2, seed=218, log_scale=-3.0)
 def test_the_encoder_is_its_check_rounds(n, seed, log_scale):
     # 1 to 2n independent rows scaled by 10^log_scale, so c + l >= 1.  The
     # completion keeps the check rows bit for bit and takes the data rows
@@ -190,19 +193,14 @@ def test_the_encoder_is_its_check_rounds(n, seed, log_scale):
     # to the identity within rounding.
     rng = np.random.default_rng(seed)
     rows = 10.0**log_scale * rng.normal(size=(int(rng.integers(1, 2 * n + 1)), 2 * n))
-    # Two known build defects outside the completion give no code to check,
-    # at scale 1e-3 about one draw in 4000 and one in 2000: a pair product
-    # under the absolute 1e-9 zero threshold counts as isotropic, so that
-    # c + l > n (n=1, seed=1262, log_scale=-3.0), and the least-squares
-    # partner of an isotropic row misses the 1e-9 Gram bound of
-    # `verify_code` (n=2, seed=218, log_scale=-3.0).
+    # A known build defect outside the completion gives no code to check,
+    # at scale 1e-3 about one draw in 4000: a pair product under the
+    # absolute 1e-9 zero threshold counts as isotropic, so that c + l > n
+    # (n=1, seed=1262, log_scale=-3.0).
     dec = symplectic_gram_schmidt(rows)
     if dec.c + dec.l > n:
         reject()
-    try:
-        code = build_code(rows)
-    except BuildVerificationError:
-        reject()
+    code = build_code(rows)
     _, _, l, c = code.params
     assert np.asarray(code.h).tobytes() == dec.rows.tobytes()
     action = encoder_quad_action(code)

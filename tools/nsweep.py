@@ -14,6 +14,11 @@ n and layer. `verify_circuit` raises if the circuit is wrong, so a sweep
 that prints has checked every circuit it timed. Each point also gives
 the compiled circuit's `gates` and its `records` (a QND run counts once).
 
+A point is repeated at least `MIN_REPEATS` times, and then until the
+spread of its `cli_chain_ref_s`, the distance between the repeats'
+quartiles over their median, is under `SPREAD`, or until the point has
+run for `TIME_CAP_S`. Each point gives its `repeats` and that `spread`.
+
 Each layer is also given in reference seconds, under ``<layer>_ref_s``
 (and its ``_range``), with `chainbench/speed.py`'s `Calibrator`, which
 this script imports and does not change: its kernel is timed before and
@@ -36,7 +41,7 @@ step wrote, JSON decoding and validation.
 
 Run from the repository root, single-threaded BLAS for stable figures:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/nsweep.py --n 64 128 256
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/nsweep.py --n 64 128 256 512
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ from speed import REFERENCE_S, Calibrator  # noqa: E402
 from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
 
 
-REPEATS = 3  # timed repeats per point; the median and the range are reported
+MIN_REPEATS = 3  # timed repeats per point at least; the median and the range are reported
+SPREAD = 0.05  # then repeat until cli_chain_ref_s's quartiles lie closer than this share of its median,
+TIME_CAP_S = 120.0  # or until the point has run this long
 TRIALS = 2000  # trials of the one run_ec_experiment
 
 
@@ -108,7 +115,8 @@ def sweep_point(n: int) -> dict:
         save_parity_check(work / "rows.json", rows)
         config = {"code_file": str(work / "code.json"), "error": {"mode": 1, "p": 2.0, "x": 2.0}, "squeezing_r": RANDOM_CODE_R, "trials": TRIALS, "seed": 1}
         (work / "config.json").write_text(json.dumps(config))
-        for _ in range(REPEATS):
+        start = time.perf_counter()
+        while True:
             code = timed("build_code", build_code, rows)
             circuit, report = timed("decompose", decompose, encoder_quad_action(code))
             timed("circuit_action", circuit_action, circuit)
@@ -121,18 +129,28 @@ def sweep_point(n: int) -> dict:
             for unit in ("_s", "_ref_s"):
                 times.setdefault("cli_chain" + unit, []).append(sum(times[f"cli_{step[0]}{unit}"][-1] for step in CLI_CHAIN))
             timed("load_circuit", load_circuit, work / "circuit.json", n)
-    point = {"n": n, "l": l, "c": c}
+            chain = times["cli_chain_ref_s"]
+            if len(chain) >= MIN_REPEATS and (spread(chain) < SPREAD or time.perf_counter() - start >= TIME_CAP_S):
+                break
+    point = {"n": n, "l": l, "c": c, "repeats": len(chain), "spread": spread(chain)}
     for key, values in times.items():
         point[key] = statistics.median(values)
         point[key + "_range"] = [min(values), max(values)]
-    point.update(gates=len(circuit), records=len(circuit.records), gate_counts=report.gate_counts, deviation=deviation, mode_match_rate=stats.mode_match_rate)
+    point.update(gates=len(circuit), records=len(circuit.records), gate_counts=report["gate_counts"], deviation=deviation, mode_match_rate=stats.mode_match_rate)
     return point
+
+
+def spread(values: list[float]) -> float:
+    """The distance between the values' quartiles over their median."""
+    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+    return (high - low) / statistics.median(values)
 
 
 def table(points: list[dict]) -> str:
     """The points' layer times as text: median wall and reference seconds, fastest and slowest wall repeat, and (slowest - fastest) / median."""
     lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'ref_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7}"]
     for point in points:
+        lines.append(f"{point['n']:>5}  {point['repeats']} repeats, cli_chain_ref_s spread {point['spread']:.1%}")
         for key, value in point.items():
             if key.endswith("_s_range") and not key.endswith("_ref_s_range"):
                 layer, (low, high) = key[: -len("_s_range")], value
@@ -152,7 +170,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "repeats": REPEATS,
+        "min_repeats": MIN_REPEATS,
+        "spread_target": SPREAD,
+        "time_cap_s": TIME_CAP_S,
         "reference_s": REFERENCE_S,
         "trials": TRIALS,
         "points": [sweep_point(n) for n in args.n],
