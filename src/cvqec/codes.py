@@ -198,8 +198,9 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
     encoding matrix is B^{-1}, so the normalized checks map exactly onto
     the canonical ones.  The data rows make the encoder the inverse of
     its compilation's first c + l rounds (`complete_symplectic_basis`).
-    The stored facts are verified before returning; an inconsistent
-    result raises instead of being returned silently.
+    The stored facts are verified before returning by `verify_code`, the
+    one check of a built basis; an inconsistent result raises instead of
+    being returned silently.
 
     Args:
         rows: nonempty sequence of phase vectors with a common mode count.
@@ -207,9 +208,11 @@ def build_code(rows, tol: float = DEFAULT_TOL) -> CodeSpec:
             which are dependent and which products are zero.
 
     Raises:
-        BuildVerificationError: if any internal consistency check fails.
-        DecompositionError / DimensionMismatchError: propagated from the
-            decomposition stage.
+        BuildVerificationError: if `verify_code` refuses the result, such
+            as a completed basis outside the Gram form.
+        DecompositionError: on an empty input, or if c + l > n.
+        DimensionMismatchError: on a row of odd length or with a
+            non-finite entry.
     """
     input_rows = np.atleast_2d(np.asarray(rows, dtype=float))
     dec = symplectic_gram_schmidt(input_rows, tol)

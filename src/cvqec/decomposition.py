@@ -75,11 +75,12 @@ def _pairing_loop(working: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
 
     Pivot rule: take the first remaining vector w, partner it with the
     remaining z maximizing |w (.) z| (ties resolved to the lowest index).
-    A partner below the scale-aware zero threshold sends w to the
-    isotropic pile; otherwise z is rescaled so the pair product is one
-    and the pair is projected out of every remaining vector.  Each step
-    is one matrix-vector product for the products of w against all
-    remaining rows, and two rank-one updates for the projection.
+    If every |w (.) z| is at most ``tol * |w| |z|``, a bound on the two
+    rows alone with no absolute floor, w goes to the isotropic pile;
+    otherwise z is rescaled so the pair product is one and the pair is
+    projected out of every remaining vector.  Each step is one
+    matrix-vector product for the products of w against all remaining
+    rows, and two rank-one updates for the projection.
     Returns the rows in syndrome order (``u_1..u_c``, isotropic, ``v_1..v_c``) and c.
     """
     n = working.shape[1] // 2
@@ -91,7 +92,7 @@ def _pairing_loop(working: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
             isotropic.append(w)
             break
         rw = rest @ _jv(w, n)  # r (.) w = -(w (.) r) for every remaining r
-        scales = tol * np.maximum(1.0, np.linalg.norm(w) * np.linalg.norm(rest, axis=1))
+        scales = tol * np.linalg.norm(w) * np.linalg.norm(rest, axis=1)
         if np.all(np.abs(rw) <= scales):
             isotropic.append(w)
             continue
@@ -137,21 +138,6 @@ def symplectic_gram_schmidt(rows, tol: float = DEFAULT_TOL) -> SymplecticDecompo
     return SymplecticDecomposition(n=n, c=c, rows=checks, dropped_rows=tuple(dropped))
 
 
-def check_decomposition(dec: SymplecticDecomposition) -> None:
-    """Raise unless the rows are independent and meet the canonical Gram form within 1e-8 (`scaled_defect`)."""
-    if dec.m == 0:
-        return
-    checks, _ = check_rows(dec.n, dec.l, dec.c)
-    defect = scaled_defect(dec.rows, symplectic_form(dec.n)[np.ix_(checks, checks)])
-    if not defect <= 1e-8:
-        raise DecompositionError(f"decomposition invariants violated (scaled Gram defect {defect:.3e})")
-    # Rank of the unit-normalised rows: a partner rescaled by 1 / product
-    # must not swamp the tolerance of the other rows.
-    norms = np.linalg.norm(dec.rows, axis=1, keepdims=True)
-    if not np.all(norms > 0.0) or np.linalg.matrix_rank(dec.rows / norms, tol=1e-8) < dec.m:
-        raise DecompositionError("decomposition vectors are linearly dependent")
-
-
 def code_parameters(dec: SymplecticDecomposition) -> tuple[int, int, int, int]:
     """Code parameters (n, k, l, c) implied by a decomposition; k = n - c - l."""
     c, l, n = dec.c, dec.l, dec.n
@@ -169,24 +155,24 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
     """Extend a decomposition to a full symplectic basis of phase space.
 
     Returns a (2n, 2n) array whose rows are ordered ``(u_1..u_n,
-    v_1..v_n)`` with ``u_i (.) v_j = delta_ij`` and all other products
-    zero.  ``dec.rows`` are written at the `check_rows`, and the isotropic
-    rows' partners, rows ``n+c+1..n+c+l``, come from a least-norm dual
-    solve, refined once by a least-squares correction of the same system
-    where the rows placed so far miss `verify_code`'s 1e-9 Gram bound.
+    v_1..v_n)``, made so that ``u_i (.) v_j = delta_ij`` and all other
+    products vanish.  ``dec.rows`` are written at the `check_rows`, and
+    the isotropic rows' partners, rows ``n+c+1..n+c+l``, come from a
+    least-norm dual solve, refined once by a least-squares correction of
+    the same system where the rows placed so far miss `verify_code`'s
+    1e-9 Gram bound.
     Those rows fix the encoder's columns on modes 1..c + l, all that
     `eliminate`'s rounds 1..c + l read.  The data rows are those of
     the rounds' product, carried along on identity columns, so that the
     encoder is the product's inverse and `decompose` has nothing to clear
-    in the later rounds.  Both self-checks judge rows made here, not input
-    rows, so they are fixed at ``1e3 * DEFAULT_TOL`` (`scaled_defect`).
+    in the later rounds.  Nothing here checks the result: `verify_code`,
+    which `build_code` runs on every basis it returns, is its one judge.
 
     Raises:
-        DecompositionError: if the input violates its own invariants, does
-            not fit inside n modes, or a self-check fails.
+        DecompositionError: if the decomposition does not fit inside n
+            modes, c + l > n (`code_parameters`).
     """
     n, k, l, c = code_parameters(dec)
-    check_decomposition(dec)
     j = symplectic_form(n)
     checks, data = check_rows(n, l, c)
     basis = np.empty((2 * n, 2 * n))
@@ -211,16 +197,8 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
             # above, meets it.
             z = z + np.linalg.lstsq(system, duals - system @ z.T, rcond=None)[0].T
             basis[n + c : n + c + l] = z - 0.5 * (z @ j @ z.T) @ iso
-        z = basis[n + c : n + c + l]
-        # Entry (i, j) is w_i (.) z_j, bounded per partner column j.
-        defect = np.abs(iso @ j @ z.T - np.eye(l))
-        if not np.all(defect <= 1e3 * DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(z, axis=1))):
-            raise DecompositionError("failed to complete isotropic partners")
 
     if k:
         work, _ = eliminate(np.hstack((symplectic_inverse(basis[placed]), np.eye(2 * n))), c + l)
         basis[data] = work[data, 2 * (c + l) :]
-
-    if not scaled_defect(basis, j) <= 1e3 * DEFAULT_TOL:
-        raise DecompositionError("completed basis fails the canonical Gram form")
     return basis

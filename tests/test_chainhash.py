@@ -23,7 +23,7 @@ def _sha(data: bytes) -> str:
 def test_chainhash_digests_a_three_set_corpus_and_names_a_spoiled_digest(tmp_path, capsys):
     chainhash = _chainhash()
     # The paper's raw rows, the scaled rows whose chain files are checked in,
-    # and a draw whose build is refused (exit 3).
+    # and a draw whose completed basis `verify_code` refuses (exit 4).
     sets = ["reference-raw", "data-scaled-rows", "draw-1e+05-s5"]
     assert chainhash.main(["--sets", *sets]) == 0
     digests = json.loads(capsys.readouterr().out)["sets"]
@@ -31,7 +31,7 @@ def test_chainhash_digests_a_three_set_corpus_and_names_a_spoiled_digest(tmp_pat
     assert tuple(digests["reference-raw"]) == chainhash.STAGES
     assert digests["data-scaled-rows"]["code"] == _sha((ROOT / "tests" / "data" / "scaled-rows-code.json").read_bytes())
     assert digests["data-scaled-rows"]["circuit"] == _sha((ROOT / "tests" / "data" / "scaled-rows-circuit.json").read_bytes())
-    assert digests["draw-1e+05-s5"] == {"code": _sha(b"exit 3")}
+    assert digests["draw-1e+05-s5"] == {"code": _sha(b"exit 4")}
 
     saved = tmp_path / "digests.json"
     saved.write_text(json.dumps({"sets": digests}))

@@ -33,7 +33,7 @@ from cvqec.compiler import (
     gate_action,
     verify_circuit,
 )
-from cvqec.errors import BuildVerificationError, CircuitVerificationError, DecompositionError, DimensionMismatchError, NotSymplecticError
+from cvqec.errors import BuildVerificationError, CircuitVerificationError, DimensionMismatchError, NotSymplecticError
 from cvqec.symplectic import is_symplectic, symplectic_inverse
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
@@ -101,20 +101,20 @@ def test_circuit_action_empty_and_fourier_period():
 
 @st.composite
 def circuits_with_target_runs(draw):
-    """Loaded circuits whose QND runs have range targets of either step direction or array targets, between single gates."""
+    """Loaded circuits whose QND runs have ascending targets, evenly spaced (a range) or not (an array), between single gates."""
     n = draw(st.integers(2, 7))
     param = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
     gates = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(GATE_KINDS + (QND_X, QND_P) * 2))
         if kind in (QND_X, QND_P):
-            if draw(st.booleans()):  # evenly spaced: a range, run up or down
-                step = draw(st.sampled_from([1, 2, 3, -1, -2, -3]))
+            if draw(st.booleans()):  # evenly spaced: a range
+                step = draw(st.sampled_from([1, 2, 3]))
                 first = draw(st.integers(1, n))
-                count = draw(st.integers(1, min(n - 1, len(range(first, 0 if step < 0 else n + 1, step)))))
+                count = draw(st.integers(1, min(n - 1, len(range(first, n + 1, step)))))
                 targets = list(range(first, first + step * count, step))
             else:
-                targets = draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True))
+                targets = sorted(draw(st.lists(st.integers(1, n), min_size=1, max_size=n - 1, unique=True)))
             control = draw(st.sampled_from([m for m in range(1, n + 1) if m not in targets]))
             gates += [(kind, (control, t), draw(param)) for t in targets]
         else:
@@ -130,7 +130,7 @@ def _kind_and_modes(record):
 
 @settings(max_examples=300, deadline=None)
 @given(circuits_with_target_runs())
-@example(circuit_of(7, [(QND_X, (4, t), 0.5 * t) for t in (7, 5, 3, 1)] + [(QND_P, (1, t), 0.3) for t in (2, 6, 3)] + [squeeze(2, -1.3)]))
+@example(circuit_of(7, [(QND_X, (4, t), 0.5 * t) for t in (1, 3, 5, 7)] + [(QND_P, (1, t), 0.3) for t in (2, 3, 6)] + [squeeze(2, -1.3)]))
 def test_invert_circuit_involution_and_action(c):
     back = invert_circuit(invert_circuit(c))
     # the same records; squeeze factors only up to double rounding of 1/(1/a)
@@ -608,7 +608,7 @@ def test_compiling_and_loading_build_no_gate_per_gate():
 
 @pytest.mark.parametrize(
     "record",
-    [qnd_x(1, 4, 0.5), (QND_X, (1, range(2, 5)), np.ones(3)), (QND_P, (2, np.array([1, 4, 3])), np.ones(3)), (QND_X, (4, range(3, 0, -1)), np.ones(3))],
+    [qnd_x(1, 4, 0.5), (QND_X, (1, range(2, 5)), np.ones(3)), (QND_P, (2, np.array([1, 4, 3])), np.ones(3)), (QND_X, (4, range(1, 4)), np.ones(3))],
     ids=["gate", "range-run", "array-run", "control"],
 )
 def test_a_hand_built_record_above_n_is_refused(record):
@@ -770,10 +770,7 @@ def test_a_compiled_circuit_file_loads_as_its_own_records(seed, log_scale):
     # one kind and control side by side, so the file `compile` writes loads
     # back as its records: kinds, modes with range versus array, and the
     # parameters' bits as the file rounds them.
-    try:
-        code = build_code(_scaled_code_rows(seed, log_scale))
-    except DecompositionError:
-        reject()  # c + l > n; see test_the_encoder_is_its_check_rounds
+    code = build_code(_scaled_code_rows(seed, log_scale))
     circuit, _ = decompose(encoder_quad_action(code))
     loaded = circuit_from_dicts(json.loads(_circuit_text(circuit)), code.n)
     assert [_record_bits(r) for r in loaded.records] == [_record_bits(_rounded(r)) for r in circuit.records]

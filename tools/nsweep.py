@@ -16,8 +16,10 @@ the compiled circuit's `gates` and its `records` (a QND run counts once).
 
 A point is repeated at least `MIN_REPEATS` times, and then until the
 spread of its `cli_chain_ref_s`, the distance between the repeats'
-quartiles over their median, is under `SPREAD`, or until the point has
-run for `TIME_CAP_S`. Each point gives its `repeats` and that `spread`.
+quartiles over their median, is under `SPREAD`, or until it has run
+`MAX_REPEATS` times. A cap on repeats, not on seconds, bounds the small
+points too, whose repeats take a fraction of a second each. Each point
+gives its `repeats` and that `spread`.
 
 Each layer is also given in reference seconds, under ``<layer>_ref_s``
 (and its ``_range``), with `chainbench/speed.py`'s `Calibrator`, which
@@ -72,7 +74,7 @@ from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
 
 MIN_REPEATS = 3  # timed repeats per point at least; the median and the range are reported
 SPREAD = 0.05  # then repeat until cli_chain_ref_s's quartiles lie closer than this share of its median,
-TIME_CAP_S = 120.0  # or until the point has run this long
+MAX_REPEATS = 30  # or until the point has run this many repeats
 TRIALS = 2000  # trials of the one run_ec_experiment
 
 
@@ -115,7 +117,6 @@ def sweep_point(n: int) -> dict:
         save_parity_check(work / "rows.json", rows)
         config = {"code_file": str(work / "code.json"), "error": {"mode": 1, "p": 2.0, "x": 2.0}, "squeezing_r": RANDOM_CODE_R, "trials": TRIALS, "seed": 1}
         (work / "config.json").write_text(json.dumps(config))
-        start = time.perf_counter()
         while True:
             code = timed("build_code", build_code, rows)
             circuit, report = timed("decompose", decompose, encoder_quad_action(code))
@@ -130,7 +131,7 @@ def sweep_point(n: int) -> dict:
                 times.setdefault("cli_chain" + unit, []).append(sum(times[f"cli_{step[0]}{unit}"][-1] for step in CLI_CHAIN))
             timed("load_circuit", load_circuit, work / "circuit.json", n)
             chain = times["cli_chain_ref_s"]
-            if len(chain) >= MIN_REPEATS and (spread(chain) < SPREAD or time.perf_counter() - start >= TIME_CAP_S):
+            if len(chain) >= MIN_REPEATS and (spread(chain) < SPREAD or len(chain) >= MAX_REPEATS):
                 break
     point = {"n": n, "l": l, "c": c, "repeats": len(chain), "spread": spread(chain)}
     for key, values in times.items():
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "min_repeats": MIN_REPEATS,
         "spread_target": SPREAD,
-        "time_cap_s": TIME_CAP_S,
+        "max_repeats": MAX_REPEATS,
         "reference_s": REFERENCE_S,
         "trials": TRIALS,
         "points": [sweep_point(n) for n in args.n],
