@@ -11,7 +11,7 @@ else is imported from its module (`cvqec.codes`, `cvqec.compiler`, ...).
 
 from .codes import build_code
 from .decoder import decode_single_mode, single_mode_error, syndrome
-from .compiler import decompose, encoder_quad_action
+from .compiler import decompose
 from .simulator import run_ec_experiment
 from . import errors, reference
 

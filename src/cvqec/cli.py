@@ -195,7 +195,7 @@ def cmd_decode(args) -> int:
 
 def cmd_compile(args) -> int:
     code = codes.load_code(args.code_file)
-    circuit, report = compiler.decompose(compiler.encoder_quad_action(code))
+    circuit, report = compiler.decompose(code)
     # the circuit file is a bare gate array; the report goes to stdout
     _write(_circuit_text(circuit), args.output)
     if args.output:
@@ -253,7 +253,7 @@ def cmd_selftest(args) -> int:
             worst = max(worst, float(np.max(np.abs(got - want))))
     record("syndrome-table", worst <= 1e-9, f"max deviation = {_floats_text((worst,))}")
 
-    circuit, _ = compiler.decompose(compiler.encoder_quad_action(code))
+    circuit, _ = compiler.decompose(code)
     try:
         dev = compiler.verify_circuit(circuit, code)
         record("compiler-round-trip", True, f"max deviation = {_floats_text((dev,))}")

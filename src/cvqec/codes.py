@@ -283,7 +283,8 @@ def save_parity_check(path, rows) -> None:
 
 
 # Version of the code-file layout that `code_to_dict` writes, the one `code_from_dict` reads.
-CODE_FORMAT = 3
+# Format 4 holds a basis whose data rows are its check rounds' product, which `decompose` needs.
+CODE_FORMAT = 4
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
@@ -343,10 +344,13 @@ def code_to_dict(code: CodeSpec) -> dict:
 def code_from_dict(payload: dict) -> CodeSpec:
     """Code from its file form, verified; ``pairs`` and ``isotropic`` must copy its check rows.
 
-    Only format 3 is read: ``basis`` and ``input_rows`` are `_column`
-    objects, and ``pairs`` and ``isotropic`` need only equal the check
-    rows as they read back from 12-digit text.  An older file is remade
-    by ``cvqec build`` on ``{"n": params.n, "rows": input_rows}``.
+    Only format 4 is read: ``basis`` and ``input_rows`` are `_column`
+    objects, ``pairs`` and ``isotropic`` need only equal the check rows
+    as they read back from 12-digit text, and the data rows are those of
+    the check rounds' product, as `complete_symplectic_basis` writes them,
+    so that `decompose` compiles the encoder from its check columns.  An
+    older file is remade by ``cvqec build`` on ``{"n": params.n, "rows":
+    input_rows}``.
 
     Raises:
         ValueError: for another format, or a key of the wrong JSON type.

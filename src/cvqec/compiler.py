@@ -4,18 +4,18 @@ Gates are bare (kind, modes, param) records; each kind has an exact
 quadrature action in (x | p) ordering, which `apply_gate` alone holds.
 A circuit holds such records, where one record may also be a run of
 commuting QND gates from one control (see `Circuit`).  Two functions
-make circuits: `decompose` reduces an arbitrary symplectic quadrature
-action to the identity by a pivoted elimination that clears one
-position column and one momentum column per round using only gates
-from the set, up to its first idle tail, and emits the inverse sequence
-in reverse order, so its composed action reproduces the input; `circuit_from_dicts`
-reads a circuit file's gate list, validating it and forming its runs once.
+make circuits: `decompose` compiles a code's encoder by a pivoted
+elimination (`eliminate`) that clears one position column and one
+momentum column per round using only gates from the set, on the columns
+of the code's c + l check modes, and emits the inverse sequence in
+reverse order, so its composed action reproduces the encoder;
+`circuit_from_dicts` reads a circuit file's gate list, validating it
+and forming its runs once.
 `circuit_report` counts a circuit's gates for `cvqec compile` to print.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CircuitVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, require_symplectic, scaled_defect
+from .symplectic import DEFAULT_TOL, scaled_defect, symplectic_inverse
 
 if TYPE_CHECKING:  # annotations only: codes imports decomposition, which imports this module
     from .codes import CodeSpec
@@ -59,9 +59,9 @@ class Circuit:
     ascending modes, a ``range`` where they are evenly spaced and an
     integer array otherwise, and ``params`` is a float array, both in the
     gates' order.  A run's gates commute, so it is applied as one step.  A
-    circuit checks nothing: `decompose` and `circuit_from_dicts`, which
-    make circuits, emit only valid records on modes 1..n.  ``len`` counts
-    gates.  Circuits compare by identity.
+    circuit checks nothing: `decompose`, from `eliminate`'s records, and
+    `circuit_from_dicts`, which make circuits, emit only valid records on
+    modes 1..n.  ``len`` counts gates.  Circuits compare by identity.
     """
 
     n: int
@@ -256,28 +256,10 @@ class _Eliminator:
         self.push(PHASE_P, (mode,), -w.item(r, p))
         self.sweep(QND_X, mode, -w[r + 1 : n, p], rotate=FOURIER_INV)  # clear position block of column n + r
 
-    def idle_from(self, r: int, half: int) -> bool:
-        """Whether rounds r.. of ``half`` all emit nothing on the work matrix as it stands.
 
-        Idle rounds leave it alone, so each such round reads it as it is
-        now, and is idle when `round` finds no Fourier fallback, a pivot
-        with |1/pivot - 1| <= GATE_EPS, hence no swap, and every other entry
-        it reads (`_read_mask`) within GATE_EPS of 0.  A NaN is not idle.
-        """
-        b = self.work[:, : 2 * half].reshape(2, self.n, 2, half)[:, r:, :, r:]  # (x | p row, mode, x | p column, round)
-        pivot = b[0, :, 0].diagonal()
-        fallback = DEFAULT_TOL * np.maximum(1.0, np.abs(self.work[:, r:half]).max(axis=0))
-        if not (np.abs(b[_read_mask(self.n - r, half - r)]).max(initial=0.0) <= GATE_EPS and (np.abs(pivot) > fallback).all()):
-            return False
-        return bool(np.abs(1.0 / pivot - 1.0).max(initial=0.0) <= GATE_EPS)  # a pivot over the fallback is nonzero
-
-
-@functools.lru_cache(maxsize=16)
-def _read_mask(modes: int, rounds: int) -> np.ndarray:
-    """In `idle_from`'s view, what each round reads but its pivot: x column below its x row and from its p row, p column from its x row and below its p row."""
-    mask = np.subtract.outer(np.arange(modes), np.arange(rounds))[None, :, None, :] + np.array([[0, 1], [1, 0]])[:, None, :, None] > 0
-    mask.flags.writeable = False
-    return mask
+def round_rows(n: int, rounds: int) -> np.ndarray:
+    """Basis rows 1..``rounds`` and n + 1..n + ``rounds``, whose `symplectic_inverse` is the encoder's columns that `eliminate`'s rounds 1..``rounds`` read."""
+    return np.r_[:rounds, n : n + rounds]
 
 
 def eliminate(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
@@ -286,28 +268,26 @@ def eliminate(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
     ``columns`` holds the action's position columns 1..rounds, then its
     momentum columns n + 1..n + rounds (the whole action when ``rounds`` is
     n), then any columns to carry along.  A round reads its own two columns
-    only.  After an idle round, the rounds stop if all later ones are idle
-    (`_Eliminator.idle_from`), which changes no bit of the result.  Returns
-    the worked columns and the records inverted one by one
+    only.  Returns the worked columns and the records inverted one by one
     (`_inverse_record`) in reverse order.
     """
     el = _Eliminator(columns)
     for r in range(rounds):
-        emitted = len(el.records)
         el.round(r, rounds)
-        if len(el.records) == emitted and el.idle_from(r + 1, rounds):
-            break
     return el.work, tuple(_inverse_record(*record) for record in reversed(el.records))
 
 
-def decompose(a) -> tuple[Circuit, dict]:
-    """Compile a symplectic quadrature action into a gate sequence.
+def decompose(code: CodeSpec) -> tuple[Circuit, dict]:
+    """Compile a code's encoder into a gate sequence, from the encoder's columns on its check modes.
 
     Round r clears position column r and momentum column n + r of the
-    working matrix (see `eliminate`).  After each round the cleared rows
+    working columns (see `eliminate`).  After each round the cleared rows
     and columns are unit vectors, and symplecticity confines all later
-    work to the trailing submatrix.  It stops at its first idle tail, after
-    round c + l + 1 on a built code's encoder and round n on an older file's.
+    work to the trailing modes.  Exactly c + l rounds run, on the 2(c + l)
+    columns they read, taken from the basis rows `round_rows` names by
+    `symplectic_inverse`: `complete_symplectic_basis` writes the data rows
+    so that the encoder is those rounds' inverse, and a code file of
+    format 4 stores such a basis.
 
     A sweep's gates share their control and commute, and its parameters
     come from a column the sweep leaves unchanged, so each sweep is read
@@ -319,30 +299,27 @@ def decompose(a) -> tuple[Circuit, dict]:
     The circuit is the elimination's records inverted in reverse order.
     Each run's targets ascend, and no two runs of one kind and control are
     adjacent, so its file form loads back as the same runs
-    (`circuit_from_dicts`), with the same action.
-
-    Args:
-        a: symplectic (x | p)-ordered quadrature action; `require_symplectic`
-            checks it within 1e-9, and pivots are tested against `DEFAULT_TOL`.
-            The columns of a code's ``upsilon^T`` are its basis rows up to
-            sign and order, so a code that loads passes.
+    (`circuit_from_dicts`), with the same action.  The code's basis was
+    checked symplectic when it was built or loaded (`verify_code`), so it
+    is not checked again, and `verify_circuit` judges the full action.
 
     Returns:
-        (circuit, report): the circuit's composed action reproduces ``a``.
-        Its records are on modes 1..n, a two-mode gate's modes differ,
-        and every parameter is finite and nonzero.  ``report`` is the
-        circuit's `circuit_report`.
+        (circuit, report): the circuit's composed action reproduces the
+        encoder, `encoder_quad_action`.  Its records are on modes 1..n, each
+        QND run's control on modes 1..c + l, a two-mode gate's modes
+        differ, and every parameter is finite and nonzero.  ``report`` is
+        the circuit's `circuit_report`.
 
     Raises:
-        NotSymplecticError: if ``a`` is not symplectic on that scale.
-        CircuitVerificationError: if the elimination does not reach the
-            identity.
+        CircuitVerificationError: if the elimination does not bring those
+            columns to unit vectors.
     """
-    a = require_symplectic(a, what="compiler input")
-    n = a.shape[0] // 2
-    w, records = eliminate(a, n)
-    residual = float(np.max(np.abs(w - np.eye(2 * n))))
-    if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(a)))):  # NaN fails too
+    n, rounds = code.n, code.params.c + code.params.l
+    checks = round_rows(n, rounds)
+    columns = symplectic_inverse(code.basis[checks])
+    w, records = eliminate(columns, rounds)
+    residual = float(np.max(np.abs(w - np.eye(2 * n)[:, checks]), initial=0.0))
+    if not residual <= 1e-6 * max(1.0, float(np.max(np.abs(columns), initial=0.0))):  # NaN fails too
         raise CircuitVerificationError(f"elimination failed to reach the identity (residual {residual:.3e})")
 
     # Every record has in-range modes, and its parameter is finite and

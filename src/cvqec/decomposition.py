@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import eliminate
+from .compiler import eliminate, round_rows
 from .errors import DecompositionError
 from .symplectic import DEFAULT_TOL, as_phase_vector, scaled_defect, symplectic_form, symplectic_inverse
 
@@ -161,12 +161,14 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
     least-norm dual solve, refined once by a least-squares correction of
     the same system where the rows placed so far miss `verify_code`'s
     1e-9 Gram bound.
-    Those rows fix the encoder's columns on modes 1..c + l, all that
-    `eliminate`'s rounds 1..c + l read.  The data rows are those of
-    the rounds' product, carried along on identity columns, so that the
-    encoder is the product's inverse and `decompose` has nothing to clear
-    in the later rounds.  Nothing here checks the result: `verify_code`,
-    which `build_code` runs on every basis it returns, is its one judge.
+    Those rows, the ones `round_rows` names, fix the encoder's columns on
+    modes 1..c + l, all that `eliminate`'s rounds 1..c + l read.  The data
+    rows are those of the rounds' product, carried along on identity
+    columns, so that the encoder is the product's inverse: `decompose`
+    runs the same c + l rounds on the same columns, without the identity
+    columns, and its circuit is that inverse.  Nothing here checks the
+    result: `verify_code`, which `build_code` runs on every basis it
+    returns, is its one judge.
 
     Raises:
         DecompositionError: if the decomposition does not fit inside n
@@ -178,7 +180,7 @@ def complete_symplectic_basis(dec: SymplecticDecomposition) -> np.ndarray:
     basis = np.empty((2 * n, 2 * n))
     basis[checks] = dec.rows
 
-    placed = np.r_[: c + l, n : n + c + l]  # the checks and, once made, the partners
+    placed = round_rows(n, c + l)  # the checks and, once made, the partners
 
     if l:
         # Partners z_i for the isotropic rows w_i: w_i (.) z_j = delta_ij with

@@ -90,7 +90,12 @@ def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def require_symplectic(m, what: str = "matrix") -> np.ndarray:
-    """Validate symplecticity as `is_symplectic` does at `DEFAULT_TOL`, returning the matrix as a float array."""
+    """Validate symplecticity as `is_symplectic` does at `DEFAULT_TOL`, returning the matrix as a float array.
+
+    No module of the package calls it: a code's basis is checked by
+    `codes.verify_code`, and `decompose` takes a code.  It stays because
+    the benchmark's tracer (``chainbench/tracer.py``) wraps it by name.
+    """
     m = np.asarray(m, dtype=float)
     defect = _defect(m)
     if not defect <= DEFAULT_TOL:  # a non-finite entry gives a NaN defect

@@ -13,9 +13,10 @@ Beside it: the symplectic product of two phase vectors, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
 test, single-mode decoding by one least-squares solve per row and mode,
 the inverse of a circuit, a circuit's gate list as one dict per gate,
-the elimination with every round run, which `cvqec.compiler.eliminate`
-stops at its first idle tail, and the error-correction experiment with
-its statistics taken over an array of per-trial data quadratures.
+the circuit of an arbitrary symplectic action, which the package's
+`decompose` no longer compiles since it takes a code, and the
+error-correction experiment with its statistics taken over an array of
+per-trial data quadratures.
 
 Hand-built circuits start here too.  `Gate` is one gate validated by
 its constructor, the per-gate reference that the column-wise circuit
@@ -45,10 +46,10 @@ from cvqec.compiler import (
     SQUEEZE,
     SWAP,
     Circuit,
-    _Eliminator,
     _inverse_record,
     apply_gate,
     circuit_from_dicts,
+    eliminate,
 )
 from cvqec.decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from cvqec.decomposition import check_rows
@@ -268,12 +269,10 @@ def invert_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n, tuple(_inverse_record(*record) for record in reversed(circuit.records)))
 
 
-def eliminate_every_round(columns: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple]:
-    """`cvqec.compiler.eliminate` with rounds 1..``rounds`` all run: it does not stop at an idle tail."""
-    el = _Eliminator(columns)
-    for r in range(rounds):
-        el.round(r, rounds)
-    return el.work, tuple(_inverse_record(*record) for record in reversed(el.records))
+def compile_action(a: np.ndarray) -> Circuit:
+    """The circuit of a symplectic (x | p) action: `cvqec.compiler.eliminate`'s records from all n rounds, whose composed action is ``a``."""
+    n = len(a) // 2
+    return Circuit(n, eliminate(a, n)[1])
 
 
 def circuit_to_dicts(circuit: Circuit) -> list[dict]:

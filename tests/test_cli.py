@@ -1,5 +1,6 @@
 import argparse
 import json
+import itertools
 import math
 import os
 import stat
@@ -75,7 +76,7 @@ def test_build_emits_verified_code(code_file):
     # The file holds the stored facts only; the encoding matrix they imply
     # carries the checks onto the canonical ones.
     payload = read(code_file)
-    assert payload["format"] == 3
+    assert payload["format"] == 4
     h = np.array([u for u, _ in payload["pairs"]] + payload["isotropic"] + [v for _, v in payload["pairs"]])
     f = canonical_parity_check(*(payload["params"][key] for key in "nklc"))
     y = np.linalg.inv(codes.json_column(payload["basis"]).T)
@@ -370,7 +371,7 @@ def test_chain_files_are_compact_and_rounded_to_12_digits(tmp_path, capsys, seed
     for name in ("basis", "input_rows"):
         assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
 
-    circuit, want_report = compiler.decompose(compiler.encoder_quad_action(codes.load_code(code_path)))
+    circuit, want_report = compiler.decompose(codes.load_code(code_path))
     gates = read(circuit_path)
     assert gates and all(set(g) in ({"gate", "modes"}, {"gate", "modes", "param"}) for g in gates)
     assert_rounded(gates, circuit_to_dicts(circuit))
@@ -435,7 +436,7 @@ def test_circuit_text_is_the_rounded_circuits_gate_list(rng):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
     from workloads import random_code_rows
 
-    compiled, _ = compiler.decompose(compiler.encoder_quad_action(codes.build_code(random_code_rows(16, 3, 3))))
+    compiled, _ = compiler.decompose(codes.build_code(random_code_rows(16, 3, 3)))
     circuits = [compiled]
 
     def params(size):
@@ -586,20 +587,42 @@ def test_a_zero_tolerance_is_allowed(tmp_path, reference_matrix, code_file):
     assert code.read_bytes() == (Path(SCALED_ROWS).parent / "scaled-rows-code.json").read_bytes()
 
 
-def test_an_old_basis_code_file_keeps_its_circuit(tmp_path):
-    # A code file keeps its stored basis, so the scaled-rows code built before
-    # the data rows came from the check rounds still compiles to its old
-    # circuit, byte for byte, and that circuit with each run's gates listed in
-    # descending target order still verifies against it.
+def test_a_format_3_code_file_exits_2(tmp_path, capsys):
+    # Format 3 did not promise that the data rows are the check rounds'
+    # product, and `compile` runs the check rounds alone, so a format-3 file
+    # would compile to a circuit that `verify` refuses: it exits 2 and names
+    # `cvqec build`, which remakes it from its input rows as the very file
+    # that build writes today.
     data = Path(SCALED_ROWS).parent
-    code, circuit = str(data / "scaled-rows-code-old-basis.json"), tmp_path / "circuit.json"
-    assert main(["compile", code, "--output", str(circuit)]) == 0
-    assert circuit.read_bytes() == (data / "scaled-rows-circuit-old-basis.json").read_bytes()
-    assert main(["verify", str(data / "scaled-rows-circuit-descending-old-basis.json"), code]) == 0
+    payload = json.loads((data / "scaled-rows-code.json").read_text())
+    old, rows, remade = (str(tmp_path / name) for name in ("old.json", "rows.json", "remade.json"))
+    with open(old, "w") as fh:
+        json.dump(dict(payload, format=3), fh)
+    capsys.readouterr()
+    assert main(["compile", old, "--output", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "found format 3;" in err and "`cvqec build`" in err
+    save_parity_check(rows, codes.json_column(payload["input_rows"]))
+    assert main(["build", rows, "--output", remade]) == 0
+    assert Path(remade).read_bytes() == (data / "scaled-rows-code.json").read_bytes()
+
+
+def test_a_circuit_with_each_run_in_descending_order_verifies(tmp_path):
+    # A run's gates commute, so the compiled scaled-rows circuit with each
+    # run's gates listed in descending target order loads as shorter runs
+    # and verifies against the current scaled-rows code.
+    data = Path(SCALED_ROWS).parent
+    gates = json.loads((data / "scaled-rows-circuit.json").read_text())
+    runs = itertools.groupby(gates, lambda g: (g["gate"], g["modes"][0]) if g["gate"] in ("QND_X", "QND_P") else id(g))
+    descending = [g for _, run in runs for g in reversed(list(run))]
+    assert descending != gates
+    circuit = tmp_path / "descending.json"
+    circuit.write_text(json.dumps(descending))
+    assert main(["verify", str(circuit), str(data / "scaled-rows-code.json")]) == 0
 
 
 def test_unknown_code_format_exit_code(tmp_path, code_file, capsys):
-    # Only format 3 is read. Format 2 (every float a JSON number, here
+    # Only format 4 is read. Format 2 (every float a JSON number, here
     # written exactly, as it wrote them), a file with no format key and any
     # other format exit 2 from every command that reads a code file, on one
     # error line that names the format and the command that remakes the
@@ -622,7 +645,7 @@ def test_unknown_code_format_exit_code(tmp_path, code_file, capsys):
         ["verify", circuit, path],
         ["simulate", config],
     )
-    for found, old in (("no format key", no_key), ("format 2", format_2), ("format 2", strings), ("format 1", dict(payload, format=1)), ("format 4", dict(payload, format=4))):
+    for found, old in (("no format key", no_key), ("format 2", format_2), ("format 2", strings), ("format 1", dict(payload, format=1)), ("format 3", dict(payload, format=3)), ("format 5", dict(payload, format=5))):
         with open(path, "w") as fh:
             json.dump(old, fh)
         for argv in commands:

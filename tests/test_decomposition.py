@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cvqec import reference
 from cvqec.codes import CodeParameters, CodeSpec, build_code, canonical_parity_check, verify_code
-from cvqec.compiler import Circuit, circuit_action, decompose, encoder_quad_action, verify_circuit
+from cvqec.compiler import decompose, verify_circuit
 from cvqec.decomposition import (
     SymplecticDecomposition,
     _pairing_loop,
@@ -190,7 +190,7 @@ def test_small_pair_product_builds_and_compiles():
     e = np.eye(12)
     code = build_code([e[0], e[1] + 1e-6 * e[6]])
     assert tuple(code.params) == (6, 5, 0, 1)
-    assert verify_circuit(decompose(encoder_quad_action(code))[0], code) <= 1e-8
+    assert verify_circuit(decompose(code)[0], code) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,24 +205,16 @@ def test_small_pair_product_builds_and_compiles():
 def test_the_encoder_is_its_check_rounds(n, seed, log_scale):
     # 1 to 2n independent rows scaled by 10^log_scale, so c + l >= 1.  The
     # completion keeps the check rows bit for bit and takes the data rows
-    # from the inverse of the elimination's rounds 1..c + l, so the rounds on
-    # the data modes have nothing left to clear.  In floating point
-    # `decompose`'s rounds need not undo the completion's to the last bit, and
-    # on a few draws in a thousand they emit gates there; those must compose
-    # to the identity within rounding.
+    # from the inverse of the elimination's rounds 1..c + l, so the circuit
+    # of those rounds alone, all that `decompose` runs, is the encoder.
     rng = np.random.default_rng(seed)
     rows = 10.0**log_scale * rng.normal(size=(int(rng.integers(1, 2 * n + 1)), 2 * n))
     dec = symplectic_gram_schmidt(rows)
     code = build_code(rows)
     _, _, l, c = code.params
     assert np.asarray(code.h).tobytes() == dec.rows.tobytes()
-    action = encoder_quad_action(code)
-    circuit, _ = decompose(action)
-    # The last rounds' inverses are the circuit's first records.
-    late = next((i for i, record in enumerate(circuit.records) if record[1][0] <= c + l), len(circuit.records))
-    assert all(record[1][0] <= c + l for record in circuit.records[late:])
-    undo = circuit_action(Circuit(n, circuit.records[:late]))
-    assert np.max(np.abs(undo - np.eye(2 * n))) <= 1e-9 * max(1.0, np.max(np.abs(action)))
+    circuit, _ = decompose(code)
+    assert all(record[1][0] <= c + l for record in circuit.records)
     verify_circuit(circuit, code)
 
 

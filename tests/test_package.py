@@ -36,3 +36,14 @@ def test_the_readme_library_example_runs_as_written():
     with contextlib.redirect_stdout(out):
         exec(compile(source, "README.md", "exec"), {"__name__": "readme_example"})
     assert out.getvalue().splitlines() == ["1", "1.0"]
+
+
+def test_the_tracer_counts_the_gates_of_what_decompose_returns():
+    # A traced benchmark run hands `decompose`'s result to this hook, which
+    # reads it as a (circuit, report) pair; the reference code's circuit
+    # has 27 gates.
+    from cvqec import codes, compiler, reference
+
+    tracer = _tracer_module().Tracer()
+    tracer._after_compiler_decompose(compiler.decompose(codes.build_code(reference.raw_parity_rows())), None)
+    assert tracer.counters["compiler.gates_emitted"] == 27

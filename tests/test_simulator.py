@@ -426,7 +426,7 @@ def test_channel_actions_match_compiled_circuits(rng):
         for j in range(c):
             want = circuit_action(balanced_beamsplitter(j + 1, n + j + 1, total)) @ want
         assert np.max(np.abs(_readout(np.eye(2 * total), n, c) - want)) <= 1e-12
-        circuit, _ = decompose(encoder_quad_action(code))
+        circuit, _ = decompose(code)
         inverse = invert_circuit(circuit)
         bound = 1e-12 * np.max(np.abs(circuit_action(circuit))) ** 2
         for mode in range(1, n + 1):
@@ -453,7 +453,7 @@ def _compiled_channel(code, r):
     """The compiled encoder circuit and its inverse circuit, with the resource carried through both and the readout."""
     n, _, _, c = code.params
     total = n + c
-    circuit, _ = decompose(encoder_quad_action(code))
+    circuit, _ = decompose(code)
     enc = _embed(circuit_action(circuit), n, total)
     dec = _embed(circuit_action(invert_circuit(circuit)), n, total)
     return enc, dec, _readout(dec @ (enc @ _resource_state(code, r).factor), n, c)

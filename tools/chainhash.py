@@ -61,7 +61,7 @@ import numpy as np
 
 from cvqec import cli, reference
 from cvqec.codes import load_code, save_parity_check
-from cvqec.compiler import circuit_action, decompose, encoder_quad_action
+from cvqec.compiler import circuit_action, decompose
 from cvqec.decoder import DEFAULT_DECODE_TOL, decode_batch, single_mode_error, syndrome
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -118,7 +118,7 @@ def _in_process(stage) -> str:
 
 
 def _action(code) -> bytes:
-    circuit, _ = decompose(encoder_quad_action(code))
+    circuit, _ = decompose(code)
     return np.ascontiguousarray(circuit_action(circuit), dtype="<f8").tobytes()
 
 

@@ -2,7 +2,7 @@
 
 For each mode count n, the check rows come from `random_code_rows(n, 1, n // 4)`
 in `chainbench/workloads.py` (l = 1, c = n/4), which this script imports and
-does not change. It times `build_code`, `decompose` of the encoder,
+does not change. It times `build_code`, `decompose` of the code,
 `circuit_action` and `verify_circuit` of the compiled circuit, one
 `run_ec_experiment`, and `decode_batch` on the syndromes that experiment
 decodes (`readout_syndromes` of its error, drawn once), and prints
@@ -63,7 +63,7 @@ import numpy as np
 
 from cvqec import __version__, cli
 from cvqec.codes import build_code, save_parity_check
-from cvqec.compiler import circuit_action, decompose, encoder_quad_action, load_circuit, verify_circuit
+from cvqec.compiler import circuit_action, decompose, load_circuit, verify_circuit
 from cvqec.decoder import decode_batch, single_mode_error, syndrome
 from cvqec.simulator import _DECODE_TOL, readout_syndromes, run_ec_experiment
 
@@ -119,7 +119,7 @@ def sweep_point(n: int) -> dict:
         (work / "config.json").write_text(json.dumps(config))
         while True:
             code = timed("build_code", build_code, rows)
-            circuit, report = timed("decompose", decompose, encoder_quad_action(code))
+            circuit, report = timed("decompose", decompose, code)
             timed("circuit_action", circuit_action, circuit)
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
