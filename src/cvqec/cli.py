@@ -18,7 +18,6 @@ import math
 import os
 import stat
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -54,9 +53,14 @@ def _floats_text(values) -> str:
     ``repr`` writes in fewer digits.
     """
     text = ("%.12g, " * len(values))[:-2] % tuple(values)
-    if text.count(".") == len(values) and "e+1" not in text and "e-3" not in text:
-        return text  # every field has a point, so none is integral, and no exponent needs a look
+    if _as_json_writes(text, len(values)):
+        return text
     return ", ".join([field if "." in field and "e" not in field else _fix_float(field) for field in text.split(", ")])
+
+
+def _as_json_writes(text: str, count: int) -> bool:
+    """Whether text holding ``count`` ``%.12g`` fields, and no other point or lower-case exponent, is as JSON writes them: every field has a point, so none is integral, and no exponent needs a look."""
+    return text.count(".") == count and "e+1" not in text and "e-3" not in text
 
 
 def _fix_float(text: str) -> str:
@@ -72,30 +76,54 @@ def _json_text(obj) -> str:
         return _floats_text((obj,))
     if isinstance(obj, dict):
         return "{" + ", ".join([encode_basestring_ascii(key) + ": " + _json_text(value) for key, value in obj.items()]) + "}"
-    if not isinstance(obj, (list, tuple)):  # an int, a string, a bool or null
+    if isinstance(obj, str):
+        return _string_text(obj)
+    if not isinstance(obj, (list, tuple)):  # an int, a bool or null
         return repr(obj) if type(obj) is int else {True: "true", False: "false", None: "null"}.get(obj) or encode_basestring_ascii(obj)
     if obj and set(map(type, obj)) == {float}:
         return "[" + _floats_text(obj) + "]"
     return "[" + ", ".join([_json_text(value) for value in obj]) + "]"
 
 
-def _circuit_text(circuit: compiler.Circuit) -> str:
-    """A circuit file's text, ``json.dumps`` of the rounded gate list (one dict per gate), written from the records.
+# The characters that JSON writes as they are: printable ASCII less the quote and the backslash.
+_UNESCAPED = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
 
-    A run is one template, its gate's text once per gate, filled in one
-    call from its targets and its formatted parameters.
+
+def _string_text(text: str) -> str:
+    """JSON text of a string, as ``json.dumps`` writes it: quoted as it is when no character needs an escape, which one C pass finds, as in a base64 column."""
+    if text.isascii() and not text.encode().translate(None, _UNESCAPED):
+        return '"' + text + '"'
+    return encode_basestring_ascii(text)
+
+
+def _circuit_text(circuit: compiler.Circuit) -> str:
+    """A circuit file's text, ``json.dumps`` of the rounded gate list (one dict per gate), written from the records in one formatting pass.
+
+    Each record adds its gates' text to one template, a run its gate's
+    text once per gate with its targets filled in, and every parameter of
+    the file as a ``%.12g`` field; one ``%`` over all the parameters then
+    formats the file.  Where that text is not as JSON writes the rounded
+    values (an integral value, NaN, an infinity, or an exponent that
+    `_floats_text` fixes), the parameters are written through
+    `_floats_text` instead, again in one call.
     """
-    parts = []
+    parts, params = [], []
     for kind, modes, param in circuit.records:
         if isinstance(param, np.ndarray):
             control, targets = modes
-            gate = '{"gate": "%s", "modes": [%d, %%d], "param": %%s}' % (kind, control)
-            values = zip(targets if isinstance(targets, range) else targets.tolist(), _floats_text(param.tolist()).split(", "))
-            parts.append(", ".join([gate] * len(param)) % tuple(chain.from_iterable(values)))
+            gate = '{"gate": "%s", "modes": [%d, %%d], "param": %%%%.12g}, ' % (kind, control)
+            parts.append(gate * len(param) % tuple(targets if isinstance(targets, range) else targets.tolist()))
+            params += param.tolist()
+        elif param is None:
+            parts.append('{"gate": "%s", "modes": [%s]}, ' % (kind, ", ".join(map(str, modes))))
         else:
-            tail = "" if param is None else ', "param": ' + _floats_text((param,))
-            parts.append('{"gate": "%s", "modes": [%s]%s}' % (kind, ", ".join(map(str, modes)), tail))
-    return "[" + ", ".join(parts) + "]"
+            parts.append('{"gate": "%s", "modes": [%s], "param": %%.12g}, ' % (kind, ", ".join(map(str, modes))))
+            params.append(param)
+    template = "[" + "".join(parts)[:-2] + "]"
+    text = template % tuple(params)
+    if _as_json_writes(text, len(params)):
+        return text
+    return template.replace("%.12g", "%s") % tuple(_floats_text(params).split(", "))
 
 
 def _write(text: str, output: str | None) -> None:
@@ -207,7 +235,9 @@ def cmd_verify(args) -> int:
     code = codes.load_code(args.code_file)
     circuit = compiler.load_circuit(args.circuit_file, n=code.n)
     deviation = compiler.verify_circuit(circuit, code)
-    _emit({"verified": True, "max_deviation": deviation}, args.output)
+    drawn = 2 * code.n > compiler.PROBES  # else the probes are the identity's 2n columns, and no seed is drawn
+    probes = {"probes": compiler.PROBES, "probe_seed": compiler.PROBE_SEED} if drawn else {"probes": 2 * code.n, "probe_seed": None}
+    _emit({"verified": True, "probe_deviation": deviation, **probes}, args.output)
     return EXIT_OK
 
 
@@ -256,7 +286,7 @@ def cmd_selftest(args) -> int:
     circuit, _ = compiler.decompose(code)
     try:
         dev = compiler.verify_circuit(circuit, code)
-        record("compiler-round-trip", True, f"max deviation = {_floats_text((dev,))}")
+        record("compiler-round-trip", True, f"probe deviation = {_floats_text((dev,))}")
     except CircuitVerificationError as exc:
         record("compiler-round-trip", False, str(exc))
 

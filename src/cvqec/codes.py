@@ -36,7 +36,7 @@ from .decomposition import (
     symplectic_gram_schmidt,
 )
 from .errors import BuildVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, is_symplectic, symplectic_form, symplectic_inverse
+from .symplectic import DEFAULT_TOL, is_symplectic, symplectic_inverse
 
 
 class CodeParameters(NamedTuple):
@@ -154,15 +154,17 @@ def verify_code(code: CodeSpec) -> None:
 
     The parameters must be non-negative with ``k + l + c = n``, the 2n x
     2n basis rows a symplectic basis (Gram matrix J within 1e-9 by
-    `symplectic.scaled_defect`), and the input rows the checks: each has
-    zero product with each isotropic check and data row, within 1e-8
-    times the other row's norm and ``max(1, |row|)``, the scale on which
-    the decomposition drops dependent rows.  Those rows span the
+    `symplectic.scaled_defect`), and the input rows finite and the
+    checks: each has zero product with each isotropic check and data
+    row, within 1e-8 times the other row's norm and ``max(1, |row|)``,
+    the scale on which the decomposition drops dependent rows.  Those rows span the
     symplectic complement of the check rows, so every input row lies in
     the span of the checks.  ``dropped_rows`` names distinct rows, and the
     ``m`` others, each scaled to unit norm, have rank ``m``: they span the
     checks, so the dropped rows are dependent and the parameters pinned.
     The derived matrices follow from these facts and are not checked.
+    A non-finite input row is refused before any product is formed, and
+    no dense J is built: each product with J is an exact block swap.
 
     Raises:
         BuildVerificationError: if any check fails.
@@ -178,9 +180,12 @@ def verify_code(code: CodeSpec) -> None:
     dropped_ok = len(set(dropped) & set(range(len(rows)))) == len(dropped)
     if rows.shape[1] != 2 * n or not dropped_ok or len(rows) - len(dropped) != code.m:
         raise BuildVerificationError(f"input rows {rows.shape} less dropped rows {list(dropped)} are not {code.m} checks on {n} modes")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise BuildVerificationError(f"input row {int(finite.argmin())} is not finite")
     checks, data = check_rows(n, l, c)
     others = basis[np.concatenate((checks[c : c + l], data))]  # the isotropic checks and the data rows
-    products = np.abs(rows @ symplectic_form(n) @ others.T)
+    products = np.abs(np.hstack((-rows[:, n:], rows[:, :n])) @ others.T)  # rows J, J's signed block swap, exact
     scale = np.outer(np.maximum(np.linalg.norm(rows, axis=1), 1.0), np.linalg.norm(others, axis=1))
     if not np.all(products <= 1e-8 * scale):
         raise BuildVerificationError("input rows leave the check rowspace")

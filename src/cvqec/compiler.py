@@ -11,7 +11,9 @@ of the code's c + l check modes, and emits the inverse sequence in
 reverse order, so its composed action reproduces the encoder;
 `circuit_from_dicts` reads a circuit file's gate list, validating it
 and forming its runs once.
-`circuit_report` counts a circuit's gates for `cvqec compile` to print.
+`circuit_report` counts a circuit's gates for `cvqec compile` to print,
+and `verify_circuit` checks a circuit against a code's encoder on a few
+probe columns.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CircuitVerificationError, DimensionMismatchError
-from .symplectic import DEFAULT_TOL, scaled_defect, symplectic_inverse
+from .symplectic import DEFAULT_TOL, symplectic_inverse
 
 if TYPE_CHECKING:  # annotations only: codes imports decomposition, which imports this module
     from .codes import CodeSpec
@@ -127,21 +129,23 @@ def apply_gate(rows: np.ndarray, gate: tuple) -> None:
             rows[[xi, xj, pi, pj]] = rows[[xj, xi, pj, pi]]
 
 
-def _run(kind: str, control: int, targets: list | range, params) -> tuple:
-    """The record of a run of QND gates from ``control`` onto strictly ascending ``targets``, a range or a list: the one run builder.
+def _run(kind: str, control: int, targets, params) -> tuple:
+    """The record of a run of QND gates from ``control`` onto strictly ascending ``targets``: the one run builder.
 
-    A run of one gate is that gate's scalar record.  Otherwise evenly
-    spaced targets become a ``range`` and any others an integer array,
-    and the parameters a new float array.  A composed action depends on
-    this form in its last bits, so building runs here alone keeps a
-    circuit's action the same however it was made.
+    ``targets`` is a range, a list or an integer array, and ``params`` a
+    sequence or an array of floats.  A run of one gate is that gate's
+    scalar record.  Otherwise evenly spaced targets become a ``range`` and
+    any others a new integer array, and the parameters a new float array.
+    A composed action depends on this form in its last bits, so building
+    runs here alone keeps a circuit's action the same however it was made.
     """
     if len(targets) == 1:
-        return kind, (control, targets[0]), float(params[0])
+        return kind, (control, int(targets[0])), float(params[0])
     if not isinstance(targets, range):
-        step = targets[1] - targets[0]
-        spaced = range(targets[0], targets[-1] + step, step)
-        targets = spaced if list(spaced) == targets else np.array(targets)
+        modes = targets.tolist() if isinstance(targets, np.ndarray) else targets
+        step = modes[1] - modes[0]
+        spaced = range(modes[0], modes[-1] + step, step)
+        targets = spaced if list(spaced) == modes else np.array(modes)
     return kind, (control, targets), np.array(params, dtype=float)
 
 
@@ -355,19 +359,56 @@ def encoder_quad_action(code: CodeSpec) -> np.ndarray:
     return code.upsilon.T
 
 
+# Probe columns of `verify_circuit`: PROBES standard normal columns drawn
+# from PROBE_SEED, or the identity's 2n columns where 2n <= PROBES.
+PROBES = 16
+PROBE_SEED = 1977  # the year of Freivalds' random-probe check
+
+
+def probe_columns(n: int) -> np.ndarray:
+    """The (2n, K) columns `verify_circuit` applies a circuit to: the identity when 2n <= `PROBES`, else `PROBES` normal columns from `PROBE_SEED`."""
+    if 2 * n <= PROBES:
+        return np.eye(2 * n)
+    return np.random.default_rng(PROBE_SEED).standard_normal((2 * n, PROBES))
+
+
 def verify_circuit(circuit: Circuit, code: CodeSpec) -> float:
-    """Largest entry-wise deviation of a circuit's action from the code's encoder.
+    """Largest entry-wise deviation of a circuit's action on the probe columns from the code's encoder on them.
+
+    Freivalds' check (R. Freivalds, *Probabilistic machines can use less
+    running time*, IFIP 1977): the circuit's records are applied by
+    `apply_gate` to the probe columns X (`probe_columns`), at O(K) per
+    gate rather than the O(2n) per gate of the full action, and compared
+    with ``T @ X``, T the encoder (`encoder_quad_action`).  Row i of the
+    deviation ``(A - T) X`` is held to ``1e-8 * (1 + max |t_i|)``, the
+    scale of row i of T, as the full action's row i would be.
+
+    Where 2n <= K the probes are the identity's columns, so the check is
+    the full one and the deviation that of the full action, bit for bit.
+    Otherwise they are K = 16 normal columns drawn from the fixed seed
+    1977.  A row d of ``A - T`` whose largest entry is within the bound
+    gives probe entries of at most that entry times the probes' largest
+    column 1-norm, so a circuit passes whenever every row of its full
+    action lies within the bound over that norm.  A row whose largest
+    entry is f times the bound gives probe entries d.x ~ N(0, |d|^2),
+    |d| >= f times the bound, so all K fall within the bound with
+    probability at most ``(sqrt(2/pi) / f)^K``: 4e-7 at f = 2, 3e-18 at
+    f = 10, for a circuit made without regard to the probes.
 
     Raises:
-        CircuitVerificationError: if a row of the deviation is not finite
-            or exceeds ``1e-8 * (1 + max |target row|)`` (`scaled_defect`).
+        CircuitVerificationError: if a row of the probe deviation is not
+            finite or exceeds its bound.
     """
     target = encoder_quad_action(code)
-    action = circuit_action(circuit)
-    scaled = scaled_defect(action, target, gram=False)
-    if not scaled <= 1e-8:
-        raise CircuitVerificationError(f"circuit action deviates by {scaled:.3e} of its rows' scale (bound 1e-8)")
-    return float(np.max(np.abs(action - target)))
+    probes = probe_columns(code.n)
+    want = target @ probes
+    for record in circuit.records:
+        apply_gate(probes, record)
+    deviation = np.abs(probes - want)
+    scaled = float((deviation.max(axis=1) / (1.0 + np.abs(target).max(axis=1))).max())
+    if not scaled <= 1e-8:  # NaN fails too
+        raise CircuitVerificationError(f"circuit action on {probes.shape[1]} probe columns deviates by {scaled:.3e} of its rows' scale (bound 1e-8)")
+    return float(deviation.max())
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +421,11 @@ _ARITY = np.array([2 if kind in _TWO_MODE else 1 for kind in GATE_KINDS])
 _HAS_PARAM = np.array([kind not in _PARAMLESS for kind in GATE_KINDS])
 
 
-def _typed(values: list, types: frozenset) -> np.ndarray:
-    """Mask of the values whose exact type is in ``types``, so a bool is not an int."""
-    return np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))
-
-
 def _keep(values: list, types: frozenset, fill) -> tuple[list, np.ndarray]:
     """``values`` with each entry of another type replaced by ``fill``, and the mask of the entries kept."""
     if set(map(type, values)) <= types:
         return values, np.ones(len(values), bool)
-    kept = _typed(values, types)
+    kept = np.fromiter(map(types.__contains__, map(type, values)), bool, len(values))  # by exact type, so a bool is not an int
     return [v if ok else fill for v, ok in zip(values, kept.tolist())], kept
 
 
@@ -417,12 +453,18 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     number (an int or a float, not a bool or a string), nonzero for
     SQUEEZE.  Every mode is at most n; no other code checks a circuit's
     modes.  The checks are made on whole columns, and no object is built
-    per gate.  An error names the first offending record.
+    per gate: each key is read in one pass over the records, the modes'
+    and parameters' JSON types are checked in one pass each (a second
+    builds a mask only where some type is wrong), the kinds are coded by
+    one dictionary pass with no type pass, and only where a kind takes no
+    parameter is a NaN told from null, record by record.  An error names
+    the first offending record.
 
     Consecutive QND gates of one kind and control whose targets strictly
     ascend then become one run record (see `Circuit`), in the form `_run`
-    gives every run: a run closes where the kind or the control changes
-    or a target does not exceed the one before.  A circuit that
+    gives every run, from that run's slices of the target and parameter
+    columns: a run closes where the kind or the control changes or a
+    target does not exceed the one before.  A circuit that
     `decompose` made therefore loads back as its own records and composes
     to the same action, bit for bit; a file that lists a run's gates in
     another order loads as shorter runs, with the same action within
@@ -445,7 +487,10 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
         index = next(i for i, entry in enumerate(payload) if type(entry) is not dict)
         raise ValueError(f"gate record {index} {payload[index]!r} is not an object") from None
 
-    kind = np.fromiter(map(_KIND_CODE.get, _keep(kinds, _STR, "")[0], repeat(-1)), np.intp, count)
+    try:
+        kind = np.fromiter(map(_KIND_CODE.get, kinds, repeat(-1)), np.intp, count)
+    except TypeError:  # an array or an object as a kind, which no dict key can equal
+        kind = np.fromiter(map(_KIND_CODE.get, _keep(kinds, _STR, "")[0], repeat(-1)), np.intp, count)
     known = kind >= 0
     arity, has_param = _ARITY[kind], _HAS_PARAM[kind]  # an unknown kind (-1) reads the last kind's
 
@@ -463,10 +508,12 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
     bad_mode[owner[~((values >= 1) & (values == np.trunc(values)) & (values < np.inf))]] = True
 
     params, is_number = _keep(params, _PARAM, None)
-    values_p = _floats(params, math.inf)  # a huge integer parameter is not finite
-    is_none = np.isnan(values_p)  # None reads as NaN; a JSON NaN must not pass for it
-    if np.count_nonzero(is_none) != params.count(None):
-        is_none = _typed(params, _NONE)
+    values_p = _floats(params, math.inf)  # None reads as NaN; a huge integer parameter is not finite
+    # Read only where the kind takes no parameter, so only there must a
+    # NaN be told from None: a JSON NaN must not pass for it.
+    paramless = np.flatnonzero(~has_param).tolist()
+    is_none = np.zeros(count, bool)
+    is_none[paramless] = [params[index] is None for index in paramless]
     problems = (
         (~known, "unknown gate kind"),
         (~is_list, "modes must be an array"),
@@ -489,22 +536,21 @@ def circuit_from_dicts(payload, n: int) -> Circuit:
         raise DimensionMismatchError(f"gate record {index} {payload[index]!r} exceeds mode count {n}")
 
     # Consecutive QND gates of one kind and control with ascending targets
-    # make one run record; any other gate is a record of its own.
+    # make one run record, from slices of the target and parameter
+    # columns; any other gate is a record of its own.
     control, target = first.astype(np.intp), second.astype(np.intp)
     qnd = (kind == _KIND_CODE[QND_X]) | (kind == _KIND_CODE[QND_P])
     starts = np.ones(count, bool)
     starts[1:] = ~(qnd[1:] & (kind[1:] == kind[:-1]) & (control[1:] == control[:-1]) & (target[1:] > target[:-1]))
     bounds = np.flatnonzero(starts).tolist() + [count]
-    kind_l, control_l, target_l, param_l = kind.tolist(), control.tolist(), target.tolist(), values_p.tolist()
-    two_mode, has_param_l = (lengths == 2).tolist(), has_param.tolist()
     records = []
     for s, e in zip(bounds, bounds[1:]):
-        name = GATE_KINDS[kind_l[s]]
+        name, head = GATE_KINDS[kind.item(s)], control.item(s)
         if e - s > 1:
-            records.append(_run(name, control_l[s], target_l[s:e], param_l[s:e]))
+            records.append(_run(name, head, target[s:e], values_p[s:e]))
         else:
-            gate_modes = (control_l[s], target_l[s]) if two_mode[s] else (control_l[s],)
-            records.append((name, gate_modes, param_l[s] if has_param_l[s] else None))
+            gate_modes = (head, target.item(s)) if lengths.item(s) == 2 else (head,)
+            records.append((name, gate_modes, values_p.item(s) if has_param.item(s) else None))
     return Circuit(n, tuple(records))
 
 

@@ -55,33 +55,32 @@ def as_phase_vector(v, n: int | None = None) -> np.ndarray:
     return u
 
 
-def scaled_defect(rows: np.ndarray, target: np.ndarray, gram: bool = True) -> float:
-    """Largest entry of a defect, each entry measured against its own rows; NaN if ``rows`` is not finite.
+def scaled_defect(rows: np.ndarray) -> float:
+    """Largest entry of the Gram defect ``rows J rows^T - J``, each entry against its own two rows; NaN if ``rows`` is not finite.
 
-    With ``gram``, entry (i, j) of ``rows J rows^T - target`` is divided by
-    ``max(1, |r_i| |r_j|)``, the largest entries of the two rows it pairs;
-    otherwise row i of ``rows - target`` is divided by ``1 + |t_i|``, the
-    largest entry of the target's row.  One large row sets only its own bound.
+    ``rows`` is (2p, 2n), and the J it is held to is that of p modes.
+    Entry (i, j) is divided by ``max(1, |r_i| |r_j|)``, the largest
+    entries of the two rows it pairs, so one large row sets only its own
+    bound.  No J is built: the form's +-1 entries are subtracted in place,
+    which gives the same bits as subtracting a dense J.
     """
     if not np.isfinite(rows).all():
         return float("nan")
-    if gram:
-        n = rows.shape[1] // 2
-        products = rows[:, :n] @ rows[:, n:].T  # rows J rows^T = P X^T - X P^T
-        size = np.abs(rows).max(axis=1)
-        defect = products - products.T - target
-        scale = np.maximum(np.outer(size, size), 1.0)
-    else:
-        defect = rows - target
-        scale = 1.0 + np.abs(target).max(axis=1, keepdims=True)
-    return float((np.abs(defect) / scale).max())
+    n, p = rows.shape[1] // 2, rows.shape[0] // 2
+    products = rows[:, :n] @ rows[:, n:].T  # rows J rows^T = P X^T - X P^T
+    defect = products - products.T
+    diagonal = np.arange(p)
+    defect[diagonal, p + diagonal] -= 1.0
+    defect[p + diagonal, diagonal] += 1.0
+    size = np.abs(rows).max(axis=1)
+    return float((np.abs(defect) / np.maximum(np.outer(size, size), 1.0)).max())
 
 
 def _defect(m: np.ndarray) -> float:
     """`scaled_defect` of ``M^T J M - J``: entry (i, j) against columns i and j of ``m``."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise DimensionMismatchError(f"expected a square matrix of even dimension, got shape {m.shape}")
-    return scaled_defect(m.T, symplectic_form(m.shape[0] // 2))
+    return scaled_defect(m.T)
 
 
 def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:

@@ -12,7 +12,9 @@ through these states as well.
 Beside it: the symplectic product of two phase vectors, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
 test, single-mode decoding by one least-squares solve per row and mode,
-the inverse of a circuit, a circuit's gate list as one dict per gate,
+the inverse of a circuit, the full-action check of a circuit against
+its code's encoder that `verify_circuit`'s probes stand in for, a
+circuit's gate list as one dict per gate,
 the circuit of an arbitrary symplectic action, which the package's
 `decompose` no longer compiles since it takes a code, and the
 error-correction experiment with its statistics taken over an array of
@@ -48,8 +50,10 @@ from cvqec.compiler import (
     Circuit,
     _inverse_record,
     apply_gate,
+    circuit_action,
     circuit_from_dicts,
     eliminate,
+    encoder_quad_action,
 )
 from cvqec.decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from cvqec.decomposition import check_rows
@@ -273,6 +277,22 @@ def compile_action(a: np.ndarray) -> Circuit:
     """The circuit of a symplectic (x | p) action: `cvqec.compiler.eliminate`'s records from all n rounds, whose composed action is ``a``."""
     n = len(a) // 2
     return Circuit(n, eliminate(a, n)[1])
+
+
+def full_action_check(circuit: Circuit, code: CodeSpec) -> tuple[float, float]:
+    """The full-action check that `cvqec.compiler.verify_circuit`'s probes stand in for: the circuit's whole action against the encoder.
+
+    Returns ``(scaled, deviation)``: the largest row-wise deviation of
+    `circuit_action` from `encoder_quad_action`, row i over ``1 + max
+    |t_i|`` of the target's row (NaN if the action is not finite), and the
+    largest entry-wise deviation.  The circuit passes iff ``scaled <= 1e-8``.
+    """
+    target = encoder_quad_action(code)
+    action = circuit_action(circuit)
+    if not np.isfinite(action).all():
+        return math.nan, math.nan
+    deviation = np.abs(action - target)
+    return float((deviation.max(axis=1) / (1.0 + np.abs(target).max(axis=1))).max()), float(deviation.max())
 
 
 def circuit_to_dicts(circuit: Circuit) -> list[dict]:

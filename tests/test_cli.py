@@ -407,6 +407,15 @@ def test_floats_are_written_as_rounding_then_encoding_wrote_them(values):
     assert cli._json_text(payload) == json.dumps(json.loads(json.dumps(payload), parse_float=lambda text: float("%.12g" % float(text))))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(st.characters(max_codepoint=0x7F)), st.sampled_from(['"', "\\", "\x7f", "\x1f", " ~", "AZaz09+/="])))
+def test_strings_are_written_as_json_writes_them(text):
+    # A string with no character to escape is written as it is, found by one
+    # C pass; any other goes through json's encoder.
+    assert cli._string_text(text) == json.dumps(text)
+    assert cli._json_text({"data": text}) == json.dumps({"data": text})
+
+
 COLUMN_FLOATS = st.one_of(
     st.floats(),  # arbitrary doubles, NaN and the infinities among them
     st.sampled_from([0.0, -0.0, sys.float_info.max, -sys.float_info.max, sys.float_info.min, 5e-324, -5e-324]),
@@ -702,9 +711,31 @@ def _independent_row_dropped(payload):
     payload["dropped_rows"] = [1]
 
 
+def _non_finite_input_row(value, dropped):
+    # The value written into input row 0, a kept row, or into a copy of it
+    # appended as a dropped row: refused before any product is formed, with
+    # no numpy warning on the way.
+    def tamper(payload):
+        rows = codes.json_column(payload["input_rows"]).copy()
+        if dropped:
+            payload["dropped_rows"] = [len(rows)]
+            rows = np.vstack([rows, rows[:1]])
+        rows[-1 if dropped else 0, 0] = value
+        payload["input_rows"] = codes._column(rows)
+
+    return tamper
+
+
+NON_FINITE_ROWS = [
+    pytest.param(None, _non_finite_input_row(value, dropped), marks=pytest.mark.filterwarnings("error"), id=f"input-row-{value}-{'dropped' if dropped else 'kept'}")
+    for value in (math.nan, math.inf)
+    for dropped in (False, True)
+]
+
+
 @pytest.mark.parametrize(
     "matrix, tamper",
-    [
+    NON_FINITE_ROWS + [
         (None, lambda payload: payload.update(params={"n": 4, "k": 1, "l": 1, "c": 2})),
         (None, lambda payload: payload.update(params={"n": 4, "k": 3, "l": 0, "c": 1})),
         (None, _params_same_m),
@@ -719,7 +750,7 @@ def _independent_row_dropped(payload):
         (ILL_CONDITIONED_ROWS, _shift_basis_entry(2, 3, 1e-3)),
         (None, _independent_row_dropped),
     ],
-    ids=[
+    ids=[param.id for param in NON_FINITE_ROWS] + [
         "params-sum-off",
         "params-one-pair",
         "params-same-m",
@@ -733,7 +764,7 @@ def _independent_row_dropped(payload):
         "dropped-row-independent",
     ],
 )
-def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, matrix, tamper):
+def test_tampered_code_file_is_rejected_at_load(tmp_path, capsys, code_file, matrix, tamper):
     if matrix is not None:
         code_file = str(tmp_path / "scaled-code.json")
         assert main(["build", matrix, "--output", code_file]) == 0
@@ -746,10 +777,11 @@ def test_tampered_code_file_is_rejected_at_load(tmp_path, code_file, matrix, tam
         json.dump(payload, fh)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"code_file": bad, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 8.0, "trials": 10, "seed": 1}))
-    assert main(["compile", bad, "--output", str(tmp_path / "out.json")]) == 4
-    assert main(["verify", circuit, bad]) == 4
-    assert main(["simulate", str(cfg)]) == 4
-    assert main(["syndrome", bad, "--mode", "1", "--p", "1"]) == 4
+    capsys.readouterr()
+    for argv in (["compile", bad, "--output", str(tmp_path / "out.json")], ["verify", circuit, bad], ["simulate", str(cfg)], ["syndrome", bad, "--mode", "1", "--p", "1"]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: build verification failed: ") and err.count("\n") == 1
 
 
 def _within_scaled_gram_bound(basis, tol):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
@@ -17,6 +18,7 @@ from cvqec.compiler import (
     GATE_KINDS,
     PHASE_P,
     PHASE_X,
+    PROBES,
     QND_P,
     QND_X,
     SQUEEZE,
@@ -31,10 +33,11 @@ from cvqec.compiler import (
     eliminate,
     encoder_quad_action,
     gate_action,
+    probe_columns,
     round_rows,
     verify_circuit,
 )
-from cvqec.errors import CircuitVerificationError, DimensionMismatchError
+from cvqec.errors import BuildVerificationError, CircuitVerificationError, DimensionMismatchError
 from cvqec.symplectic import is_symplectic, symplectic_inverse
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
@@ -45,6 +48,7 @@ from oracle import (
     compile_action,
     fourier,
     fourier_inv,
+    full_action_check,
     invert_circuit,
     phase_p,
     phase_x,
@@ -316,6 +320,100 @@ def test_verify_circuit_returns_deviation_and_raises():
     broken = circuit_of(code.n, circuit.records[:-1])
     with pytest.raises(CircuitVerificationError):
         verify_circuit(broken, code)
+
+
+# ---------------------------------------------------------------------------
+# verify_circuit's probes stand in for the full action
+# ---------------------------------------------------------------------------
+
+# Above this many times the 1e-8 bound, a circuit passes the K = 16 probes
+# with probability at most (sqrt(2/pi) / 10)^16 = 2.7e-18; below the bound
+# over the probes' largest column 1-norm it passes them for certain.  The
+# two verdicts are compared outside that band.
+PROBE_BAND_ABOVE = 10.0
+
+
+def assert_probes_give_the_full_verdict(circuit, code):
+    """`verify_circuit`'s verdict is the full-action check's outside the band, and its deviation is within the probes' bound."""
+    scaled, deviation = full_action_check(circuit, code)
+    try:
+        probe_deviation = verify_circuit(circuit, code)
+    except CircuitVerificationError:
+        probe_deviation = None
+    if 2 * code.n <= PROBES:  # the identity's columns: the full check itself
+        assert (probe_deviation is not None) == (scaled <= 1e-8)
+        assert probe_deviation in (None, deviation)
+        return
+    norm = float(np.abs(probe_columns(code.n)).sum(axis=0).max())
+    if scaled <= 1e-8 / norm:
+        assert probe_deviation is not None
+    elif not scaled < 1e-8 * PROBE_BAND_ABOVE:  # NaN too
+        assert probe_deviation is None
+    if probe_deviation is not None:
+        assert probe_deviation <= deviation * norm * (1 + 1e-12)
+
+
+@functools.cache
+def _benchmark_code(index):
+    """The code and circuit of the index-th of the benchmark's nine check matrices."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
+    from workloads import COMPILE_LARGE_CODES, MC_MIDSIZE_CODES, REFERENCE_ROWS, random_code_rows
+
+    rows = [np.array(REFERENCE_ROWS, dtype=float)] + [random_code_rows(*shape) for shape in COMPILE_LARGE_CODES + MC_MIDSIZE_CODES]
+    code = build_code(rows[index])
+    return code, decompose(code)[0]
+
+
+def _spoiled(circuit, spoil, pick):
+    """The circuit with one gate spoiled, through its file form: a QND parameter times 1 + 1e-7, a QND gate's kind swapped, or a gate dropped."""
+    gates = circuit_to_dicts(circuit)
+    qnd = [i for i, gate in enumerate(gates) if gate["gate"] in (QND_X, QND_P)]
+    if spoil == "dropped":
+        del gates[pick % len(gates)]
+    else:
+        assume(qnd)
+        gate = gates[qnd[pick % len(qnd)]]
+        if spoil == "scaled":
+            gate["param"] *= 1 + 1e-7
+        else:
+            gate["gate"] = QND_P if gate["gate"] == QND_X else QND_X
+    return circuit_from_dicts(gates, circuit.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.tuples(st.just("built"), st.integers(1, 24), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0)), st.tuples(st.just("bench"), st.integers(0, 8))),
+    st.sampled_from([None, "scaled", "swapped", "dropped"]),
+    st.integers(0, 2**16),
+)
+def test_the_probes_give_the_full_actions_verdict(source, spoil, pick):
+    # Built codes of 1 to 24 modes (identity columns up to 8) and the
+    # benchmark's nine matrices, compiled, then as compiled or spoiled.
+    if source[0] == "bench":
+        code, circuit = _benchmark_code(source[1])
+    else:
+        _, n, seed, log_scale = source
+        rng = np.random.default_rng(seed)
+        rows = 10.0**log_scale * rng.normal(size=(int(rng.integers(1, 2 * n + 1)), 2 * n))
+        try:
+            code = build_code(rows)
+        except BuildVerificationError:
+            assume(False)
+        circuit = decompose(code)[0]
+    if spoil is not None:
+        assume(len(circuit))
+        circuit = _spoiled(circuit, spoil, pick)
+    assert_probes_give_the_full_verdict(circuit, code)
+
+
+def test_the_probes_are_the_identity_up_to_eight_modes_and_seeded_beyond():
+    assert PROBES == 16
+    for n in (1, 8):
+        assert np.array_equal(probe_columns(n), np.eye(2 * n))
+    probes = probe_columns(9)
+    assert probes.shape == (18, 16)
+    assert np.array_equal(probes, np.random.default_rng(1977).standard_normal((18, 16)))
+    assert np.array_equal(probe_columns(9), probes)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,16 +10,19 @@ one JSON object with the median of the repeats per layer, in wall
 seconds, and beside it, under the layer's key with ``_range`` appended,
 the fastest and slowest repeat. A difference between two sweeps that
 lies inside those ranges is within the run-to-run spread. The same figures go to stderr as a table, one row per
-n and layer. `verify_circuit` raises if the circuit is wrong, so a sweep
-that prints has checked every circuit it timed. Each point also gives
+n and layer. `verify_circuit` raises if the circuit fails its probes, so
+a sweep that prints has checked every circuit it timed; `deviation` is
+its probe deviation. Each point also gives
 the compiled circuit's `gates` and its `records` (a QND run counts once).
 
-A point is repeated at least `MIN_REPEATS` times, and then until the
-spread of its `cli_chain_ref_s`, the distance between the repeats'
+A point is repeated at least `MIN_REPEATS` = 5 times, and then until
+the spread of its `cli_chain_ref_s`, the distance between the repeats'
 quartiles over their median, is under `SPREAD`, or until it has run
-`MAX_REPEATS` times. A cap on repeats, not on seconds, bounds the small
-points too, whose repeats take a fraction of a second each. Each point
-gives its `repeats` and that `spread`.
+`MAX_REPEATS` times. The quartiles of three repeats did not bound the
+run-to-run difference: two sweeps of one tree gave n = 128 points 7.9%
+apart with stated spreads of 2.4% and 2.6%. A cap on repeats, not on
+seconds, bounds the small points too, whose repeats take a fraction of a
+second each. Each point gives its `repeats` and that `spread`.
 
 Each layer is also given in reference seconds, under ``<layer>_ref_s``
 (and its ``_range``), with `chainbench/speed.py`'s `Calibrator`, which
@@ -72,7 +75,7 @@ from speed import REFERENCE_S, Calibrator  # noqa: E402
 from workloads import RANDOM_CODE_R, random_code_rows  # noqa: E402
 
 
-MIN_REPEATS = 3  # timed repeats per point at least; the median and the range are reported
+MIN_REPEATS = 5  # timed repeats per point at least; the median and the range are reported
 SPREAD = 0.05  # then repeat until cli_chain_ref_s's quartiles lie closer than this share of its median,
 MAX_REPEATS = 30  # or until the point has run this many repeats
 TRIALS = 2000  # trials of the one run_ec_experiment
