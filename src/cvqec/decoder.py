@@ -160,6 +160,9 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     a tie, are the best mode and the runner-up.  The cost is O(rows n m)
     for the product, O(rows n) for the selection and O(rows m) for the
     rest, in the product's memory, plus O(m) per mode re-ranked.
+    `cvqec.simulator.run_ec_experiment` decodes its trials in blocks of
+    `cvqec.simulator.block_rows` rows, so there the product's size is set
+    by the block, not by the trial count.
 
     Args:
         code: a built code with at least two check rows.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,6 +156,19 @@ class ExperimentStats:
 _DECODE_TOL = 0.1
 
 
+def block_rows(n: int) -> int:
+    """Trials per block of `run_ec_experiment` on an n-mode code.
+
+    A block's largest array is the decoder's (2n, rows) product of fitted
+    norms, which this sizes to 256 KiB down to 1000 rows.  With fewer rows
+    the fixed cost of a block's numpy calls outweighs its smaller working
+    set.  The floor is not 1024: at n = 512 a power-of-two row count makes
+    the product's rows 16 KiB apart, and the decoder's argmax down its
+    columns then ran 2.3 times slower per row.
+    """
+    return max(1000, (256 * 1024) // (16 * n))
+
+
 def run_ec_experiment(
     code: CodeSpec,
     error,
@@ -190,7 +204,7 @@ def run_ec_experiment(
 
     Decode failures are counted, never raised; a failed trial applies no
     correction.  Randomness comes from ``np.random.default_rng(seed)``,
-    which draws one (trials, m) array z of standard normals and nothing
+    which draws the standard normals of one (trials, m) array z and nothing
     else.  Column i of z drives the i-th readout, and the readouts run in
     this order: receiver momenta of the entangled pairs from the last pair
     to the first, ancilla positions from the last to the first, then
@@ -199,12 +213,23 @@ def run_ec_experiment(
     value plus that row's standard deviation times ``z[t, i]``
     (`readout_syndromes`).  A fixed seed gives bit-identical results.
 
+    The trials run in blocks of `block_rows` rows, each drawn in turn from
+    the one generator, so the blocks' rows are the rows of z in order, and
+    each block is decoded by one `decode_batch` call.  Memory is set by the
+    block, not by ``trials``.  Each block leaves its sums, and the blocks'
+    sums are pooled by the formula of Chan, Golub and LeVeque (The American
+    Statistician 37, 242 (1983)): counts add, means are count-weighted, and
+    centred sums of products add with the products of the means' difference
+    weighted by n_a n_b / (n_a + n_b).  A run of one block takes its sums as
+    they are.
+
     No per-trial data quadratures are formed.  A trial's correction is one
     of n + 1 affine maps of its decoded (p, x) fit, one per corrected mode
-    and one for none, so `_residual_moments` forms ``mean_residual`` and
-    ``residual_variance`` from each group's count, fit sums and centred
-    2 x 2 scatter: the count-weighted mean and the pooled within-plus-
-    between variance, in O(trials) for the sums and O(n k) after them.
+    and one for none, so `_group_sums` keeps each group's count, mean fit
+    and centred 2 x 2 scatter, and `_residual_moments` forms
+    ``mean_residual`` and ``residual_variance`` from them: the count-
+    weighted mean and the pooled within-plus-between variance, in
+    O(trials) for the sums and O(n k) after them.
     ``syndrome_noise_variance`` is the variance of the measured syndromes
     themselves, as the ideal syndrome is the same in every trial; they are
     shifted by the first trial's, so a readout without noise reads 0.
@@ -241,42 +266,144 @@ def run_ec_experiment(
         shift = code.basis @ swap_halves(error)
     if not np.isfinite(shift).all():
         raise DimensionMismatchError("the error's canonical image must be finite: the error overflows a double")
-    s_meas = readout_syndromes(code, shift[checks], r, trials, seed)
-    decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
-    mean_residual, residual_variance = _residual_moments(code, data, shift[data], decoded)
-    matched = ((decoded.status == NO_ERROR) | (decoded.status == DECODED)) & (decoded.mode_hypothesis == error_mode)
+    # Column j holds mode j's principal (p, x) axes, the rows of its V^T in `CodeSpec.mode_planes`,
+    # flattened; the no-correction group's column n holds zeros, so that its trials' fits read 0.
+    axes = np.zeros((4, n + 1))
+    axes[:, :n] = code.mode_planes[2].reshape(n, 4).T
+    rng = np.random.default_rng(seed)
+    values, rows = shift[checks], block_rows(n)
+    total = None
+    for start in range(0, trials, rows):
+        s_meas = readout_syndromes(code, values, r, rng, min(rows, trials - start))
+        decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
+        if total is None:
+            first = s_meas[0].copy()
+        s_meas -= first
+        sums = _group_sums(decoded, axes, s_meas, error_mode)
+        total = sums if total is None else _pool(total, sums)
+    mean_residual, residual_variance = _residual_moments(code, data, shift[data], total)
+    matched, ambiguous, uncorrectable = total.outcomes.tolist()
     return ExperimentStats(
         trials=trials,
         mean_residual=mean_residual,
         residual_variance=residual_variance,
         excess_variance=residual_variance,
-        syndrome_noise_variance=(s_meas - s_meas[0]).var(axis=0),
-        mode_match_rate=int(np.count_nonzero(matched)) / trials,
-        ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,
-        uncorrectable_rate=int(np.count_nonzero(decoded.status == UNCORRECTABLE)) / trials,
+        syndrome_noise_variance=total.noise_scatter / trials,
+        mode_match_rate=matched / trials,
+        ambiguity_rate=ambiguous / trials,
+        uncorrectable_rate=uncorrectable / trials,
     )
 
 
-def readout_syndromes(code: CodeSpec, values: np.ndarray, r: float, trials: int, seed: int) -> np.ndarray:
-    """The (trials, m) syndromes `run_ec_experiment` reads at squeezing r when the check values are ``values``.
+def readout_syndromes(code: CodeSpec, values: np.ndarray, r: float, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """The next ``rows`` trials' (rows, m) syndromes `run_ec_experiment` reads at squeezing r from ``rng``.
 
     ``values`` are the check values in syndrome order (sender positions
     of the pairs, ancilla positions, pair momenta): the error's ideal
     syndrome.  Each row's noise is one standard deviation ``sd``: e^{-r}
     on pair rows and e^{-r}/sqrt(2) on ancilla rows.  Entry m - 1 - i of
-    trial t is ``values[m - 1 - i] + z[t, i] sd[m - 1 - i]``, for the one
-    draw ``z = default_rng(seed).standard_normal((trials, m))``, so at
-    r = infinity every trial reads ``values`` exactly.  The result is a
-    new C-contiguous array; ``values`` is not changed.
+    trial t is ``values[m - 1 - i] + z[t, i] sd[m - 1 - i]``, for the
+    draw ``z = rng.standard_normal((rows, m))``, so at r = infinity every
+    trial reads ``values`` exactly.  The generator's draws follow one
+    another, so calls on one ``default_rng(seed)`` for rows that sum to
+    ``trials`` give, stacked, the rows that one call for ``trials`` gives,
+    bit for bit.  The result is a new C-contiguous array; ``values`` is not
+    changed.
     """
     _, _, l, c = code.params
     sd = np.full(code.m, math.exp(-r))
     sd[c : c + l] /= math.sqrt(2.0)
-    z = np.random.default_rng(seed).standard_normal((trials, code.m))
-    return values + z[:, ::-1] * sd  # readout i -> entry m - 1 - i
+    s = rng.standard_normal((rows, code.m))[:, ::-1] * sd  # readout i -> entry m - 1 - i
+    s += values
+    return s
 
-def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: BatchDecode) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance over the trials of the corrected data quadratures, from per-mode sums.
+
+class _Sums(NamedTuple):
+    """The sums `run_ec_experiment` keeps of a block of trials, or pooled over blocks.
+
+    Groups are indexed by the 0-based mode they correct, n for none.  A
+    group's fits are taken on its mode's principal (p, x) axes, and a group
+    without trials holds zeros (`_group_sums`).
+    """
+
+    counts: np.ndarray  # (n + 1,) trials per group
+    centre: np.ndarray  # (2, n + 1) the mean fit (u, v) per group, rounded to a double
+    rounding: np.ndarray  # (2, n + 1) the mean fit less ``centre``
+    scatter: np.ndarray  # (3, n + 1) centred sums of u u, u v and v v per group
+    noise_mean: np.ndarray  # (m,) mean syndrome, less the first trial's
+    noise_scatter: np.ndarray  # (m,) centred sums of squares of the syndromes
+    outcomes: np.ndarray  # (3,) matched, ambiguous and uncorrectable trials
+
+
+def _group_sums(decoded: BatchDecode, axes: np.ndarray, shifted: np.ndarray, error_mode: int) -> _Sums:
+    """One block's `_Sums`, from its decodes and its syndromes less the first trial's, ``shifted``, which is overwritten.
+
+    Column j of ``axes``, (4, n + 1), holds the group's principal axes
+    flattened, zeros for the no-correction group.  Each centred sum is a
+    sum of products of deviations from the block's own means, never
+    E[y^2] - E[y]^2.
+    """
+    groups = axes.shape[1]
+    status = decoded.status
+    corrected = status == DECODED
+    group = np.where(corrected, decoded.mode_hypothesis - 1, groups - 1)
+    counts = np.bincount(group, minlength=groups)
+    a = axes.take(group, axis=1)
+    p, x = decoded.shift.T
+    u = p * a[0] + x * a[1]
+    v = p * a[2] + x * a[3]
+    centre = np.array([np.bincount(group, u, groups), np.bincount(group, v, groups)]) / np.maximum(counts, 1)
+    du = u - centre[0].take(group)
+    dv = v - centre[1].take(group)
+    rounding = np.array([np.bincount(group, du, groups), np.bincount(group, dv, groups)]) / np.maximum(counts, 1)
+    scatter = np.array([np.bincount(group, du * du, groups), np.bincount(group, du * dv, groups), np.bincount(group, dv * dv, groups)])
+
+    # As numpy's var forms it, so that a run of one block gives its figures bit for bit.  einsum adds
+    # the rows in turn, as sum(axis=0) does, in a third of its time on 1024 rows of 13 columns.
+    noise_mean = np.einsum("ij->j", shifted) / len(shifted)
+    shifted -= noise_mean
+    shifted *= shifted
+    matched = np.count_nonzero(((status == NO_ERROR) | corrected) & (decoded.mode_hypothesis == error_mode))
+    outcomes = np.array([matched, np.count_nonzero(status == AMBIGUOUS), np.count_nonzero(status == UNCORRECTABLE)])
+    return _Sums(counts, centre, rounding, scatter, noise_mean, np.einsum("ij->j", shifted), outcomes)
+
+
+def _pool(a: _Sums, b: _Sums) -> _Sums:
+    """The sums of two runs of trials together (Chan, Golub and LeVeque 1983).
+
+    With n = n_a + n_b and d the difference of the means, the mean is
+    ``mean_a + d n_b / n`` and the centred sums are ``a + b + d d' n_a n_b / n``.
+    A group without trials on one side takes the other side's sums as they are.
+
+    A mean fit is large against the fits' spread, so a rounded mean is off
+    by far more of the spread than d is, and the d d' term would carry that
+    to first order.  Each mean fit is therefore kept as ``centre +
+    rounding``, and d is the difference of the centres, exact for centres
+    within a factor of two, plus that of the roundings.
+    """
+    counts = a.counts + b.counts
+    weight = b.counts / np.maximum(counts, 1)
+    gap, rounding_gap = b.centre - a.centre, b.rounding - a.rounding
+    step = gap * weight
+    centre = a.centre + step
+    du, dv = delta = gap + rounding_gap
+    between = delta * (a.counts * weight)
+    trials_a, trials_b = int(a.counts.sum()), int(b.counts.sum())
+    noise_weight = trials_b / (trials_a + trials_b)
+    noise_delta = b.noise_mean - a.noise_mean
+    return _Sums(
+        counts,
+        centre,
+        a.rounding + rounding_gap * weight + ((a.centre - centre) + step),
+        a.scatter + b.scatter + np.array([du * between[0], du * between[1], dv * between[1]]),
+        a.noise_mean + noise_delta * noise_weight,
+        a.noise_scatter + b.noise_scatter + np.square(noise_delta) * (trials_a * noise_weight),
+        a.outcomes + b.outcomes,
+    )
+
+
+def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, sums: _Sums) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance over the trials of the corrected data quadratures, from the groups' sums.
 
     Trial t leaves the data quadratures at ``d - a_t (p_t b_{n+j} + x_t b_j)``:
     ``b_j`` is column j of the basis's ``data`` rows, (p_t, x_t) the fit of
@@ -294,28 +421,15 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: 
     has rank 1 fits along the first axis only, so a data quadrature that a
     correction along it cannot move, and that no noise reaches, reads 0 to
     rounding of its own size, not of the fits'.
-    The cost is O(trials) for the sums and O(g k) after them, for the g
-    groups that hold trials.
+    The cost is O(g k) for the g groups that hold trials.
     """
     n = code.n
-    group = np.where(decoded.status == DECODED, decoded.mode_hypothesis - 1, n)
-    modes = np.flatnonzero(np.bincount(group, minlength=n + 1))  # the groups that hold trials; n comes last
-    label = np.zeros(n + 1, dtype=np.intp)
-    label[modes] = np.arange(len(modes))
-    group = label[group]
-    counts = np.bincount(group)
+    modes = np.flatnonzero(sums.counts)  # the groups that hold trials; n comes last
+    counts, centre = sums.counts[modes], sums.centre[:, modes]
+    s_uu, s_uv, s_vv = sums.scatter[:, modes]
     # The no-correction group's fits are zeroed, so any mode's axes and columns serve it.
     modes = np.minimum(modes, n - 1)
-
-    # Each trial's fit on its mode's principal axes, the rows of V^T, largest singular value first.
     axes = code.mode_planes[2][modes]
-    p, x = (decoded.shift * (decoded.status == DECODED)[:, None]).T
-    trial_axes = axes[group]
-    u = p * trial_axes[:, 0, 0] + x * trial_axes[:, 0, 1]
-    v = p * trial_axes[:, 1, 0] + x * trial_axes[:, 1, 1]
-    centre = np.stack([np.bincount(group, u), np.bincount(group, v)]) / counts
-    du, dv = np.stack([u, v]) - centre[:, group]
-    s_uu, s_uv, s_vv = (np.bincount(group, weights) for weights in (du * du, du * dv, dv * dv))
 
     # A fit (p, x) on mode j moves the data quadratures by p * b_{n+j} + x * b_j, and (u, v) = axes[j] @ (p, x).
     basis = code.basis[data]
@@ -323,7 +437,7 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, decoded: 
     b_u = b_p * axes[:, 0, 0] + b_x * axes[:, 0, 1]
     b_v = b_p * axes[:, 1, 0] + b_x * axes[:, 1, 1]
     group_mean = d[:, None] - b_u * centre[0] - b_v * centre[1]
-    trials = len(group)
+    trials = counts.sum()
     mean = group_mean @ counts / trials
     # b S b^T for each group's scatter S, in its LDL^T form: s_uu (b_u + ratio b_v)^2 + schur b_v^2.
     # A rank-1 plane's spread axis comes first, so its pivot s_uu is the larger one and ratio, which

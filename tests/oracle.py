@@ -483,8 +483,9 @@ def balanced_beamsplitter(m1: int, m2: int, n: int) -> Circuit:
 def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int) -> ExperimentStats:
     """`cvqec.simulator.run_ec_experiment` with its statistics taken over per-trial data quadratures.
 
-    The package's own readout (`readout_syndromes`) and `decode_batch`
-    call, so the rates and the syndromes are the package's own; then each
+    The package's own readout (`readout_syndromes`), drawn as one
+    (trials, m) array, and one `decode_batch` call over every trial, so the
+    rates and the syndromes are the package's own; then each
     trial's corrected data quadratures are formed as one row of a
     (trials, 2k) array, and the mean and variance are numpy's over its
     rows.  Inputs are not checked.
@@ -495,7 +496,7 @@ def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int
     error_mode = (support.pop() + 1) if support else 0
     checks, data = check_rows(n, l, c)
     shift = code.basis @ swap_halves(error)
-    s_meas = readout_syndromes(code, shift[checks], r, trials, seed)
+    s_meas = readout_syndromes(code, shift[checks], r, np.random.default_rng(seed), trials)
 
     # A decoded shift (p, x) on mode j displaces the canonical frame by
     # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.

@@ -5,14 +5,18 @@ in `chainbench/workloads.py` (l = 1, c = n/4), which this script imports and
 does not change. It times `build_code`, `decompose` of the code,
 `circuit_action` and `verify_circuit` of the compiled circuit, one
 `run_ec_experiment`, and `decode_batch` on the syndromes that experiment
-decodes (`readout_syndromes` of its error, drawn once), and prints
+decodes (`readout_syndromes` of its error, drawn as one array, where the
+experiment draws and decodes them in blocks), and prints
 one JSON object with the median of the repeats per layer, in wall
 seconds, and beside it, under the layer's key with ``_range`` appended,
 the fastest and slowest repeat. A difference between two sweeps that
-lies inside those ranges is within the run-to-run spread. The same figures go to stderr as a table, one row per
-n and layer. `verify_circuit` raises if the circuit fails its probes, so
-a sweep that prints has checked every circuit it timed; `deviation` is
-its probe deviation. Each point also gives
+lies inside those ranges is within the run-to-run spread. Each layer's
+minor page faults per call, the change in `getrusage`'s ``ru_minflt``
+over the call, are given the same way under ``<layer>_minflt``. The same
+figures go to stderr as a table, one row per n and layer.
+`verify_circuit` raises if the circuit fails its probes, so a sweep that
+prints has checked every circuit it timed; `deviation` is its probe
+deviation. Each point also gives
 the compiled circuit's `gates` and its `records` (a QND run counts once).
 
 A point is repeated at least `MIN_REPEATS` = 5 times, and then until
@@ -22,7 +26,9 @@ quartiles over their median, is under `SPREAD`, or until it has run
 run-to-run difference: two sweeps of one tree gave n = 128 points 7.9%
 apart with stated spreads of 2.4% and 2.6%. A cap on repeats, not on
 seconds, bounds the small points too, whose repeats take a fraction of a
-second each. Each point gives its `repeats` and that `spread`.
+second each. Each point gives its `repeats`, that `spread`, and
+`spread_met`, whether the spread came under `SPREAD`; each point that
+stopped at `MAX_REPEATS` short of it is named on stderr after the table.
 
 Each layer is also given in reference seconds, under ``<layer>_ref_s``
 (and its ``_range``), with `chainbench/speed.py`'s `Calibrator`, which
@@ -56,6 +62,7 @@ import contextlib
 import io
 import json
 import platform
+import resource
 import statistics
 import sys
 import tempfile
@@ -108,10 +115,13 @@ def sweep_point(n: int) -> dict:
     def timed(name, fn, *args):
         before = calibrator.probe()
         with calibrator.sampling():
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             out = fn(*args)
             wall = time.perf_counter() - t0 - calibrator.sampled_s
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         times.setdefault(name + "_s", []).append(wall)
+        times.setdefault(name + "_minflt", []).append(faults)
         times.setdefault(name + "_ref_s", []).append(wall * Calibrator.scale([before, calibrator.probe()] + calibrator.samples))
         return out
 
@@ -126,7 +136,7 @@ def sweep_point(n: int) -> dict:
             timed("circuit_action", circuit_action, circuit)
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
-            s_meas = readout_syndromes(code, syndrome(code, error), RANDOM_CODE_R, TRIALS, 1)
+            s_meas = readout_syndromes(code, syndrome(code, error), RANDOM_CODE_R, np.random.default_rng(1), TRIALS)
             timed("decode_batch", decode_batch, code, s_meas, _DECODE_TOL)
             for step in CLI_CHAIN:
                 timed(f"cli_{step[0]}", cli_step, work, step)
@@ -136,7 +146,7 @@ def sweep_point(n: int) -> dict:
             chain = times["cli_chain_ref_s"]
             if len(chain) >= MIN_REPEATS and (spread(chain) < SPREAD or len(chain) >= MAX_REPEATS):
                 break
-    point = {"n": n, "l": l, "c": c, "repeats": len(chain), "spread": spread(chain)}
+    point = {"n": n, "l": l, "c": c, "repeats": len(chain), "spread": spread(chain), "spread_met": spread(chain) < SPREAD}
     for key, values in times.items():
         point[key] = statistics.median(values)
         point[key + "_range"] = [min(values), max(values)]
@@ -151,15 +161,17 @@ def spread(values: list[float]) -> float:
 
 
 def table(points: list[dict]) -> str:
-    """The points' layer times as text: median wall and reference seconds, fastest and slowest wall repeat, and (slowest - fastest) / median."""
-    lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'ref_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7}"]
+    """The points' layer times as text: median wall and reference seconds, fastest and slowest wall repeat, (slowest - fastest) / median, and median minor faults."""
+    lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'ref_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7} {'faults':>7}"]
     for point in points:
         lines.append(f"{point['n']:>5}  {point['repeats']} repeats, cli_chain_ref_s spread {point['spread']:.1%}")
         for key, value in point.items():
             if key.endswith("_s_range") and not key.endswith("_ref_s_range"):
                 layer, (low, high) = key[: -len("_s_range")], value
                 median = point[layer + "_s"]
-                lines.append(f"{point['n']:>5}  {layer:<20} {median:>10.4g} {point[layer + '_ref_s']:>10.4g} {low:>10.4g} {high:>10.4g} {(high - low) / median:>7.1%}")
+                faults = point.get(layer + "_minflt")
+                faults = "" if faults is None else f"{faults:g}"
+                lines.append(f"{point['n']:>5}  {layer:<20} {median:>10.4g} {point[layer + '_ref_s']:>10.4g} {low:>10.4g} {high:>10.4g} {(high - low) / median:>7.1%} {faults:>7}")
     return "\n".join(lines)
 
 
@@ -183,6 +195,9 @@ def main(argv=None) -> int:
     }
     print(json.dumps(result, indent=1))
     print(table(result["points"]), file=sys.stderr)
+    for point in result["points"]:
+        if not point["spread_met"]:
+            print(f"nsweep: n = {point['n']} stopped at {point['repeats']} repeats with a spread of {point['spread']:.1%}, above the {SPREAD:.0%} target", file=sys.stderr)
     return 0
 
 
