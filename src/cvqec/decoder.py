@@ -93,6 +93,9 @@ class BatchDecode(NamedTuple):
             code.
         runner_up_residual: its residual, within the bound `decode_batch`
             states; infinite for a one-mode code.
+        principal: (rows, 2) the same fit on the best mode's principal
+            axes, ``(s Q_j) * inverse[j]`` (`CodeSpec.mode_planes`), so
+            that ``shift`` is ``principal @ vt[j]`` row by row.
     """
 
     status: np.ndarray
@@ -101,21 +104,23 @@ class BatchDecode(NamedTuple):
     residual: np.ndarray
     runner_up: np.ndarray
     runner_up_residual: np.ndarray
+    principal: np.ndarray
 
 
-def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual ``|s - (s Q_j) Q_j^T|`` and (p, x) fit of each syndrome row on the 0-based mode j that ``modes`` names.
+def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual ``|s - (s Q_j) Q_j^T|``, principal fit and (p, x) fit of each syndrome row on the 0-based mode j that ``modes`` names.
 
     The rows are sorted by mode, and each run of one mode is projected
     once: its coordinates ``s Q_j``, one (rows, m) x (m, 2) product, give
-    the residual through one (rows, 2) x (2, m) product and the fit
-    ``((s Q_j) * inverse[j]) @ vt[j]`` through a (rows, 2) x (2, 2) one
-    (`CodeSpec.mode_planes`).
+    the residual through one (rows, 2) x (2, m) product, the principal
+    fit ``(s Q_j) * inverse[j]`` and the (p, x) fit, that principal fit
+    ``@ vt[j]``, through a (rows, 2) x (2, 2) one (`CodeSpec.mode_planes`).
     """
     planes, inverse, vt = code.mode_planes
     order = modes.argsort(kind="stable")
     ranked = modes[order]
     part = s.take(order, axis=0)
+    principal = np.empty((len(s), 2))
     fit = np.empty((len(s), 2))
     first = np.empty(len(s), dtype=bool)  # where a run of one mode starts
     first[:1] = True
@@ -124,10 +129,11 @@ def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray,
     for a, b in zip(starts, starts[1:] + [len(s)]):
         block, j = part[a:b], ranked[a]
         coords = block @ planes[j].T
-        fit[a:b] = (coords * inverse[j]) @ vt[j]
+        np.multiply(coords, inverse[j], out=principal[a:b])
+        fit[a:b] = principal[a:b] @ vt[j]
         block -= coords @ planes[j]
     back = order.argsort(kind="stable")  # the inverse permutation: gathers cost less than a scatter of pairs
-    return np.sqrt(np.einsum("ij,ij->i", part, part)).take(back), fit.take(back, axis=0)
+    return np.sqrt(np.einsum("ij,ij->i", part, part)).take(back), principal.take(back, axis=0), fit.take(back, axis=0)
 
 
 def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDecode:
@@ -144,9 +150,10 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     of the best is AMBIGUOUS.
 
     One (rows, m) x (m, 2n) product gives every hypothesis's fitted
-    squared norm ``|s Q_j|^2``, summed in place, and the largest two name
-    the best mode and the runner-up.  The best mode's residual and shift
-    are then computed over the rows grouped by that mode, the residual in
+    squared norm ``|s Q_j|^2``, summed pairwise into a contiguous
+    (rows, n) array, and the largest two along each row name the best
+    mode and the runner-up.  The best mode's residual, principal fit and
+    shift are then computed over the rows grouped by that mode, the residual in
     rank-2 form: never as ``|s|^2 - |s Q_j|^2``, which loses digits to
     cancellation.  Each of those differences is off by at most about
     ``m eps |s|^2``.  Where the runner-up's leaves at least
@@ -184,38 +191,39 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     if not np.isfinite(squared).all():
         raise DimensionMismatchError("syndrome norms must be finite: |s|^2 overflows a double above |s| ~ 1.3e154")
     snorm = np.sqrt(squared)
-    # (2n, rows): rows 2j and 2j + 1 hold the fit on mode j, summed in place into the even ones.
-    fitted = np.dot(code.mode_planes[0].reshape(2 * n, m), s.T)
+    # (rows, 2n): columns 2j and 2j + 1 hold the fit on mode j, summed into a contiguous (rows, n) array.
+    fitted = np.dot(s, code.mode_planes[0].reshape(2 * n, m).T)
     np.square(fitted, out=fitted)
-    fitted = np.add(fitted[0::2], fitted[1::2], out=fitted[0::2])
-    columns = np.arange(len(s))
-    best = fitted.argmax(axis=0)
-    fitted[best, columns] = -np.inf
-    second = fitted.argmax(axis=0)
-    second_sq = squared - fitted[second, columns]  # infinite for a one-mode code
+    fitted = np.add(fitted[:, 0::2], fitted[:, 1::2])
+    rows = np.arange(len(s))
+    best = fitted.argmax(axis=1)
+    fitted[rows, best] = -np.inf
+    second = fitted.argmax(axis=1)
+    second_sq = squared - fitted[rows, second]  # infinite for a one-mode code
     redo = (second_sq < _EXACT_BELOW * squared).nonzero()[0]
     if len(redo):
-        # (mode, row) pairs to re-rank besides the best: every mode that leaves less than delta |s|^2
+        # (row, mode) pairs to re-rank besides the best: every mode that leaves less than delta |s|^2
         # (the runner-up always does; the best's fit now reads -inf).
-        cols = np.arange(len(redo))
-        near = squared[redo] - fitted[:, redo] < _EXACT_BELOW * squared[redo]
-        near_mode, near_row = near.nonzero()
+        redo_rows = np.arange(len(redo))
+        near = squared[redo, None] - fitted[redo] < _EXACT_BELOW * squared[redo, None]
+        near_row, near_mode = near.nonzero()
     second_res = np.sqrt(np.maximum(second_sq, 0.0))
     del fitted  # the largest array here: free it before the grouped fits allocate theirs
 
-    best_res, shift = _fits(code, s, best)
+    best_res, principal, shift = _fits(code, s, best)
     if len(redo):
-        near_res, near_shift = _fits(code, s.take(redo[near_row], axis=0), near_mode)
-        ranked = np.full(near.shape, np.inf)  # (n, redo rows)
-        ranked[near_mode, near_row] = near_res
-        ranked[best[redo], cols] = best_res[redo]
-        top = ranked.argmin(axis=0)  # the first mode on a tie
+        near_res, near_principal, near_shift = _fits(code, s.take(redo[near_row], axis=0), near_mode)
+        ranked = np.full(near.shape, np.inf)  # (redo rows, n)
+        ranked[near_row, near_mode] = near_res
+        ranked[redo_rows, best[redo]] = best_res[redo]
+        top = ranked.argmin(axis=1)  # the first mode on a tie
         hit = near_mode == top[near_row]  # rows whose best mode changed
-        shift[redo[near_row[hit]]] = near_shift[hit]
-        best_res[redo] = ranked[top, cols]
-        ranked[top, cols] = np.inf
-        runner = ranked.argmin(axis=0)  # finite: each row holds the best and the runner-up
-        second_res[redo] = ranked[runner, cols]
+        changed = redo[near_row[hit]]
+        principal[changed], shift[changed] = near_principal[hit], near_shift[hit]
+        best_res[redo] = ranked[redo_rows, top]
+        ranked[redo_rows, top] = np.inf
+        runner = ranked.argmin(axis=1)  # finite: each row holds the best and the runner-up
+        second_res[redo] = ranked[redo_rows, runner]
         best[redo], second[redo] = top, runner
 
     # Later assignments take precedence: no error, then uncorrectable, then ambiguous.
@@ -226,7 +234,8 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     mode = best + 1
     mode[none] = 0
     np.copyto(best_res, snorm, where=none)
-    return BatchDecode(status, mode, shift, best_res, second + 1 if n > 1 else np.zeros_like(second), second_res)
+    runner_up = second + 1 if n > 1 else np.zeros_like(second)
+    return BatchDecode(status, mode, shift, best_res, runner_up, second_res, principal)
 
 
 def decode_single_mode(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> Correction:

@@ -159,12 +159,12 @@ _DECODE_TOL = 0.1
 def block_rows(n: int) -> int:
     """Trials per block of `run_ec_experiment` on an n-mode code.
 
-    A block's largest array is the decoder's (2n, rows) product of fitted
+    A block's largest array is the decoder's (rows, 2n) product of fitted
     norms, which this sizes to 256 KiB down to 1000 rows.  With fewer rows
     the fixed cost of a block's numpy calls outweighs its smaller working
-    set.  The floor is not 1024: at n = 512 a power-of-two row count makes
-    the product's rows 16 KiB apart, and the decoder's argmax down its
-    columns then ran 2.3 times slower per row.
+    set.  The floor is not 1024 because it was set when the decoder ranked
+    down the columns of a (2n, rows) product, whose rows a power-of-two
+    count put 16 KiB apart at n = 512.
     """
     return max(1000, (256 * 1024) // (16 * n))
 
@@ -216,23 +216,24 @@ def run_ec_experiment(
     The trials run in blocks of `block_rows` rows, each drawn in turn from
     the one generator, so the blocks' rows are the rows of z in order, and
     each block is decoded by one `decode_batch` call.  Memory is set by the
-    block, not by ``trials``.  Each block leaves its sums, and the blocks'
-    sums are pooled by the formula of Chan, Golub and LeVeque (The American
-    Statistician 37, 242 (1983)): counts add, means are count-weighted, and
-    centred sums of products add with the products of the means' difference
-    weighted by n_a n_b / (n_a + n_b).  A run of one block takes its sums as
-    they are.
+    block, not by ``trials``.  Each block leaves plain sums (`_Sums`), and
+    the blocks' sums are added elementwise.
 
     No per-trial data quadratures are formed.  A trial's correction is one
-    of n + 1 affine maps of its decoded (p, x) fit, one per corrected mode
-    and one for none, so `_group_sums` keeps each group's count, mean fit
-    and centred 2 x 2 scatter, and `_residual_moments` forms
-    ``mean_residual`` and ``residual_variance`` from them: the count-
-    weighted mean and the pooled within-plus-between variance, in
-    O(trials) for the sums and O(n k) after them.
-    ``syndrome_noise_variance`` is the variance of the measured syndromes
-    themselves, as the ideal syndrome is the same in every trial; they are
-    shifted by the first trial's, so a readout without noise reads 0.
+    of n + 1 affine maps of its decoded fit, one per corrected mode and one
+    for none, so `_group_sums` keeps each group's count and the sums of its
+    principal fits' deviations (``BatchDecode.principal``) and of their
+    products, taken about the group's principal fit of the noiseless
+    syndrome, and `_residual_moments` forms ``mean_residual`` and
+    ``residual_variance`` from them: the count-weighted mean and the
+    pooled within-plus-between variance, in O(trials) for the sums and
+    O(n k) after them.  ``syndrome_noise_variance`` is the variance of the
+    measured syndromes themselves, as the ideal syndrome is the same in
+    every trial; they are summed about it, so a readout without noise
+    reads 0.  Every deviation is of the size of the noise, not of the
+    fit, and sums about a point that near the mean keep the spread's digits
+    with no merge formula (Chan, Golub and LeVeque, The American
+    Statistician 37, 242 (1983)).
 
     Args:
         code: a built code.
@@ -266,29 +267,27 @@ def run_ec_experiment(
         shift = code.basis @ swap_halves(error)
     if not np.isfinite(shift).all():
         raise DimensionMismatchError("the error's canonical image must be finite: the error overflows a double")
-    # Column j holds mode j's principal (p, x) axes, the rows of its V^T in `CodeSpec.mode_planes`,
-    # flattened; the no-correction group's column n holds zeros, so that its trials' fits read 0.
-    axes = np.zeros((4, n + 1))
-    axes[:, :n] = code.mode_planes[2].reshape(n, 4).T
+    values = shift[checks]
+    planes, inverse, _ = code.mode_planes
+    # Row j holds the principal fit of the noiseless syndrome on mode j; the no-correction group's row n
+    # holds zeros, as its trials' fits read 0.
+    centre = np.zeros((n + 1, 2))
+    centre[:n] = (planes @ values) * inverse
     rng = np.random.default_rng(seed)
-    values, rows = shift[checks], block_rows(n)
-    total = None
+    total, rows = None, block_rows(n)
     for start in range(0, trials, rows):
         s_meas = readout_syndromes(code, values, r, rng, min(rows, trials - start))
-        decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
-        if total is None:
-            first = s_meas[0].copy()
-        s_meas -= first
-        sums = _group_sums(decoded, axes, s_meas, error_mode)
-        total = sums if total is None else _pool(total, sums)
-    mean_residual, residual_variance = _residual_moments(code, data, shift[data], total)
+        sums = _group_sums(decode_batch(code, s_meas, tol=_DECODE_TOL), centre, s_meas, values, error_mode)
+        total = sums if total is None else _Sums(*map(np.add, total, sums))
+    mean_residual, residual_variance = _residual_moments(code, data, shift[data], centre, total)
+    noise_variance = (total.noise_squares - np.square(total.noise) / trials) / trials
     matched, ambiguous, uncorrectable = total.outcomes.tolist()
     return ExperimentStats(
         trials=trials,
         mean_residual=mean_residual,
         residual_variance=residual_variance,
         excess_variance=residual_variance,
-        syndrome_noise_variance=total.noise_scatter / trials,
+        syndrome_noise_variance=noise_variance,
         mode_match_rate=matched / trials,
         ambiguity_rate=ambiguous / trials,
         uncorrectable_rate=uncorrectable / trials,
@@ -319,90 +318,51 @@ def readout_syndromes(code: CodeSpec, values: np.ndarray, r: float, rng: np.rand
 
 
 class _Sums(NamedTuple):
-    """The sums `run_ec_experiment` keeps of a block of trials, or pooled over blocks.
+    """The plain sums `run_ec_experiment` keeps of a block of trials; those of several blocks are their elementwise sums.
 
     Groups are indexed by the 0-based mode they correct, n for none.  A
-    group's fits are taken on its mode's principal (p, x) axes, and a group
-    without trials holds zeros (`_group_sums`).
+    group's fits are taken on its mode's principal axes, about that
+    group's fit of the noiseless syndrome (`_group_sums`).
     """
 
     counts: np.ndarray  # (n + 1,) trials per group
-    centre: np.ndarray  # (2, n + 1) the mean fit (u, v) per group, rounded to a double
-    rounding: np.ndarray  # (2, n + 1) the mean fit less ``centre``
-    scatter: np.ndarray  # (3, n + 1) centred sums of u u, u v and v v per group
-    noise_mean: np.ndarray  # (m,) mean syndrome, less the first trial's
-    noise_scatter: np.ndarray  # (m,) centred sums of squares of the syndromes
+    fits: np.ndarray  # (2, n + 1) sums of the fits' deviations (u, v) from the noiseless fit
+    squares: np.ndarray  # (3, n + 1) sums of their products u u, u v and v v
+    noise: np.ndarray  # (m,) sums of the syndromes' deviations from the noiseless syndrome
+    noise_squares: np.ndarray  # (m,) sums of their squares
     outcomes: np.ndarray  # (3,) matched, ambiguous and uncorrectable trials
 
 
-def _group_sums(decoded: BatchDecode, axes: np.ndarray, shifted: np.ndarray, error_mode: int) -> _Sums:
-    """One block's `_Sums`, from its decodes and its syndromes less the first trial's, ``shifted``, which is overwritten.
+def _group_sums(decoded: BatchDecode, centre: np.ndarray, s_meas: np.ndarray, values: np.ndarray, error_mode: int) -> _Sums:
+    """One block's `_Sums`, from its decodes and its syndromes ``s_meas``, which are overwritten.
 
-    Column j of ``axes``, (4, n + 1), holds the group's principal axes
-    flattened, zeros for the no-correction group.  Each centred sum is a
-    sum of products of deviations from the block's own means, never
-    E[y^2] - E[y]^2.
+    Row j of ``centre``, (n + 1, 2), holds mode j's principal fit of the
+    noiseless syndrome ``values``, and row n zeros.  A DECODED trial's
+    deviation is its ``decoded.principal`` less its group's row, and any
+    other trial's is 0, as its fit is.  The syndromes' deviations are
+    taken from ``values``.  Each deviation is of the size of the noise,
+    not of the fit, so the sums of squares keep the spread's digits, which
+    sums about zero would lose to a large mean.
     """
-    groups = axes.shape[1]
+    groups = len(centre)
     status = decoded.status
     corrected = status == DECODED
     group = np.where(corrected, decoded.mode_hypothesis - 1, groups - 1)
-    counts = np.bincount(group, minlength=groups)
-    a = axes.take(group, axis=1)
-    p, x = decoded.shift.T
-    u = p * a[0] + x * a[1]
-    v = p * a[2] + x * a[3]
-    centre = np.array([np.bincount(group, u, groups), np.bincount(group, v, groups)]) / np.maximum(counts, 1)
-    du = u - centre[0].take(group)
-    dv = v - centre[1].take(group)
-    rounding = np.array([np.bincount(group, du, groups), np.bincount(group, dv, groups)]) / np.maximum(counts, 1)
-    scatter = np.array([np.bincount(group, du * du, groups), np.bincount(group, du * dv, groups), np.bincount(group, dv * dv, groups)])
-
-    # As numpy's var forms it, so that a run of one block gives its figures bit for bit.  einsum adds
-    # the rows in turn, as sum(axis=0) does, in a third of its time on 1024 rows of 13 columns.
-    noise_mean = np.einsum("ij->j", shifted) / len(shifted)
-    shifted -= noise_mean
-    shifted *= shifted
+    d = decoded.principal - centre.take(group, axis=0)
+    d[~corrected] = 0.0
+    du, dv = d.T
+    fits = np.array([np.bincount(group, du, groups), np.bincount(group, dv, groups)])
+    squares = np.array([np.bincount(group, du * du, groups), np.bincount(group, du * dv, groups), np.bincount(group, dv * dv, groups)])
+    # einsum adds the rows in a third of the time of sum(axis=0) on 1024 rows of 13 columns.
+    s_meas -= values
+    noise = np.einsum("ij->j", s_meas)
+    s_meas *= s_meas
     matched = np.count_nonzero(((status == NO_ERROR) | corrected) & (decoded.mode_hypothesis == error_mode))
     outcomes = np.array([matched, np.count_nonzero(status == AMBIGUOUS), np.count_nonzero(status == UNCORRECTABLE)])
-    return _Sums(counts, centre, rounding, scatter, noise_mean, np.einsum("ij->j", shifted), outcomes)
+    return _Sums(np.bincount(group, minlength=groups), fits, squares, noise, np.einsum("ij->j", s_meas), outcomes)
 
 
-def _pool(a: _Sums, b: _Sums) -> _Sums:
-    """The sums of two runs of trials together (Chan, Golub and LeVeque 1983).
-
-    With n = n_a + n_b and d the difference of the means, the mean is
-    ``mean_a + d n_b / n`` and the centred sums are ``a + b + d d' n_a n_b / n``.
-    A group without trials on one side takes the other side's sums as they are.
-
-    A mean fit is large against the fits' spread, so a rounded mean is off
-    by far more of the spread than d is, and the d d' term would carry that
-    to first order.  Each mean fit is therefore kept as ``centre +
-    rounding``, and d is the difference of the centres, exact for centres
-    within a factor of two, plus that of the roundings.
-    """
-    counts = a.counts + b.counts
-    weight = b.counts / np.maximum(counts, 1)
-    gap, rounding_gap = b.centre - a.centre, b.rounding - a.rounding
-    step = gap * weight
-    centre = a.centre + step
-    du, dv = delta = gap + rounding_gap
-    between = delta * (a.counts * weight)
-    trials_a, trials_b = int(a.counts.sum()), int(b.counts.sum())
-    noise_weight = trials_b / (trials_a + trials_b)
-    noise_delta = b.noise_mean - a.noise_mean
-    return _Sums(
-        counts,
-        centre,
-        a.rounding + rounding_gap * weight + ((a.centre - centre) + step),
-        a.scatter + b.scatter + np.array([du * between[0], du * between[1], dv * between[1]]),
-        a.noise_mean + noise_delta * noise_weight,
-        a.noise_scatter + b.noise_scatter + np.square(noise_delta) * (trials_a * noise_weight),
-        a.outcomes + b.outcomes,
-    )
-
-
-def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, sums: _Sums) -> tuple[np.ndarray, np.ndarray]:
+def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, centre: np.ndarray, sums: _Sums) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance over the trials of the corrected data quadratures, from the groups' sums.
 
     Trial t leaves the data quadratures at ``d - a_t (p_t b_{n+j} + x_t b_j)``:
@@ -411,22 +371,30 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, sums: _Su
     others.  Grouped by the mode they correct, with n for none, the trials
     of a group share one affine map of their fit, so its count, mean fit and
     centred 2 x 2 scatter give the group's mean and within-group variance in
-    every data quadrature.  The mean is the count-weighted mean of the group
-    means, and the variance pools the within-group and between-group parts
-    (Chan, Golub and LeVeque, The American Statistician 37, 242 (1983)).
+    every data quadrature.  Each group's sums are taken about its row of
+    ``centre`` (`_group_sums`), so its mean fit is that row plus the mean
+    deviation, and its centred scatter is the sum of the deviations'
+    products less the product of their sums over the count, which loses
+    only the digits of the deviations' mean, itself of the size of the
+    noise, not of the fit.  The mean is the count-weighted mean
+    of the group means, and the variance pools the within-group and
+    between-group parts (Chan, Golub and LeVeque, The American
+    Statistician 37, 242 (1983)).
 
-    Each part is a sum of non-negative terms, never E[y^2] - E[y]^2, and
-    each mode's fits are taken on its plane's principal (p, x) axes, the
-    rows of ``V^T`` in `CodeSpec.mode_planes`.  A mode whose syndrome plane
-    has rank 1 fits along the first axis only, so a data quadrature that a
-    correction along it cannot move, and that no noise reaches, reads 0 to
-    rounding of its own size, not of the fits'.
-    The cost is O(g k) for the g groups that hold trials.
+    Each part is a sum of non-negative terms, and each mode's fits are
+    taken on its plane's principal (p, x) axes, the rows of ``V^T`` in
+    `CodeSpec.mode_planes`.  A mode whose syndrome plane has rank 1 fits
+    along the first axis only, so a data quadrature that a correction along
+    it cannot move, and that no noise reaches, reads 0 to rounding of its
+    own size, not of the fits'.  The cost is O(g k) for the g groups that
+    hold trials.
     """
     n = code.n
     modes = np.flatnonzero(sums.counts)  # the groups that hold trials; n comes last
-    counts, centre = sums.counts[modes], sums.centre[:, modes]
-    s_uu, s_uv, s_vv = sums.scatter[:, modes]
+    counts = sums.counts[modes]
+    fits = sums.fits[:, modes]
+    mean_fit = centre[modes].T + fits / counts
+    s_uu, s_uv, s_vv = sums.squares[:, modes] - fits[[0, 0, 1]] * fits[[0, 1, 1]] / counts
     # The no-correction group's fits are zeroed, so any mode's axes and columns serve it.
     modes = np.minimum(modes, n - 1)
     axes = code.mode_planes[2][modes]
@@ -436,13 +404,14 @@ def _residual_moments(code: CodeSpec, data: np.ndarray, d: np.ndarray, sums: _Su
     b_p, b_x = basis[:, n + modes], basis[:, modes]
     b_u = b_p * axes[:, 0, 0] + b_x * axes[:, 0, 1]
     b_v = b_p * axes[:, 1, 0] + b_x * axes[:, 1, 1]
-    group_mean = d[:, None] - b_u * centre[0] - b_v * centre[1]
+    group_mean = d[:, None] - b_u * mean_fit[0] - b_v * mean_fit[1]
     trials = counts.sum()
     mean = group_mean @ counts / trials
     # b S b^T for each group's scatter S, in its LDL^T form: s_uu (b_u + ratio b_v)^2 + schur b_v^2.
     # A rank-1 plane's spread axis comes first, so its pivot s_uu is the larger one and ratio, which
     # divides by it, stays small.  No spread on the first axis (as in the no-correction group) means
-    # s_uv = 0 exactly; a negative Schur complement is rounding.
+    # s_uv = 0 exactly; a negative pivot or Schur complement is rounding.
+    s_uu = np.maximum(s_uu, 0.0)
     ratio = s_uv / np.where(s_uu > 0, s_uu, 1.0)
     schur = np.maximum(s_vv - ratio * s_uv, 0.0)
     within = s_uu * np.square(b_u + ratio * b_v) + schur * np.square(b_v)

@@ -18,7 +18,7 @@ circuit's gate list as one dict per gate,
 the circuit of an arbitrary symplectic action, which the package's
 `decompose` no longer compiles since it takes a code, and the
 error-correction experiment with its statistics taken over an array of
-per-trial data quadratures.
+per-trial data quadratures, in double or in extended precision.
 
 Hand-built circuits start here too.  `Gate` is one gate validated by
 its constructor, the per-gate reference that the column-wise circuit
@@ -518,3 +518,30 @@ def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int
         ambiguity_rate=int(np.count_nonzero(decoded.status == AMBIGUOUS)) / trials,
         uncorrectable_rate=int(np.count_nonzero(decoded.status == UNCORRECTABLE)) / trials,
     )
+
+
+def extended_precision_moments(code: CodeSpec, error, r: float, trials: int, seed: int):
+    """``(mean_residual, residual_variance, syndrome_noise_variance)`` of `per_trial_experiment`'s trials, in ``np.longdouble``.
+
+    The syndromes and decodes are the package's own, in double precision.
+    Each DECODED trial's correction is then formed from its principal fit,
+    ``BatchDecode.principal @ vt[j]`` (`CodeSpec.mode_planes`), and the
+    corrected data quadratures, the syndromes' deviations from the error's
+    ideal syndrome and both two-pass variances are taken in extended
+    precision, so the figures carry the decoder's rounding and not that of
+    the sums.  Inputs are not checked.
+    """
+    ext = np.longdouble
+    n, _, l, c = code.params
+    checks, data = check_rows(n, l, c)
+    shift = code.basis @ swap_halves(np.asarray(error, dtype=float))
+    s_meas = readout_syndromes(code, shift[checks], r, np.random.default_rng(seed), trials)
+    decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
+    j = np.maximum(decoded.mode_hypothesis - 1, 0)
+    fit = np.einsum("tk,tkq->tq", decoded.principal.astype(ext), code.mode_planes[2].astype(ext)[j])
+    fit *= (decoded.status == DECODED)[:, None]
+    basis = code.basis[data].astype(ext)
+    residuals = shift[data].astype(ext) - fit[:, :1] * basis[:, n + j].T - fit[:, 1:] * basis[:, j].T
+    noise = s_meas.astype(ext) - shift[checks].astype(ext)
+    mean = residuals.mean(axis=0)
+    return mean, np.square(residuals - mean).mean(axis=0), np.square(noise - noise.mean(axis=0)).mean(axis=0)

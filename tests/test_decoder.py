@@ -2,10 +2,11 @@ import functools
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import reference
@@ -22,10 +23,14 @@ from cvqec.decoder import (
     single_mode_error,
     syndrome,
 )
-from cvqec.errors import AmbiguousSyndromeError, DimensionMismatchError, UncorrectableSyndromeError
+from cvqec.errors import AmbiguousSyndromeError, BuildVerificationError, DimensionMismatchError, UncorrectableSyndromeError
+from cvqec.simulator import readout_syndromes
 
 from conftest import mixed_code
 from oracle import decode_by_lstsq, is_correctable_pair
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "chainbench"))
+from workloads import MC_MIDSIZE_CODES, random_code_rows  # noqa: E402
 
 # Modes 2 and 3 of this code span one syndrome plane through different columns.
 COINCIDENT_ROWS = os.path.join(os.path.dirname(__file__), "data", "coincident-planes-rows.json")
@@ -343,3 +348,53 @@ def test_coincident_planes_are_ambiguous_at_large_syndromes(p, x):
         decode_single_mode(code, s)
     assert sorted(map(int, re.search(r"modes (\d+) and (\d+)", str(info.value)).groups())) == [2, 3]
 
+
+
+@functools.cache
+def _midsize_code(index):
+    return build_code(random_code_rows(*MC_MIDSIZE_CODES[index]))
+
+
+@settings(deadline=None, max_examples=100)
+@example(source=("coincident",), mode_pick=3, r=2.0, seed=1)
+@given(
+    source=st.one_of(
+        st.tuples(st.just("built"), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0)),
+        st.tuples(st.just("midsize"), st.integers(0, len(MC_MIDSIZE_CODES) - 1)),
+        st.just(("coincident",)),
+    ),
+    mode_pick=st.integers(1, 2**16),
+    r=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_principal_fit_is_the_shift_on_the_principal_axes(source, mode_pick, r, seed):
+    # Built codes of 1 to 8 modes at scales 10^U(-3, 3), the benchmark's
+    # n = 16 codes and the coincident-plane code, whose re-ranked rows change
+    # their best mode, read out as the experiment reads a single-mode error,
+    # plus arbitrary rows.  On every row that names a mode, DECODED or not,
+    # the shift is the principal fit on that mode's axes bit for bit, and the
+    # principal fit is (s Q_j) * inverse[j] to the rounding of the product s Q_j.
+    if source[0] == "built":
+        _, draw_seed, log_scale = source
+        rng = np.random.default_rng(draw_seed)
+        n = int(rng.integers(1, 9))
+        try:
+            code = build_code(10.0**log_scale * rng.normal(size=(int(rng.integers(1, 2 * n + 1)), 2 * n)))
+        except BuildVerificationError:
+            assume(False)
+        assume(code.m >= 2)
+    elif source[0] == "midsize":
+        code = _midsize_code(source[1])
+    else:
+        code = _decode_code(source)
+    n, m = code.n, code.m
+    rng = np.random.default_rng(seed)
+    error = single_mode_error(n, 1 + mode_pick % n, *rng.normal(size=2))
+    s = np.vstack([readout_syndromes(code, syndrome(code, error), r, rng, 200), rng.normal(size=(20, m))])
+    got = decode_batch(code, s, 0.1)
+    planes, inverse, vt = code.mode_planes
+    for i in np.flatnonzero(got.status != NO_ERROR):
+        j = got.mode_hypothesis[i] - 1
+        assert np.array_equal(got.principal[i] @ vt[j], got.shift[i])
+        bound = 2 * (m + 1) * np.finfo(float).eps * np.linalg.norm(s[i]) * inverse[j]
+        assert np.all(np.abs(got.principal[i] - (s[i] @ planes[j].T) * inverse[j]) <= bound)

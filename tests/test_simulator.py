@@ -34,6 +34,7 @@ from oracle import (
     displace,
     displace_error,
     epr_pair,
+    extended_precision_moments,
     fourier,
     invert_circuit,
     per_trial_experiment,
@@ -684,6 +685,36 @@ def test_trials_across_block_boundaries_match_per_trial_oracle(trials):
     code = build_code(rows)
     assert block_rows(code.n) == 1024
     _assert_matches_per_trial_oracle(code, single_mode_error(16, 5, 0.1, -0.1), 2.0, trials, 8)
+
+
+# The worst relative errors, against `extended_precision_moments` over the
+# four trial counts below, of the pooling that sums about the noiseless fit
+# replaced, which kept each block's mean fits with their rounding and merged
+# blocks by Chan, Golub and LeVeque's formula; per r: mean_residual (relative
+# to max(1, |x|)), residual_variance and syndrome_noise_variance.
+BLOCK_MERGE_ERRORS = {10.0: (1.2e-14, 6.6e-12, 2.2e-15), 15.0: (2.3e-14, 5.2e-10, 1.8e-15)}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than a double here")
+@pytest.mark.parametrize("r", sorted(BLOCK_MERGE_ERRORS))
+@pytest.mark.parametrize("trials", [1, 1023, 1025, 3 * 1024 + 7])
+def test_pooled_moments_keep_the_digits_of_a_large_mean(r, trials):
+    # An error of (3, 3) at r = 10 and 15: every trial decodes its mode, whose
+    # fits have a mean about 1e4 to 1e7 times their spread, and the blocks are
+    # pooled.  Sums about zero lost 1e-4 to 1e-3 of the variances at r = 10,
+    # and more than the variances themselves at r = 15.
+    # Each error is at most that earlier pooling's worst at that r, or a plain
+    # double sum's worst case over the trials, trials * eps, where that is larger.
+    rows = canonical_parity_check(16, 11, 1, 4) @ random_symplectic_from_gates(16, np.random.default_rng(61), count=300).T
+    code = build_code(rows)
+    error = single_mode_error(16, 5, 3.0, 3.0)
+    got = run_ec_experiment(code, error, r, trials, 8)
+    mean, variance, noise = extended_precision_moments(code, error, r, trials, 8)
+    floor = trials * np.finfo(float).eps
+    mean_bound, variance_bound, noise_bound = (max(bound, floor) for bound in BLOCK_MERGE_ERRORS[r])
+    assert np.all(np.abs(got.mean_residual - mean) <= mean_bound * np.maximum(1.0, np.abs(mean)))
+    assert np.all(np.abs(got.residual_variance - variance) <= variance_bound * variance)
+    assert np.all(np.abs(got.syndrome_noise_variance - noise) <= noise_bound * noise)
 
 
 # A child process that reports how far one run_ec_experiment call raises its peak RSS, in KiB.

@@ -6,7 +6,9 @@ does not change. It times `build_code`, `decompose` of the code,
 `circuit_action` and `verify_circuit` of the compiled circuit, one
 `run_ec_experiment`, and `decode_batch` on the syndromes that experiment
 decodes (`readout_syndromes` of its error, drawn as one array, where the
-experiment draws and decodes them in blocks), and prints
+experiment draws and decodes them in blocks) at the decoder's public
+`DEFAULT_DECODE_TOL`: the ranking, the fits and the re-ranking it times do
+not depend on the tolerance, which only sorts the rows' outcomes. It prints
 one JSON object with the median of the repeats per layer, in wall
 seconds, and beside it, under the layer's key with ``_range`` appended,
 the fastest and slowest repeat. A difference between two sweeps that
@@ -74,8 +76,8 @@ import numpy as np
 from cvqec import __version__, cli
 from cvqec.codes import build_code, save_parity_check
 from cvqec.compiler import circuit_action, decompose, load_circuit, verify_circuit
-from cvqec.decoder import decode_batch, single_mode_error, syndrome
-from cvqec.simulator import _DECODE_TOL, readout_syndromes, run_ec_experiment
+from cvqec.decoder import DEFAULT_DECODE_TOL, decode_batch, single_mode_error, syndrome
+from cvqec.simulator import readout_syndromes, run_ec_experiment
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
 from speed import REFERENCE_S, Calibrator  # noqa: E402
@@ -137,7 +139,7 @@ def sweep_point(n: int) -> dict:
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
             s_meas = readout_syndromes(code, syndrome(code, error), RANDOM_CODE_R, np.random.default_rng(1), TRIALS)
-            timed("decode_batch", decode_batch, code, s_meas, _DECODE_TOL)
+            timed("decode_batch", decode_batch, code, s_meas, DEFAULT_DECODE_TOL)
             for step in CLI_CHAIN:
                 timed(f"cli_{step[0]}", cli_step, work, step)
             for unit in ("_s", "_ref_s"):
