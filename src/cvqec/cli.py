@@ -6,7 +6,7 @@ circuit verification failure.  JSON output is compact, one line, with
 every JSON number that is a float rounded to 12 significant digits,
 formatted once and written as JSON writes the rounded value; re-parsing
 it recovers that value.  A code file's basis and input rows are no JSON
-numbers but base64 float64 columns (`codes.code_to_dict`), exact.
+numbers but hex float64 columns (`codes.code_to_dict`), exact.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ _UNESCAPED = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
 
 
 def _string_text(text: str) -> str:
-    """JSON text of a string, as ``json.dumps`` writes it: quoted as it is when no character needs an escape, which one C pass finds, as in a base64 column."""
+    """JSON text of a string, as ``json.dumps`` writes it: quoted as it is when no character needs an escape, which one C pass finds, as in a hex column."""
     if text.isascii() and not text.encode().translate(None, _UNESCAPED):
         return '"' + text + '"'
     return encode_basestring_ascii(text)

@@ -291,7 +291,7 @@ def decompose(code: CodeSpec) -> tuple[Circuit, dict]:
     columns they read, taken from the basis rows `round_rows` names by
     `symplectic_inverse`: `complete_symplectic_basis` writes the data rows
     so that the encoder is those rounds' inverse, and a code file of
-    format 4 stores such a basis.
+    format 4 or later stores such a basis.
 
     A sweep's gates share their control and commute, and its parameters
     come from a column the sweep leaves unchanged, so each sweep is read

@@ -76,27 +76,19 @@ def scaled_defect(rows: np.ndarray) -> float:
     return float((np.abs(defect) / np.maximum(np.outer(size, size), 1.0)).max())
 
 
-def _defect(m: np.ndarray) -> float:
-    """`scaled_defect` of ``M^T J M - J``: entry (i, j) against columns i and j of ``m``."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise DimensionMismatchError(f"expected a square matrix of even dimension, got shape {m.shape}")
-    return scaled_defect(m.T)
-
-
-def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff each entry of ``M^T J M - J`` is within ``tol`` on its columns' scale (see `scaled_defect`)."""
-    return _defect(np.asarray(m, dtype=float)) <= tol
-
-
 def require_symplectic(m, what: str = "matrix") -> np.ndarray:
-    """Validate symplecticity as `is_symplectic` does at `DEFAULT_TOL`, returning the matrix as a float array.
+    """Validate a square matrix of even dimension as symplectic, returning it as a float array.
 
-    No module of the package calls it: a code's basis is checked by
+    Each entry of ``M^T J M - J`` must lie within `DEFAULT_TOL` on the
+    scale of the two columns it pairs (`scaled_defect` of ``M^T``).  No
+    module of the package calls it: a code's basis is checked by
     `codes.verify_code`, and `decompose` takes a code.  It stays because
     the benchmark's tracer (``chainbench/tracer.py``) wraps it by name.
     """
     m = np.asarray(m, dtype=float)
-    defect = _defect(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise DimensionMismatchError(f"expected a square matrix of even dimension, got shape {m.shape}")
+    defect = scaled_defect(m.T)
     if not defect <= DEFAULT_TOL:  # a non-finite entry gives a NaN defect
         raise NotSymplecticError(f"{what} violates the symplectic condition (scaled defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
     return m

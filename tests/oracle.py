@@ -9,7 +9,9 @@ stay in the package because the benchmark tracer wraps them by name.
 ``cvqec simulate`` runs the experiment in closed form; tests run it
 through these states as well.
 
-Beside it: the symplectic product of two phase vectors, a code's checks
+Beside it: the symplectic product of two phase vectors, the
+symplecticity test of a matrix's columns, the code judge that
+`cvqec.codes.verify_code` is checked against, a code's checks
 augmented over the receiver's modes, the two-error distinguishability
 test, single-mode decoding by one least-squares solve per row and mode,
 the inverse of a circuit, the full-action check of a circuit against
@@ -57,9 +59,9 @@ from cvqec.compiler import (
 )
 from cvqec.decoder import AMBIGUOUS, DECODED, NO_ERROR, UNCORRECTABLE, decode_batch, syndrome
 from cvqec.decomposition import check_rows
-from cvqec.errors import DimensionMismatchError
+from cvqec.errors import BuildVerificationError, DimensionMismatchError
 from cvqec.simulator import _DECODE_TOL, ExperimentStats, GaussianState, homodyne, readout_syndromes
-from cvqec.symplectic import as_phase_vector, mode_count, swap_halves, symplectic_form
+from cvqec.symplectic import DEFAULT_TOL, as_phase_vector, mode_count, scaled_defect, swap_halves, symplectic_form
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +162,47 @@ def symplectic_product(u, v) -> float:
     v = as_phase_vector(v, mode_count(u))
     n = u.shape[0] // 2
     return float(u[:n] @ v[n:] - u[n:] @ v[:n])
+
+
+def is_symplectic(m, tol: float = DEFAULT_TOL) -> bool:
+    """True iff each entry of ``M^T J M - J`` is within ``tol`` on its columns' scale (`scaled_defect` of ``M^T``); M must be square of even dimension."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise DimensionMismatchError(f"expected a square matrix of even dimension, got shape {m.shape}")
+    return scaled_defect(m.T) <= tol
+
+
+def verify_code_by_parts(code: CodeSpec) -> None:
+    """The judge `cvqec.codes.verify_code` must agree with: each of its checks made on its own, with numpy's own helpers.
+
+    The same checks, thresholds and messages, in the same order: the
+    basis through `is_symplectic` of its transpose, each row norm by
+    `numpy.linalg.norm` where it is needed, the kept rows by `numpy.delete`
+    and their rank by `numpy.linalg.matrix_rank`.
+    """
+    basis = code.basis
+    n, k, l, c = code.params
+    if min(code.params) < 0 or k + l + c != n or basis.shape != (2 * n, 2 * n):
+        raise BuildVerificationError(f"{code.params} and a {basis.shape} basis do not describe a code")
+    if not is_symplectic(basis.T, 1e-9):
+        raise BuildVerificationError("basis rows are not a symplectic basis")
+    rows, dropped = code.input_rows, code.dropped_rows
+    dropped_ok = len(set(dropped) & set(range(len(rows)))) == len(dropped)
+    if rows.shape[1] != 2 * n or not dropped_ok or len(rows) - len(dropped) != code.m:
+        raise BuildVerificationError(f"input rows {rows.shape} less dropped rows {list(dropped)} are not {code.m} checks on {n} modes")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise BuildVerificationError(f"input row {int(finite.argmin())} is not finite")
+    checks, data = check_rows(n, l, c)
+    others = basis[np.concatenate((checks[c : c + l], data))]
+    products = np.abs(np.hstack((-rows[:, n:], rows[:, :n])) @ others.T)
+    scale = np.outer(np.maximum(np.linalg.norm(rows, axis=1), 1.0), np.linalg.norm(others, axis=1))
+    if not np.all(products <= 1e-8 * scale):
+        raise BuildVerificationError("input rows leave the check rowspace")
+    kept = np.delete(rows, dropped, axis=0)
+    norms = np.linalg.norm(kept, axis=1, keepdims=True)
+    if not np.all((0.0 < norms) & (norms < np.inf)) or np.linalg.matrix_rank(kept / norms) < code.m:
+        raise BuildVerificationError(f"input rows other than dropped rows {list(dropped)} are dependent")
 
 
 def h_aug(code: CodeSpec) -> np.ndarray:

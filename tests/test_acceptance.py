@@ -18,10 +18,10 @@ from cvqec.compiler import circuit_action
 from cvqec.decoder import decode_single_mode, single_mode_error, syndrome
 from cvqec.decomposition import check_rows, code_parameters, symplectic_gram_schmidt
 from cvqec.simulator import run_ec_experiment
-from cvqec.symplectic import is_symplectic, symplectic_form
+from cvqec.symplectic import symplectic_form
 
 from conftest import random_symplectic_from_gates, random_symplectic_from_hamiltonian
-from oracle import apply_circuit, circuit_of, compile_action, displace, h_aug, phase_gate_protocol, phase_gate_trials, phase_x, vacuum
+from oracle import apply_circuit, circuit_of, compile_action, displace, h_aug, is_symplectic, phase_gate_protocol, phase_gate_trials, phase_x, vacuum
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "chainbench"))
 from speed import Calibrator  # noqa: E402

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import itertools
 import math
@@ -76,7 +77,7 @@ def test_build_emits_verified_code(code_file):
     # The file holds the stored facts only; the encoding matrix they imply
     # carries the checks onto the canonical ones.
     payload = read(code_file)
-    assert payload["format"] == 4
+    assert payload["format"] == 5
     h = np.array([u for u, _ in payload["pairs"]] + payload["isotropic"] + [v for _, v in payload["pairs"]])
     f = canonical_parity_check(*(payload["params"][key] for key in "nklc"))
     y = np.linalg.inv(codes.json_column(payload["basis"]).T)
@@ -596,22 +597,35 @@ def test_a_zero_tolerance_is_allowed(tmp_path, reference_matrix, code_file):
     assert code.read_bytes() == (Path(SCALED_ROWS).parent / "scaled-rows-code.json").read_bytes()
 
 
+def _base64_column(array) -> dict:
+    """A column as code formats 3 and 4 wrote it: its little-endian float64 bytes in base64."""
+    array = np.asarray(array, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def _old_format(payload: dict, fmt: int) -> dict:
+    """A code file's payload as code format 3 or 4 wrote it: the same facts, its two columns in base64."""
+    columns = {key: _base64_column(codes.json_column(payload[key])) for key in ("basis", "input_rows")}
+    return dict(payload, format=fmt, **columns)
+
+
 def test_a_format_3_code_file_exits_2(tmp_path, capsys):
     # Format 3 did not promise that the data rows are the check rounds'
     # product, and `compile` runs the check rounds alone, so a format-3 file
     # would compile to a circuit that `verify` refuses: it exits 2 and names
-    # `cvqec build`, which remakes it from its input rows as the very file
-    # that build writes today.
+    # `cvqec build`, which remakes it from its input rows, a base64 column
+    # there, as the very file that build writes today.
     data = Path(SCALED_ROWS).parent
-    payload = json.loads((data / "scaled-rows-code.json").read_text())
+    payload = _old_format(json.loads((data / "scaled-rows-code.json").read_text()), 3)
     old, rows, remade = (str(tmp_path / name) for name in ("old.json", "rows.json", "remade.json"))
     with open(old, "w") as fh:
-        json.dump(dict(payload, format=3), fh)
+        json.dump(payload, fh)
     capsys.readouterr()
     assert main(["compile", old, "--output", os.devnull]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "found format 3;" in err and "`cvqec build`" in err
-    save_parity_check(rows, codes.json_column(payload["input_rows"]))
+    column = payload["input_rows"]
+    save_parity_check(rows, np.frombuffer(base64.b64decode(column["data"]), "<f8").reshape(column["shape"]))
     assert main(["build", rows, "--output", remade]) == 0
     assert Path(remade).read_bytes() == (data / "scaled-rows-code.json").read_bytes()
 
@@ -631,12 +645,12 @@ def test_a_circuit_with_each_run_in_descending_order_verifies(tmp_path):
 
 
 def test_unknown_code_format_exit_code(tmp_path, code_file, capsys):
-    # Only format 4 is read. Format 2 (every float a JSON number, here
-    # written exactly, as it wrote them), a file with no format key and any
-    # other format exit 2 from every command that reads a code file, on one
-    # error line that names the format and the command that remakes the
-    # file. Format 2 with strings in basis and input_rows loaded before,
-    # converted by NumPy.
+    # Only format 5 is read. Format 2 (every float a JSON number, here
+    # written exactly, as it wrote them), formats 3 and 4 (base64 columns),
+    # a file with no format key and any other format exit 2 from every
+    # command that reads a code file, on one error line that names the
+    # format and the command that remakes the file. Format 2 with strings
+    # in basis and input_rows loaded before, converted by NumPy.
     code = codes.load_code(code_file)
     payload = codes.code_to_dict(code)
     format_2 = dict(payload, format=2, basis=code.basis.tolist(), input_rows=code.input_rows.tolist())
@@ -654,7 +668,7 @@ def test_unknown_code_format_exit_code(tmp_path, code_file, capsys):
         ["verify", circuit, path],
         ["simulate", config],
     )
-    for found, old in (("no format key", no_key), ("format 2", format_2), ("format 2", strings), ("format 1", dict(payload, format=1)), ("format 3", dict(payload, format=3)), ("format 5", dict(payload, format=5))):
+    for found, old in (("no format key", no_key), ("format 2", format_2), ("format 2", strings), ("format 1", dict(payload, format=1)), ("format 3", _old_format(payload, 3)), ("format 4", _old_format(payload, 4)), ("format 6", dict(payload, format=6))):
         with open(path, "w") as fh:
             json.dump(old, fh)
         for argv in commands:
@@ -885,10 +899,14 @@ def test_wrong_json_types_exit_as_parse_errors(tmp_path, code_file, capsys, kind
         lambda column: dict(column, dtype="<f4"),
         lambda column: dict(column, shape=[column["shape"][0], column["shape"][1] + 1]),
         lambda column: dict(column, data="*" + column["data"][1:]),
+        lambda column: dict(column, data=column["data"][:-1]),
+        lambda column: dict(column, data=column["data"][:-2] + "g0"),
+        lambda column: dict(column, data=column["data"][:16] + " " + column["data"][16:-1]),
+        lambda column: dict(column, data=_base64_column(codes.json_column(column))["data"]),
         lambda column: dict(column, data=5),
         lambda column: codes.json_column(column).tolist(),
     ],
-    ids=["dtype", "shape-off-data", "data-not-base64", "data-not-a-string", "list"],
+    ids=["dtype", "shape-off-data", "data-not-hex", "data-odd-length", "data-non-hex-digit", "data-whitespace", "data-base64", "data-not-a-string", "list"],
 )
 def test_a_malformed_column_is_a_parse_error_naming_its_key(tmp_path, code_file, capsys, key, edit):
     payload = read(code_file)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from cvqec import cli, reference
 from cvqec.codes import (
+    CodeParameters,
+    CodeSpec,
     _column,
     build_code,
     canonical_parity_check,
@@ -14,12 +17,13 @@ from cvqec.codes import (
     code_to_dict,
     load_parity_check,
     save_parity_check,
+    verify_code,
 )
-from cvqec.decomposition import symplectic_gram_schmidt, code_parameters
+from cvqec.decomposition import complete_symplectic_basis, symplectic_gram_schmidt, code_parameters
 from cvqec.errors import BuildVerificationError, DimensionMismatchError
-from cvqec.symplectic import is_symplectic, symplectic_form
+from cvqec.symplectic import symplectic_form
 
-from oracle import h_aug
+from oracle import h_aug, is_symplectic, verify_code_by_parts
 
 
 def test_canonical_parity_check_reference_shape():
@@ -124,6 +128,94 @@ def test_code_file_round_trip_is_exact(n, seed, log_scale):
     h = code.basis[np.r_[: c + l, n : n + c]]
     assert payload["pairs"] == [[h[i].tolist(), h[c + l + i].tolist()] for i in range(c)]
     assert payload["isotropic"] == h[c : c + l].tolist()
+
+
+def _unverified_code(rows) -> CodeSpec:
+    """The code `build_code` makes of the rows, before `verify_code` judges it."""
+    dec = symplectic_gram_schmidt(rows)
+    return CodeSpec(CodeParameters(*code_parameters(dec)), complete_symplectic_basis(dec), dec.dropped_rows, rows)
+
+
+def _tampered(code: CodeSpec, edit: str, rng) -> CodeSpec:
+    """The code with one stored fact edited as `edit` names, after `test_cli.py`'s tamper edits, drawing from ``rng``."""
+    n, k, l, c = code.params
+    rows, dropped = code.input_rows.copy(), list(code.dropped_rows)
+    kept = [i for i in range(len(rows)) if i not in dropped]
+    if edit == "params-sum-off":
+        return dataclasses.replace(code, params=CodeParameters(n, k + 1, l, c))
+    if edit == "params-one-pair-fewer" and c:
+        return dataclasses.replace(code, params=CodeParameters(n, k + 1, l, c - 1))
+    if edit == "params-same-m" and c and k:
+        return dataclasses.replace(code, params=CodeParameters(n, k - 1, l + 2, c - 1))
+    if edit == "basis-entry":
+        basis = code.basis.copy()
+        i, j = rng.integers(0, 2 * n, size=2)
+        basis[i, j] += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.0, -6.0) * np.max(np.abs(basis[i]))  # about the 1e-9 Gram bound
+        return dataclasses.replace(code, basis=basis)
+    if edit == "foreign-input-rows":
+        return dataclasses.replace(code, input_rows=rng.normal(size=rows.shape))
+    if edit == "foreign-dropped-row":
+        return dataclasses.replace(code, input_rows=np.vstack([rows, rng.normal(size=2 * n)]), dropped_rows=(*dropped, len(rows)))
+    if edit == "dropped-row-out-of-range":
+        return dataclasses.replace(code, dropped_rows=(*dropped, len(rows)))
+    if edit == "dropped-row-repeated" and dropped:
+        return dataclasses.replace(code, dropped_rows=(*dropped, dropped[0]))
+    if edit == "dropped-row-independent" and kept:
+        # A copy of a kept row appended, and another kept row named as dropped in its place.
+        return dataclasses.replace(code, input_rows=np.vstack([rows, rows[kept[0]]]), dropped_rows=(*dropped, kept[-1]))
+    if edit.startswith("kept-row-times-") and kept:
+        rows[kept[int(rng.integers(len(kept)))]] *= float(edit.rsplit("-", 1)[1])
+        return dataclasses.replace(code, input_rows=rows)
+    if edit.startswith("non-finite-"):  # in a dropped row where there is one
+        rows[(dropped or kept)[0], int(rng.integers(2 * n))] = float(edit.rsplit("-", 1)[1])
+        return dataclasses.replace(code, input_rows=rows)
+    return code
+
+
+def _verdict(judge, code):
+    """None if the judge passes the code, else the class and message of what it raises."""
+    try:
+        judge(code)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+TAMPER_EDITS = [
+    "none",
+    "params-sum-off",
+    "params-one-pair-fewer",
+    "params-same-m",
+    "basis-entry",
+    "foreign-input-rows",
+    "foreign-dropped-row",
+    "dropped-row-out-of-range",
+    "dropped-row-repeated",
+    "dropped-row-independent",
+    "kept-row-times-0",
+    "kept-row-times-1e-300",
+    "kept-row-times-1e-160",
+    "kept-row-times-1e200",
+    "non-finite-nan",
+    "non-finite-inf",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.sampled_from(TAMPER_EDITS))
+def test_verify_code_gives_the_verdict_of_its_checks_made_one_by_one(n, seed, log_scale, edit):
+    # Up to n independent rows scaled by 10^log_scale, then up to three
+    # dropped rows (a combination of them, a near-zero row and a zero row),
+    # made into a code as `build_code` makes it, then one stored fact
+    # edited: both judges pass it, or both raise the same error with the
+    # same message.
+    rng = np.random.default_rng(seed)
+    rows = 10.0**log_scale * rng.normal(size=(int(rng.integers(1, n + 1)), 2 * n))
+    dropped = [rng.normal(size=len(rows)) @ rows, 1e-11 * rng.normal(size=2 * n), np.zeros(2 * n)]
+    rows = np.vstack([rows] + dropped[: int(rng.integers(0, 4))])
+    code = _tampered(_unverified_code(rows[rng.permutation(len(rows))]), edit, rng)
+    with np.errstate(all="ignore"):
+        assert _verdict(verify_code, code) == _verdict(verify_code_by_parts, code)
 
 
 @settings(max_examples=200, deadline=None)

@@ -38,7 +38,7 @@ from cvqec.compiler import (
     verify_circuit,
 )
 from cvqec.errors import BuildVerificationError, CircuitVerificationError, DimensionMismatchError
-from cvqec.symplectic import is_symplectic, symplectic_inverse
+from cvqec.symplectic import symplectic_inverse
 
 from conftest import random_gates, random_symplectic_from_gates, random_symplectic_from_hamiltonian
 from oracle import (
@@ -50,6 +50,7 @@ from oracle import (
     fourier_inv,
     full_action_check,
     invert_circuit,
+    is_symplectic,
     phase_p,
     phase_x,
     qnd_p,
@@ -333,6 +334,45 @@ def test_verify_circuit_returns_deviation_and_raises():
 PROBE_BAND_ABOVE = 10.0
 
 
+def _rounding_bound(circuit, x: np.ndarray) -> np.ndarray:
+    """A bound on how far `apply_gate`'s records, applied to ``x`` in doubles, land from the exact product of their gate matrices with ``x``.
+
+    Row i of ``G Y`` for a record of gate matrix G is a sum of the k
+    nonzero entries of G's row i times entries of Y, so it rounds by at
+    most ``gamma_k (|G| |Y|)_i``, where ``gamma_k = k u / (1 - k u)`` and u
+    is the unit roundoff; a signed unit row moves an entry exactly
+    (k = 0).  G carries the error already made, so the bound E grows as
+    ``E <- |G| E + gamma_k |G| |Y|`` over the records, Y the computed array.
+    """
+    u = np.finfo(float).eps / 2
+    y, bound = x.copy(), np.zeros_like(x)
+    for record in circuit.records:
+        gate = np.eye(len(x))
+        apply_gate(gate, record)  # exact: each entry is a parameter, 1 or 0
+        nonzero = np.count_nonzero(gate, axis=1)
+        k = np.where((nonzero == 1) & (np.abs(gate).max(axis=1) == 1.0), 0, nonzero)[:, None]
+        bound = np.abs(gate) @ bound + k * u / (1 - k * u) * (np.abs(gate) @ np.abs(y))
+        apply_gate(y, record)
+    return bound
+
+
+def probe_rounding(circuit, code) -> float:
+    """The largest rounding the probe deviation can carry beyond the full deviation times the probes' column 1-norm.
+
+    Entry (i, j) of the probe deviation is ``fl(A X) - fl(T X)``, and
+    ``|A X - T X| <= |fl(A) - T| |X| + |fl(A) - A| |X|``, where A is the
+    exact product of the records' gate matrices and ``fl(A)`` the full
+    action `circuit_action` computes: `_rounding_bound` of the records on
+    X bounds ``fl(A X) - A X``, on the identity ``fl(A) - A``, and the
+    product ``T @ X``, over 2n terms, rounds by at most ``gamma_2n |T| |X|``.
+    """
+    n, u = code.n, np.finfo(float).eps / 2
+    probes = probe_columns(n)
+    target = np.abs(encoder_quad_action(code))
+    bound = _rounding_bound(circuit, probes) + (_rounding_bound(circuit, np.eye(2 * n)) + 2 * n * u / (1 - 2 * n * u) * target) @ np.abs(probes)
+    return float(bound.max())
+
+
 def assert_probes_give_the_full_verdict(circuit, code):
     """`verify_circuit`'s verdict is the full-action check's outside the band, and its deviation is within the probes' bound."""
     scaled, deviation = full_action_check(circuit, code)
@@ -350,7 +390,7 @@ def assert_probes_give_the_full_verdict(circuit, code):
     elif not scaled < 1e-8 * PROBE_BAND_ABOVE:  # NaN too
         assert probe_deviation is None
     if probe_deviation is not None:
-        assert probe_deviation <= deviation * norm * (1 + 1e-12)
+        assert probe_deviation <= deviation * norm * (1 + 1e-12) + probe_rounding(circuit, code)
 
 
 @functools.cache
@@ -386,6 +426,10 @@ def _spoiled(circuit, spoil, pick):
     st.sampled_from([None, "scaled", "swapped", "dropped"]),
     st.integers(0, 2**16),
 )
+# Unspoiled, its full deviation is 1.1e-16 and its probe deviation 3.1e-15,
+# above that times the probes' column 1-norm, 2.5e-15: the probes' own
+# products round too.
+@example(source=("built", 12, 86359, 0.03125), spoil=None, pick=0)
 def test_the_probes_give_the_full_actions_verdict(source, spoil, pick):
     # Built codes of 1 to 24 modes (identity columns up to 8) and the
     # benchmark's nine matrices, compiled, then as compiled or spoiled.

