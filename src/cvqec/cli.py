@@ -139,11 +139,13 @@ def _write(text: str, output: str | None) -> None:
     be opened or written raises ValueError naming it, a parse error.
     """
     if not output:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
         return
     try:
         with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write((text + "\n").encode())
+            fh.write(text.encode())  # the newline apart: text + "\n" would copy the whole text once more
+            fh.write(b"\n")
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
     except OSError as exc:

@@ -85,43 +85,38 @@ class BatchDecode(NamedTuple):
             UNCORRECTABLE.
         mode_hypothesis: best-fitting mode per row (1-based), 0 on
             NO_ERROR rows.
-        shift: (rows, 2) fitted (p, x) of the best-fitting mode; the
-            correction of a DECODED row is that shift on that mode.
         residual: residual of the best hypothesis per row (the syndrome
             norm on NO_ERROR rows).
         runner_up: second-best mode per row (1-based); 0 for a one-mode
             code.
         runner_up_residual: its residual, within the bound `decode_batch`
             states; infinite for a one-mode code.
-        principal: (rows, 2) the same fit on the best mode's principal
-            axes, ``(s Q_j) * inverse[j]`` (`CodeSpec.mode_planes`), so
-            that ``shift`` is ``principal @ vt[j]`` row by row.
+        principal: (rows, 2) fit of the best mode j on its principal axes,
+            ``(s Q_j) * inverse[j]`` (`CodeSpec.mode_planes`); a DECODED
+            row corrects by (p, x) = ``principal @ vt[j]`` on mode j.
     """
 
     status: np.ndarray
     mode_hypothesis: np.ndarray
-    shift: np.ndarray
     residual: np.ndarray
     runner_up: np.ndarray
     runner_up_residual: np.ndarray
     principal: np.ndarray
 
 
-def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual ``|s - (s Q_j) Q_j^T|``, principal fit and (p, x) fit of each syndrome row on the 0-based mode j that ``modes`` names.
+def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual ``|s - (s Q_j) Q_j^T|`` and principal fit of each syndrome row on the 0-based mode j that ``modes`` names.
 
     The rows are sorted by mode, and each run of one mode is projected
     once: its coordinates ``s Q_j``, one (rows, m) x (m, 2) product, give
-    the residual through one (rows, 2) x (2, m) product, the principal
-    fit ``(s Q_j) * inverse[j]`` and the (p, x) fit, that principal fit
-    ``@ vt[j]``, through a (rows, 2) x (2, 2) one (`CodeSpec.mode_planes`).
+    the residual through one (rows, 2) x (2, m) product and the principal
+    fit ``(s Q_j) * inverse[j]`` (`CodeSpec.mode_planes`).
     """
-    planes, inverse, vt = code.mode_planes
+    planes, inverse, _ = code.mode_planes
     order = modes.argsort(kind="stable")
     ranked = modes[order]
     part = s.take(order, axis=0)
     principal = np.empty((len(s), 2))
-    fit = np.empty((len(s), 2))
     first = np.empty(len(s), dtype=bool)  # where a run of one mode starts
     first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
@@ -130,10 +125,9 @@ def _fits(code: CodeSpec, s: np.ndarray, modes: np.ndarray) -> tuple[np.ndarray,
         block, j = part[a:b], ranked[a]
         coords = block @ planes[j].T
         np.multiply(coords, inverse[j], out=principal[a:b])
-        fit[a:b] = principal[a:b] @ vt[j]
         block -= coords @ planes[j]
     back = order.argsort(kind="stable")  # the inverse permutation: gathers cost less than a scatter of pairs
-    return np.sqrt(np.einsum("ij,ij->i", part, part)).take(back), principal.take(back, axis=0), fit.take(back, axis=0)
+    return np.sqrt(np.einsum("ij,ij->i", part, part)).take(back), principal.take(back, axis=0)
 
 
 def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDecode:
@@ -141,19 +135,19 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
 
     Every mode hypothesis j has a two-unknown least-squares system for
     (p, x).  Its fit of s is the projection ``s Q_j`` onto the orthonormal
-    basis ``Q_j`` of the mode's syndrome plane, read back as (p, x)
-    through the other factors of the plane's SVD (`CodeSpec.mode_planes`),
-    and the hypothesis with the smallest residual ``|s - (s Q_j) Q_j^T|``
-    wins.  Per row, in this order of precedence: a syndrome whose norm is
-    at most ``tol`` is NO_ERROR; a best residual above ``tol * (1 + |s|)``
-    is UNCORRECTABLE; a second-best residual within ``tol * (1 + best)``
-    of the best is AMBIGUOUS.
+    basis ``Q_j`` of the mode's syndrome plane, kept on the mode's
+    principal axes (`BatchDecode.principal`), and the hypothesis with the
+    smallest residual ``|s - (s Q_j) Q_j^T|`` wins.  Per row, in this
+    order of precedence: a syndrome whose norm is at most ``tol`` is
+    NO_ERROR; a best residual above ``tol * (1 + |s|)`` is UNCORRECTABLE;
+    a second-best residual within ``tol * (1 + best)`` of the best is
+    AMBIGUOUS.
 
     One (rows, m) x (m, 2n) product gives every hypothesis's fitted
     squared norm ``|s Q_j|^2``, summed pairwise into a contiguous
     (rows, n) array, and the largest two along each row name the best
-    mode and the runner-up.  The best mode's residual, principal fit and
-    shift are then computed over the rows grouped by that mode, the residual in
+    mode and the runner-up.  The best mode's residual and principal fit
+    are then computed over the rows grouped by that mode, the residual in
     rank-2 form: never as ``|s|^2 - |s Q_j|^2``, which loses digits to
     cancellation.  Each of those differences is off by at most about
     ``m eps |s|^2``.  Where the runner-up's leaves at least
@@ -210,16 +204,16 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     second_res = np.sqrt(np.maximum(second_sq, 0.0))
     del fitted  # the largest array here: free it before the grouped fits allocate theirs
 
-    best_res, principal, shift = _fits(code, s, best)
+    best_res, principal = _fits(code, s, best)
     if len(redo):
-        near_res, near_principal, near_shift = _fits(code, s.take(redo[near_row], axis=0), near_mode)
+        near_res, near_principal = _fits(code, s.take(redo[near_row], axis=0), near_mode)
         ranked = np.full(near.shape, np.inf)  # (redo rows, n)
         ranked[near_row, near_mode] = near_res
         ranked[redo_rows, best[redo]] = best_res[redo]
         top = ranked.argmin(axis=1)  # the first mode on a tie
         hit = near_mode == top[near_row]  # rows whose best mode changed
         changed = redo[near_row[hit]]
-        principal[changed], shift[changed] = near_principal[hit], near_shift[hit]
+        principal[changed] = near_principal[hit]
         best_res[redo] = ranked[redo_rows, top]
         ranked[redo_rows, top] = np.inf
         runner = ranked.argmin(axis=1)  # finite: each row holds the best and the runner-up
@@ -235,14 +229,15 @@ def decode_batch(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> BatchDec
     mode[none] = 0
     np.copyto(best_res, snorm, where=none)
     runner_up = second + 1 if n > 1 else np.zeros_like(second)
-    return BatchDecode(status, mode, shift, best_res, runner_up, second_res, principal)
+    return BatchDecode(status, mode, best_res, runner_up, second_res, principal)
 
 
 def decode_single_mode(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> Correction:
     """Decode one syndrome: `decode_batch` on a single row.
 
     A syndrome whose norm is at most ``tol`` decodes to the identity
-    correction.
+    correction, and a DECODED one to (p, x) = ``principal @ vt[j]`` on
+    its best mode j (`BatchDecode.principal`).
 
     Args:
         code: a built code with at least two check rows.
@@ -271,7 +266,7 @@ def decode_single_mode(code: CodeSpec, s, tol: float = DEFAULT_DECODE_TOL) -> Co
             f"modes {mode} and {int(out.runner_up[0])} explain the syndrome equally well "
             f"(residuals {residual:.3e}, {float(out.runner_up_residual[0]):.3e})"
         )
-    p, x = out.shift[0]
+    p, x = out.principal[0] @ code.mode_planes[2][mode - 1]
     return Correction(u_prime=single_mode_error(code.n, mode, p, x), mode_hypothesis=mode, residual=residual)
 
 

@@ -162,9 +162,8 @@ def block_rows(n: int) -> int:
     A block's largest array is the decoder's (rows, 2n) product of fitted
     norms, which this sizes to 256 KiB down to 1000 rows.  With fewer rows
     the fixed cost of a block's numpy calls outweighs its smaller working
-    set.  The floor is not 1024 because it was set when the decoder ranked
-    down the columns of a (2n, rows) product, whose rows a power-of-two
-    count put 16 KiB apart at n = 512.
+    set.  Moving the floor moves the block boundaries, and with them the
+    last bits of every seeded figure of a larger run.
     """
     return max(1000, (256 * 1024) // (16 * n))
 

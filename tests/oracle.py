@@ -528,10 +528,12 @@ def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int
 
     The package's own readout (`readout_syndromes`), drawn as one
     (trials, m) array, and one `decode_batch` call over every trial, so the
-    rates and the syndromes are the package's own; then each
-    trial's corrected data quadratures are formed as one row of a
-    (trials, 2k) array, and the mean and variance are numpy's over its
-    rows.  Inputs are not checked.
+    rates and the syndromes are the package's own; then each DECODED
+    trial's (p, x) correction is formed from its principal fit,
+    ``BatchDecode.principal @ vt[j]`` (`CodeSpec.mode_planes`), as
+    `cvqec.decoder.decode_single_mode` forms it, its corrected data
+    quadratures as one row of a (trials, 2k) array, and the mean and
+    variance are numpy's over its rows.  Inputs are not checked.
     """
     n, _, l, c = code.params
     error = np.asarray(error, dtype=float)
@@ -545,8 +547,9 @@ def per_trial_experiment(code: CodeSpec, error, r: float, trials: int, seed: int
     # p * basis[:, n + j] + x * basis[:, j]; only the data rows matter.
     residuals = np.tile(shift[data], (trials, 1))
     decoded = decode_batch(code, s_meas, tol=_DECODE_TOL)
-    shift = decoded.shift * (decoded.status == DECODED)[:, None]
     j = np.maximum(decoded.mode_hypothesis - 1, 0)
+    shift = np.matmul(decoded.principal[:, None], code.mode_planes[2][j])[:, 0]
+    shift *= (decoded.status == DECODED)[:, None]
     data_basis = code.basis[data].T
     for column, size in ((n + j, shift[:, :1]), (j, shift[:, 1:])):
         residuals -= data_basis[column] * size

@@ -293,6 +293,82 @@ def test_dimension_error_exit_code(tmp_path):
     assert main(["decompose", str(path)]) == 3
 
 
+def _input_files(tmp_path, code_file):
+    """Makers of the inputs `test_documented_exits` names, each written on first use."""
+    config = {"code_file": code_file, "error": {"mode": 1, "p": 0.5, "x": 0.5}, "squeezing_r": 5.0, "trials": 10, "seed": 1}
+
+    def written(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def one_check_row_code():
+        path = str(tmp_path / "one-row-code.json")
+        assert main(["build", written("one-row.json", {"n": 2, "rows": [[1, 0, 0, 0]]}), "--output", path]) == 0
+        return path
+
+    def gate_as_list():
+        path = str(tmp_path / "circuit.json")
+        assert main(["compile", code_file, "--output", path]) == 0
+        circuit = read(path)
+        circuit[0]["gate"] = [circuit[0]["gate"]]
+        return written("gate-list.json", circuit)
+
+    return {
+        "CODE": lambda: code_file,
+        "ONE_ROW_CODE": one_check_row_code,
+        "THREE_ROWS": lambda: written("three-rows.json", {"n": 2, "rows": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.7071067811865476, 0.7071067811865476]]}),
+        "ZERO_TRIALS": lambda: written("zero-trials.json", dict(config, trials=0)),
+        "NEGATIVE_SEED": lambda: written("negative-seed.json", dict(config, seed=-1)),
+        "FLAT_BASIS": lambda: written("flat-basis.json", dict(read(code_file), basis=dict(read(code_file)["basis"], shape=[64]))),
+        "GATE_LIST": gate_as_list,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, line",
+    [
+        (["syndrome", "CODE", "--error", "[1, 2, 3]"], 3, "error: error vector must have length 8"),
+        (["syndrome", "CODE"], 3, "error: give either --error or --mode with --p/--x"),
+        (["syndrome", "CODE", "--mode", "9", "--p", "1"], 3, "error: mode 9 out of range 1..4"),
+        (["decode", "CODE", "--syndrome", "[1.0, 2.0]"], 3, "error: syndrome must have length 4, got shape (2,)"),
+        (["decode", "CODE", "--syndrome", "[1.0, 2.0]", "--min-norm"], 3, "error: syndrome must have length 4, got shape (2,)"),
+        (["decode", "ONE_ROW_CODE", "--syndrome", "[1.0]"], 3, "error: single-mode decoding needs at least two check rows"),
+        (["build", "THREE_ROWS", "--tolerance", "0.8"], 3, "error: c + l = 3 exceeds the mode count 2"),
+        (["simulate", "ZERO_TRIALS"], 2, "error: need at least one trial"),
+        (["simulate", "NEGATIVE_SEED"], 2, "error: seed must be non-negative"),
+        (["build", "THREE_ROWS", "--tolerance", "abc"], 2, "cvqec build: error: argument --tolerance: must be a finite number >= 0, got 'abc'"),
+        (["syndrome", "FLAT_BASIS", "--mode", "1", "--p", "1"], 2, "error: cannot read 'basis': expected a shape [rows, columns], got [64]"),
+        (["verify", "GATE_LIST", "CODE"], 2, "error: invalid gate record 0 {'gate': ["),
+    ],
+    ids=[
+        "syndrome-error-wrong-length",
+        "syndrome-no-error",
+        "syndrome-mode-out-of-range",
+        "decode-wrong-length",
+        "min-norm-wrong-length",
+        "decode-one-check-row",
+        "build-more-checks-than-modes",
+        "simulate-zero-trials",
+        "simulate-negative-seed",
+        "build-tolerance-not-a-number",
+        "code-basis-one-dimensional",
+        "circuit-gate-a-list",
+    ],
+)
+def test_documented_exits(tmp_path, code_file, capsys, argv, exit_code, line):
+    # Each input exits with its documented code and one `error:` line, the last on stderr.
+    files = _input_files(tmp_path, code_file)
+    argv = [files[arg]() if arg in files else arg for arg in argv]
+    capsys.readouterr()
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    assert got == exit_code
+    assert capsys.readouterr().err.splitlines()[-1].startswith(line)
+
+
 def test_compile_elimination_failure_exit_code(monkeypatch, tmp_path, code_file):
     # Skipping every elimination gate leaves the identity unreached.
     monkeypatch.setattr(compiler, "GATE_EPS", 1e6)

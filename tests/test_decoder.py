@@ -237,7 +237,8 @@ def test_batch_decoder_matches_scalar_row_by_row(rows):
             continue
         assert status == DECODED
         assert batch.mode_hypothesis[i] == corr.mode_hypothesis
-        u_batch = single_mode_error(4, int(batch.mode_hypothesis[i]), *batch.shift[i])
+        j = int(batch.mode_hypothesis[i])
+        u_batch = single_mode_error(4, j, *(batch.principal[i] @ code.mode_planes[2][j - 1]))
         assert np.max(np.abs(u_batch - corr.u_prime)) <= 1e-12 * np.max(np.abs(corr.u_prime))
 
 
@@ -328,7 +329,10 @@ def test_batch_decoder_matches_lstsq_oracle(case):
         assert np.all(got.runner_up == 0) and np.all(got.runner_up_residual == np.inf)
     named = unique | (clear & (status == NO_ERROR))
     assert np.array_equal(got.mode_hypothesis[named], mode[named])
-    assert np.all(np.abs(got.shift - shift).max(axis=1, initial=0.0)[unique] <= scale[unique])
+    # A NO_ERROR row names no mode, yet its principal fit is the best mode's: the oracle's best at tol 0.
+    best = np.where(status == NO_ERROR, decode_by_lstsq(code, s, 0.0)[1], got.mode_hypothesis)
+    got_shift = np.matmul(got.principal[:, None], code.mode_planes[2][np.maximum(best - 1, 0)])[:, 0]
+    assert np.all(np.abs(got_shift - shift).max(axis=1, initial=0.0)[unique] <= scale[unique])
 
 
 @pytest.mark.parametrize(
@@ -372,8 +376,9 @@ def test_the_principal_fit_is_the_shift_on_the_principal_axes(source, mode_pick,
     # n = 16 codes and the coincident-plane code, whose re-ranked rows change
     # their best mode, read out as the experiment reads a single-mode error,
     # plus arbitrary rows.  On every row that names a mode, DECODED or not,
-    # the shift is the principal fit on that mode's axes bit for bit, and the
-    # principal fit is (s Q_j) * inverse[j] to the rounding of the product s Q_j.
+    # the principal fit is (s Q_j) * inverse[j] to the rounding of the product
+    # s Q_j, and on a DECODED row `decode_single_mode` corrects by the
+    # principal fit on that mode's axes, principal @ vt[j], bit for bit.
     if source[0] == "built":
         _, draw_seed, log_scale = source
         rng = np.random.default_rng(draw_seed)
@@ -395,6 +400,11 @@ def test_the_principal_fit_is_the_shift_on_the_principal_axes(source, mode_pick,
     planes, inverse, vt = code.mode_planes
     for i in np.flatnonzero(got.status != NO_ERROR):
         j = got.mode_hypothesis[i] - 1
-        assert np.array_equal(got.principal[i] @ vt[j], got.shift[i])
         bound = 2 * (m + 1) * np.finfo(float).eps * np.linalg.norm(s[i]) * inverse[j]
         assert np.all(np.abs(got.principal[i] - (s[i] @ planes[j].T) * inverse[j]) <= bound)
+    for i in np.flatnonzero(got.status == DECODED):
+        one = decode_batch(code, s[i : i + 1], 0.1)  # a one-row product may round apart from the batch's
+        if one.status[0] == DECODED:
+            j = one.mode_hypothesis[0] - 1
+            want = single_mode_error(n, j + 1, *(one.principal[0] @ vt[j]))
+            assert np.array_equal(decode_single_mode(code, s[i], 0.1).u_prime, want)

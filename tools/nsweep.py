@@ -3,9 +3,9 @@
 For each mode count n, the check rows come from `random_code_rows(n, 1, n // 4)`
 in `chainbench/workloads.py` (l = 1, c = n/4), which this script imports and
 does not change. It times `build_code`, `decompose` of the code,
-`circuit_action` and `verify_circuit` of the compiled circuit, one
-`run_ec_experiment`, and `decode_batch` on the syndromes that experiment
-decodes (`readout_syndromes` of its error, drawn as one array, where the
+`verify_circuit` of the compiled circuit, one `run_ec_experiment`, and
+`decode_batch` on the syndromes that experiment decodes
+(`readout_syndromes` of its error, drawn as one array, where the
 experiment draws and decodes them in blocks) at the decoder's public
 `DEFAULT_DECODE_TOL`: the ranking, the fits and the re-ranking it times do
 not depend on the tolerance, which only sorts the rows' outcomes. It prints
@@ -78,7 +78,7 @@ import numpy as np
 
 from cvqec import __version__, cli
 from cvqec.codes import build_code, load_code, save_parity_check
-from cvqec.compiler import circuit_action, decompose, load_circuit, verify_circuit
+from cvqec.compiler import decompose, load_circuit, verify_circuit
 from cvqec.decoder import DEFAULT_DECODE_TOL, decode_batch, single_mode_error, syndrome
 from cvqec.simulator import readout_syndromes, run_ec_experiment
 
@@ -138,7 +138,6 @@ def sweep_point(n: int) -> dict:
         while True:
             code = timed("build_code", build_code, rows)
             circuit, report = timed("decompose", decompose, code)
-            timed("circuit_action", circuit_action, circuit)
             deviation = timed("verify_circuit", verify_circuit, circuit, code)
             stats = timed("run_ec_experiment", run_ec_experiment, code, error, RANDOM_CODE_R, TRIALS, 1)
             s_meas = readout_syndromes(code, syndrome(code, error), RANDOM_CODE_R, np.random.default_rng(1), TRIALS)
